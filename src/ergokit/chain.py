@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     ChainParseError,
     NegativeEntryError,
+    NonFiniteEntryError,
     NonSquareError,
     NotStationaryError,
     RowSumError,
@@ -52,7 +53,9 @@ class StateSpace:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    # a private copy: a caller's array (or a view of one) stays writable
+    # without reaching into the frozen value
+    a = np.array(a, dtype=np.float64, order="C")
     a.setflags(write=False)
     return a
 
@@ -68,6 +71,10 @@ class StochasticMatrix:
 
     space: StateSpace
     entries: np.ndarray = field(repr=False)
+    #: Facts derived from the entries, filled on first use (the structural
+    #: report of :func:`ergokit.structure.analyze`). The entries are
+    #: read-only, so nothing here can go stale.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _freeze(self.entries))
@@ -116,6 +123,9 @@ class Distribution:
                 f"probability vector of length {p.shape} on a "
                 f"{self.space.size}-state space"
             )
+        if not np.isfinite(p).all():
+            k = int(np.flatnonzero(~np.isfinite(p))[0])
+            raise NonFiniteEntryError(f"non-finite probability {p[k]} at state {k}")
         if (p < -ROW_SUM_TOL).any():
             raise NegativeEntryError("negative probability entry")
         s = float(p.sum())
@@ -155,6 +165,9 @@ def validate_stochastic(
         raise NonSquareError(
             f"{a.shape[0]}x{a.shape[1]} matrix with {space.size} labels"
         )
+    if not np.isfinite(a).all():
+        i, j = np.argwhere(~np.isfinite(a))[0]
+        raise NonFiniteEntryError(f"non-finite entry {a[i, j]} at row {i}, column {j}")
     if (a < 0).any():
         i, j = np.argwhere(a < 0)[0]
         raise NegativeEntryError(f"negative entry {a[i, j]} at ({i}, {j})")

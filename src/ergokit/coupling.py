@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, StateSpace, power, tv_distance
-from .errors import NeverMetError, NotErgodicError
+from .errors import MarginalMismatchError, NeverMetError, NotErgodicError
 from .structure import analyze
 
 #: Cap for the exact absorbing-chain tail oracle; the product matrix is
@@ -74,14 +74,18 @@ def build_product_chain(P: StochasticMatrix) -> ProductChain:
     Q((i,k),(j,l)) = P(i,j) P(k,l), i.e. the Kronecker square of P."""
     n = P.n
     Q = np.kron(P.entries, P.entries)
-    # faithfulness: each copy's marginal transition law must be exactly P
+    # faithfulness: from pair s = i * n + k, each copy's marginal transition
+    # law must be exactly P(i, .) and P(k, .)
     marg_x = Q.reshape(n * n, n, n).sum(axis=2)
     marg_y = Q.reshape(n * n, n, n).sum(axis=1)
-    for i in range(n):
-        for k in range(n):
-            s = i * n + k
-            assert np.abs(marg_x[s] - P.entries[i]).max() < 1e-12
-            assert np.abs(marg_y[s] - P.entries[k]).max() < 1e-12
+    gap = max(
+        np.abs(marg_x - np.repeat(P.entries, n, axis=0)).max(),
+        np.abs(marg_y - np.tile(P.entries, (n, 1))).max(),
+    )
+    if not gap < 1e-12:
+        raise MarginalMismatchError(
+            f"product-chain marginals deviate from P by {gap:.3g}"
+        )
     labels = tuple(
         f"({P.space.labels[i]},{P.space.labels[k]})"
         for i in range(n)

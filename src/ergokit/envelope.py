@@ -24,7 +24,7 @@ from .errors import (
     NotPositiveError,
 )
 from .stationary import StationaryResult, stationary_linear
-from .structure import analyze, primitivity_exponent
+from .structure import analyze
 
 #: Slack for the "should be impossible" monotonicity assertions; a few ulps
 #: of accumulated matmul rounding, nothing more.
@@ -171,10 +171,10 @@ def stationary_by_envelope(
     Each pi_k is the midpoint of its final [m, M] interval, certified to
     half-width tol / 2.
     """
-    report = analyze(P, with_primitivity=False)
+    report = analyze(P)
     if not report.ergodic:
         raise NotErgodicError("envelope squeeze needs an ergodic chain")
-    m = 1 if (P.entries > 0.0).all() else primitivity_exponent(P)
+    m = report.primitivity_exponent  # 1 for an entrywise positive P
     B = power(P, m).entries
     p_min = float(B.min())
     if max_iter is None:
@@ -217,7 +217,6 @@ def mixing_estimate(
     if not report.ergodic:
         raise NotErgodicError("mixing time is defined for ergodic chains only")
     m = report.primitivity_exponent
-    assert m is not None
     pi = stationary_linear(P).pi
     pmin_m = power(P, m).min_entry()
     n = P.n

@@ -13,6 +13,10 @@ class NegativeEntryError(ErgokitError):
     pass
 
 
+class NonFiniteEntryError(ErgokitError):
+    """A matrix or probability entry is NaN or infinite."""
+
+
 class RowSumError(ErgokitError):
     """A row sum deviates from 1 beyond the ingestion tolerance."""
 
@@ -67,6 +71,10 @@ class SingularSystemError(ErgokitError):
 
 class RankDeficientError(ErgokitError):
     """Nullity of P - I exceeds 1; contradicts irreducibility numerically."""
+
+
+class MarginalMismatchError(ErgokitError):
+    """A product chain's marginal transition law differs from its base chain."""
 
 
 class NeverMetError(ErgokitError):

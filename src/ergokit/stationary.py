@@ -20,13 +20,15 @@ import numpy as np
 from .chain import Distribution, StochasticMatrix, stationary_residual
 from .errors import (
     BalanceViolationError,
+    MaxIterExceededError,
+    NoConvergenceError,
     NotErgodicError,
     NotIrreducibleError,
     RankDeficientError,
     SingularSystemError,
     TooLargeError,
 )
-from .structure import analyze, build_graph, is_irreducible
+from .structure import analyze
 
 #: Above n^(n-1) candidate functions the exhaustive tree enumeration is
 #: hopeless; the determinant route has no such cap.
@@ -63,10 +65,11 @@ class ReturnTimeTable:
 
 
 def _require_irreducible(P: StochasticMatrix) -> None:
-    ok, sccs = is_irreducible(build_graph(P))
-    if not ok:
+    report = analyze(P, with_primitivity=False)
+    if not report.irreducible:
         raise NotIrreducibleError(
-            f"transition graph has {len(sccs)} strongly connected components"
+            f"transition graph has {len(report.scc_decomposition)} "
+            "strongly connected components"
         )
 
 
@@ -160,12 +163,12 @@ def check_balance(P: StochasticMatrix, gammas: np.ndarray, rtol: float = 1e-9) -
     sum_{x != y} gamma(x) p_xy = sum_{x != y} gamma(y) p_yx.
 
     Returns the worst relative discrepancy; raises on violation."""
-    worst = 0.0
-    for y in range(P.n):
-        inflow = sum(gammas[x] * P.entries[x, y] for x in range(P.n) if x != y)
-        outflow = gammas[y] * sum(P.entries[y, x] for x in range(P.n) if x != y)
-        scale = max(abs(inflow), abs(outflow), 1e-300)
-        worst = max(worst, abs(inflow - outflow) / scale)
+    off = P.entries.copy()
+    np.fill_diagonal(off, 0.0)
+    inflow = gammas @ off
+    outflow = gammas * off.sum(axis=1)
+    scale = np.maximum(np.maximum(np.abs(inflow), np.abs(outflow)), 1e-300)
+    worst = float((np.abs(inflow - outflow) / scale).max())
     if worst > rtol:
         raise BalanceViolationError(
             f"flow balance violated: relative discrepancy {worst:.3g}"
@@ -281,7 +284,9 @@ def monte_carlo_return(
         times[returned] = t
         alive[returned] = False
     if alive.any():
-        raise RuntimeError(f"{alive.sum()} trials did not return in {max_steps} steps")
+        raise MaxIterExceededError(
+            f"{alive.sum()} trials did not return in {max_steps} steps"
+        )
     mean = float(times.mean())
     se = float(times.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return mean, se
@@ -301,7 +306,7 @@ def stationary_by_power(
             break
         mu = nxt
     else:
-        raise RuntimeError(f"power iteration did not settle in {max_iter} steps")
+        raise NoConvergenceError(f"power iteration did not settle in {max_iter} steps")
     mu = mu / mu.sum()
     return StationaryResult(
         pi=Distribution(P.space, mu),

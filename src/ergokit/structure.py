@@ -1,16 +1,24 @@
 """Structural ergodicity analysis of the transition graph.
 
-Irreducibility via strongly connected components, per-state periods via a
-BFS level-gcd, and the primitivity exponent (least m with P^m entrywise
-positive) via boolean matrix powering. Structure is read off the exact
-zero pattern of the matrix: a structural zero means exactly 0.0.
+Irreducibility via strongly connected components, the period of each class
+via one BFS level-gcd, and the primitivity exponent (least m with P^m
+entrywise positive) via boolean matrix powering. Structure is read off the
+exact zero pattern of the matrix: a structural zero means exactly 0.0.
+
+The structural report is computed once per matrix: :func:`analyze` does one
+O(n + E) pass over the transition graph (a single Tarjan run, then one BFS
+per class) and memoizes the result on the frozen
+:class:`~ergokit.chain.StochasticMatrix`, whose entries are read-only. Every
+other module asks :func:`analyze` instead of recomputing.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -33,10 +41,15 @@ class TransitionGraph:
 @dataclass(frozen=True)
 class ErgodicityReport:
     irreducible: bool
-    periods: dict[str, int | None]  # None: state lies on no closed walk
+    periods: Mapping[str, int | None]  # read-only; None: state lies on no closed walk
     aperiodic: bool
     primitivity_exponent: int | None
     scc_decomposition: tuple[tuple[str, ...], ...]
+
+    def __post_init__(self):
+        # reports are shared through the per-matrix memo, so callers get a
+        # read-only view of a private copy
+        object.__setattr__(self, "periods", MappingProxyType(dict(self.periods)))
 
     @property
     def ergodic(self) -> bool:
@@ -47,7 +60,7 @@ class ErgodicityReport:
             {
                 "irreducible": self.irreducible,
                 "aperiodic": self.aperiodic,
-                "periods": self.periods,
+                "periods": dict(self.periods),
                 "primitivity_exponent": self.primitivity_exponent,
                 "sccs": [list(c) for c in self.scc_decomposition],
             }
@@ -116,33 +129,37 @@ def is_irreducible(G: TransitionGraph) -> tuple[bool, list[list[int]]]:
     return len(sccs) == 1, sccs
 
 
-def period_of(G: TransitionGraph, s: int) -> int:
-    """gcd of the lengths of all closed walks through s.
+def _class_period(G: TransitionGraph, members: set[int], s: int) -> int:
+    """gcd of level(u) + 1 - level(v) over the edges (u, v) inside the
+    strongly connected class `members`, with levels from a BFS started at
+    its member s.
 
-    Computed as the gcd of level(u) + 1 - level(v) over intra-SCC edges
-    (u, v) in a BFS from s restricted to s's SCC; this equals the
-    closed-walk gcd for strongly connected components.
+    This equals the gcd of the closed-walk lengths through any member, so it
+    is the period of the whole class. 0 means the class has no closed walk:
+    a single state without a self-loop.
     """
-    sccs = strongly_connected_components(G)
-    comp = next(c for c in sccs if s in c)
-    members = set(comp)
     level = {s: 0}
     queue = [s]
-    g = 0
     while queue:
         nxt = []
         for u in queue:
             for w in G.edges[u]:
-                if w not in members:
-                    continue
-                if w not in level:
+                if w in members and w not in level:
                     level[w] = level[u] + 1
                     nxt.append(w)
         queue = nxt
+    g = 0
     for u in level:
         for w in G.edges[u]:
             if w in members:
                 g = math.gcd(g, level[u] + 1 - level[w])
+    return g
+
+
+def period_of(G: TransitionGraph, s: int) -> int:
+    """gcd of the lengths of all closed walks through s."""
+    comp = next(c for c in strongly_connected_components(G) if s in c)
+    g = _class_period(G, set(comp), s)
     if g == 0:
         raise NoClosedWalkError(
             f"state {G.vertices.labels[s]!r} lies on no closed walk"
@@ -205,27 +222,44 @@ def primitivity_exponent(P: StochasticMatrix) -> int:
     return hi
 
 
-def analyze(P: StochasticMatrix, with_primitivity: bool = True) -> ErgodicityReport:
-    """Full structural report for a chain."""
+def _structural_report(P: StochasticMatrix) -> ErgodicityReport:
     G = build_graph(P)
-    irreducible, sccs = is_irreducible(G)
-    periods: dict[str, int | None] = {}
-    for s in range(P.n):
-        try:
-            periods[P.space.labels[s]] = period_of(G, s)
-        except NoClosedWalkError:
-            periods[P.space.labels[s]] = None
-    defined = [p for p in periods.values() if p is not None]
-    aperiodic = len(defined) == P.n and all(p == 1 for p in defined)
-    m = None
-    if with_primitivity and irreducible and aperiodic:
-        m = primitivity_exponent(P)
+    sccs = strongly_connected_components(G)
+    period: list[int | None] = [None] * P.n
+    for comp in sccs:
+        g = _class_period(G, set(comp), comp[0])
+        for v in comp:
+            period[v] = g or None
+    labels = P.space.labels
     return ErgodicityReport(
-        irreducible=irreducible,
-        periods=periods,
-        aperiodic=aperiodic,
-        primitivity_exponent=m,
+        irreducible=len(sccs) == 1,
+        periods={labels[s]: period[s] for s in range(P.n)},
+        aperiodic=all(p == 1 for p in period),
+        primitivity_exponent=None,
         scc_decomposition=tuple(
-            tuple(P.space.labels[v] for v in sorted(c)) for c in sccs
+            tuple(labels[v] for v in sorted(c)) for c in sccs
         ),
     )
+
+
+def analyze(P: StochasticMatrix, with_primitivity: bool = True) -> ErgodicityReport:
+    """Structural report for a chain, computed once per matrix.
+
+    One Tarjan pass finds the strongly connected classes and one BFS
+    level-gcd per class gives the period all its members share: O(n + E)
+    in all. The report is memoized on P, whose entries are read-only, so
+    later calls cost a lookup. The base report (primitivity exponent None)
+    and the full one are kept apart; the full one reuses the base one and
+    adds the exponent for ergodic chains.
+    """
+    memo = P._memo
+    if "structure" not in memo:
+        memo["structure"] = _structural_report(P)
+    base = memo["structure"]
+    if not (with_primitivity and base.ergodic):
+        return base
+    if "structure+primitivity" not in memo:
+        memo["structure+primitivity"] = replace(
+            base, primitivity_exponent=primitivity_exponent(P)
+        )
+    return memo["structure+primitivity"]

@@ -9,6 +9,7 @@ import ergokit as ek
 from ergokit import generators as gen
 from ergokit.errors import (
     NegativeEntryError,
+    NonFiniteEntryError,
     NonSquareError,
     NotStationaryError,
     RowSumError,
@@ -71,6 +72,16 @@ class TestValidation:
     def test_negative_entry(self):
         with pytest.raises(NegativeEntryError):
             ek.validate_stochastic([[1.5, -0.5], [0.5, 0.5]], ["a", "b"])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry(self, bad):
+        with pytest.raises(NonFiniteEntryError, match="row 1, column 0"):
+            ek.validate_stochastic([[0.5, 0.5], [bad, 0.5]], ["a", "b"])
+
+    def test_non_finite_probability(self):
+        space = ek.StateSpace(("a", "b"))
+        with pytest.raises(NonFiniteEntryError, match="state 0"):
+            ek.Distribution(space, np.array([np.nan, 1.0]))
 
     def test_renormalizes_tiny_drift(self):
         a = np.array([[0.5, 0.5], [0.5, 0.5]]) * (1 + 1e-14)

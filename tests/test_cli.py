@@ -52,6 +52,22 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("nan.json", '{"states": ["a", "b"], "matrix": [[NaN, 0.5], [0.5, 0.5]]}'),
+            ("nan.csv", "a,b\nnan,0.5\n0.5,0.5\n"),
+        ],
+    )
+    def test_non_finite_entry_exit_one(self, capsys, tmp_path, name, text):
+        f = tmp_path / name
+        f.write_text(text)
+        code, out, err = run(capsys, "analyze", "--chain", str(f))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "NonFiniteEntryError" in err and "row 0, column 0" in err
+
 
 class TestStationary:
     def test_all_methods_agree(self, capsys):
@@ -88,6 +104,18 @@ class TestStationary:
         obj = json.loads(out)
         assert code == 0
         assert set(obj["methods"]) == {"linear_solve", "return_time"}
+
+    def test_power_iteration_no_convergence_inline(self, capsys):
+        code, out, err = run(
+            capsys, "stationary", "--gen", "two_state",
+            "--params", "p=0.000001,q=0.000002",
+            "--methods", "power_iteration,linear_solve",
+        )
+        obj = json.loads(out)
+        assert code == 0
+        assert err == ""
+        assert obj["methods"]["power_iteration"]["error"] == "NoConvergenceError"
+        assert obj["methods"]["linear_solve"]["pi"] == pytest.approx([2 / 3, 1 / 3])
 
     def test_unknown_method_exit_one(self, capsys):
         code, _, err = run(
@@ -246,6 +274,46 @@ class TestReport:
         obj = json.loads(out)
         assert code == 2
         assert obj["ergodicity"]["aperiodic"] is False
+        assert "mixing" not in obj
+
+
+    @pytest.mark.parametrize(
+        "gen_args, most",
+        [
+            (("--gen", "two_state", "--params", "p=0.2,q=0.3"), 2),  # P and P x P
+            (("--gen", "lazy_hypercube", "--params", "d=4"), 1),  # n = 16 > 12
+        ],
+    )
+    def test_structure_computed_once_per_chain(self, capsys, monkeypatch, gen_args, most):
+        from ergokit import structure
+
+        calls = []
+        tarjan = structure.strongly_connected_components
+
+        def counted(G):
+            calls.append(G.n)
+            return tarjan(G)
+
+        monkeypatch.setattr(structure, "strongly_connected_components", counted)
+        code, _, _ = run(capsys, "report", *gen_args, "--trials", "2000")
+        assert code == 0
+        assert 1 <= len(calls) <= most
+        assert len(set(calls)) == len(calls)  # never twice for the same chain
+
+    def test_failed_linear_solve_reported_inline(self, capsys, monkeypatch):
+        from ergokit import cli
+        from ergokit.errors import SingularSystemError
+
+        def fail(P):
+            raise SingularSystemError("forced")
+
+        monkeypatch.setattr(cli.stationary_mod, "stationary_linear", fail)
+        code, out, err = run(capsys, "report", "--gen", "two_state", "--params", "p=0.2,q=0.3")
+        obj = json.loads(out)
+        assert code == 2
+        assert err == ""
+        assert obj["stationary"]["linear_solve"] == {"error": "SingularSystemError"}
+        assert obj["verdicts"]["linear_solve"] is False
         assert "mixing" not in obj
 
 

@@ -7,7 +7,7 @@ from scipy import stats
 import ergokit as ek
 from ergokit import generators as gen
 from ergokit.coupling import _cumrows, _advance, exact_meeting_tail
-from ergokit.errors import NeverMetError, NotErgodicError
+from ergokit.errors import MarginalMismatchError, NeverMetError, NotErgodicError
 
 from conftest import from_array, random_positive
 
@@ -42,6 +42,12 @@ class TestProductChain:
                 s = i * n + k
                 assert np.abs(Q[s].sum(axis=1) - P.entries[i]).max() < 1e-12
                 assert np.abs(Q[s].sum(axis=0) - P.entries[k]).max() < 1e-12
+
+    def test_unfaithful_marginals_typed_error(self):
+        # the raw constructor trusts its input: row 0 sums to 1.1
+        P = ek.StochasticMatrix(ek.StateSpace(("a", "b")), np.array([[0.5, 0.6], [0.5, 0.5]]))
+        with pytest.raises(MarginalMismatchError):
+            ek.build_product_chain(P)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_product_stationary_is_outer_product(self, seed):

@@ -3,7 +3,12 @@ import pytest
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.errors import NotIrreducibleError, TooLargeError
+from ergokit.errors import (
+    MaxIterExceededError,
+    NoConvergenceError,
+    NotIrreducibleError,
+    TooLargeError,
+)
 from ergokit.stationary import check_balance
 
 from conftest import from_array, random_irreducible
@@ -101,6 +106,20 @@ class TestTreeStationary:
         worst = check_balance(P, np.array(res.evidence["gamma"]), rtol=1e-9)
         assert worst <= 1e-9
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_balance_matches_loop_reference(self, seed):
+        rng = np.random.default_rng(1250 + seed)
+        P = random_irreducible(rng, int(rng.integers(2, 9)))
+        gammas = rng.random(P.n) + 0.1  # arbitrary weights: not balanced
+        E = P.entries
+        worst = 0.0
+        for y in range(P.n):
+            inflow = sum(gammas[x] * E[x, y] for x in range(P.n) if x != y)
+            outflow = gammas[y] * sum(E[y, x] for x in range(P.n) if x != y)
+            scale = max(abs(inflow), abs(outflow), 1e-300)
+            worst = max(worst, abs(inflow - outflow) / scale)
+        assert check_balance(P, gammas, rtol=np.inf) == pytest.approx(worst, rel=1e-12, abs=1e-15)
+
 
 class TestReturnTimes:
     def test_two_state_closed_form(self, two_state_chain):
@@ -175,6 +194,17 @@ class TestMonteCarloReturn:
         a = ek.monte_carlo_return(two_state_chain, z=1, trials=500, seed=9)
         b = ek.monte_carlo_return(two_state_chain, z=1, trials=500, seed=9)
         assert a == b
+
+    def test_step_cap_typed_error(self, flip_chain):
+        # every return to 0 takes exactly two steps
+        with pytest.raises(MaxIterExceededError):
+            ek.monte_carlo_return(flip_chain, z=0, trials=10, seed=1, max_steps=1)
+
+
+class TestPowerIteration:
+    def test_no_convergence_typed_error(self):
+        with pytest.raises(NoConvergenceError):
+            ek.stationary_by_power(gen.two_state(1e-6, 2e-6), max_iter=10)
 
 
 class TestCrossMethodAgreement:

@@ -169,3 +169,77 @@ class TestReport:
             "sccs",
         }
         assert obj["primitivity_exponent"] == 1
+
+
+def random_reducible(rng, n_blocks):
+    """Chain whose SCCs are the given blocks, with edges only from earlier
+    blocks to later ones, states shuffled. The first block is a single state
+    without a self-loop (no closed walk), the second a single state with one;
+    the others are random irreducible blocks of 2 to 4 states."""
+    sizes = [1, 1] + [int(rng.integers(2, 5)) for _ in range(n_blocks - 2)]
+    n = sum(sizes)
+    order = rng.permutation(n)
+    a = np.zeros((n, n))
+    blocks = []
+    start = 0
+    for b, size in enumerate(sizes):
+        members = order[start : start + size]
+        start += size
+        blocks.append(members)
+        if b == 1:
+            a[members[0], members[0]] = 1.0
+        elif size > 1:
+            inner = random_irreducible(rng, size).entries
+            a[np.ix_(members, members)] = inner
+    for b, members in enumerate(blocks[:-1]):
+        later = np.concatenate(blocks[b + 1 :])
+        for u in members:
+            if b == 0 or rng.random() < 0.5:
+                a[u, rng.choice(later)] += 0.2 + rng.random()
+    return from_array(a / a.sum(axis=1, keepdims=True)), len(sizes)
+
+
+class TestAnalyzeOnce:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_periods_match_brute_force_on_reducible_chains(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        P, n_blocks = random_reducible(rng, int(rng.integers(3, 6)))
+        rep = ek.analyze(P)
+        assert len(rep.scc_decomposition) == n_blocks
+        assert not rep.irreducible and rep.primitivity_exponent is None
+        periods = list(rep.periods.values())
+        assert None in periods and 1 in periods
+        # walks of length < 3n suffice: each simple cycle of s's class lies on
+        # a closed walk through s that is that short, as does the same walk
+        # with the cycle left out, so their gcd divides every cycle length
+        for s, label in enumerate(P.space.labels):
+            assert rep.periods[label] == (brute_force_period(P, s, 3 * P.n) or None)
+
+    def test_memoized_per_matrix(self, flip_chain):
+        rep = ek.analyze(flip_chain)
+        assert ek.analyze(flip_chain) is rep
+        assert ek.analyze(flip_chain, with_primitivity=False) is rep  # not ergodic
+        # P^2 is a new matrix with its own report: two absorbing classes
+        sq = ek.analyze(ek.power(flip_chain, 2))
+        assert not sq.irreducible and sq.periods == {"s0": 1, "s1": 1}
+        assert ek.analyze(flip_chain).periods == {"s0": 2, "s1": 2}
+
+    def test_base_and_full_reports_kept_apart(self):
+        P = gen.lazy_hypercube(3)
+        assert ek.analyze(P, with_primitivity=False).primitivity_exponent is None
+        assert ek.analyze(P).primitivity_exponent == 3
+        assert ek.analyze(P, with_primitivity=False).primitivity_exponent is None
+
+    def test_returned_periods_are_read_only(self, flip_chain):
+        rep = ek.analyze(flip_chain)
+        with pytest.raises(TypeError):
+            rep.periods["s0"] = 7
+        assert ek.analyze(flip_chain).periods == {"s0": 2, "s1": 2}
+
+    def test_source_array_changes_do_not_reach_the_memo(self):
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        P = ek.StochasticMatrix(ek.StateSpace(("s0", "s1")), a[:])
+        assert ek.analyze(P).periods == {"s0": 2, "s1": 2}
+        a[0] = [1.0, 0.0]
+        assert np.array_equal(P.entries, [[0.0, 1.0], [1.0, 0.0]])
+        assert ek.analyze(P).periods == {"s0": 2, "s1": 2}
