@@ -1,7 +1,9 @@
-"""Core chain types: state spaces, stochastic matrices, distributions, TV metrics.
+"""Core chain types: state spaces, stochastic matrices, distributions, TV
+metrics, and the lockstep walker loop that every simulation runs on.
 
-All values are immutable after construction and all operations are pure, so
-everything here is safe to share across threads.
+All values are immutable after construction and all operations but the
+walker loop (which fills its caller's arrays) are pure, so everything here
+is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ArgumentRangeError,
     ChainParseError,
     NegativeEntryError,
     NonFiniteEntryError,
@@ -21,6 +24,7 @@ from .errors import (
     NotStationaryError,
     RowSumError,
     SpaceMismatchError,
+    StateLabelError,
 )
 
 #: Ingestion tolerance on row sums. File round-tripping produces sub-ulp
@@ -40,9 +44,10 @@ class StateSpace:
 
     def __post_init__(self):
         if len(self.labels) == 0:
-            raise ValueError("state space must contain at least one state")
+            raise StateLabelError("state space must contain at least one state")
         if len(set(self.labels)) != len(self.labels):
-            raise ValueError("state labels must be distinct")
+            dup = next(x for i, x in enumerate(self.labels) if x in self.labels[:i])
+            raise StateLabelError(f"state label {dup!r} appears more than once")
 
     @property
     def size(self) -> int:
@@ -157,10 +162,21 @@ def validate_stochastic(
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    a = np.asarray(raw_matrix, dtype=np.float64)
+    try:
+        a = np.asarray(raw_matrix, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        # numpy reads neither ragged rows nor entries that are not numbers
+        n = len(raw_matrix)
+        for i, row in enumerate(raw_matrix):
+            if not hasattr(row, "__len__") or len(row) != n:
+                raise NonSquareError(f"row {i} does not have {n} entries") from e
+        raise ChainParseError(f"matrix entries are not all numbers: {e}") from e
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"matrix of shape {a.shape} is not square")
-    space = StateSpace(tuple(labels))
+    try:
+        space = StateSpace(tuple(labels))
+    except TypeError as e:  # labels not iterable, or a label not hashable
+        raise StateLabelError(f"state labels are not a list of names: {e}") from e
     if a.shape[0] != space.size:
         raise NonSquareError(
             f"{a.shape[0]}x{a.shape[1]} matrix with {space.size} labels"
@@ -215,6 +231,16 @@ def _tv_rows(rows: np.ndarray, pi: np.ndarray) -> float:
     return float(0.5 * np.abs(rows - pi[None, :]).sum(axis=1).max())
 
 
+def tv_curve(P: StochasticMatrix, pi: Distribution):
+    """Yield d(0), d(1), ... without end: d(t) = max_x TV(P^t(x, .), pi), with
+    P^t as the running product S <- S P from the identity. The mixing-time
+    scan, the Doeblin bound and ``ergokit mix --csv`` all read this curve."""
+    S = np.eye(P.n)
+    while True:
+        yield _tv_rows(S, pi.probs)
+        S = S @ P.entries
+
+
 def distance_from_stationary(P: StochasticMatrix, pi: Distribution, t: int) -> float:
     """Worst-case (over starting states) TV distance of P^t rows from pi."""
     check_stationary(P, pi)
@@ -238,6 +264,42 @@ def check_stationary(
 def stationary_residual(P: StochasticMatrix, pi: np.ndarray) -> float:
     """||pi P - pi||_inf on a raw vector; helper for result reporting."""
     return float(np.abs(pi @ P.entries - pi).max())
+
+
+def _check_walk(P: StochasticMatrix, states, trials: int) -> None:
+    """Reject start or target states outside 0..n-1 and fewer than one trial."""
+    for x in states:
+        if not 0 <= x < P.n:
+            raise ArgumentRangeError(f"state {x} is not in 0..{P.n - 1}")
+    if trials < 1:
+        raise ArgumentRangeError(f"trials must be >= 1, got {trials}")
+
+
+def _cumrows(P: StochasticMatrix) -> np.ndarray:
+    cum = np.cumsum(P.entries, axis=1)
+    cum[:, -1] = 1.0
+    return cum
+
+
+def _advance(states: np.ndarray, cum: np.ndarray, rng) -> np.ndarray:
+    u = rng.random(states.size)
+    return (cum[states] < u[:, None]).sum(axis=1)
+
+
+def _walk_until(P: StochasticMatrix, walkers, hit, tau, max_steps: int, rng) -> None:
+    """The one simulation loop. Walker j is open while tau[j] < 0 and has
+    one state per chain copy: entry j of each array in ``walkers``. At step
+    t = 1..max_steps each open walker moves every copy, in order, by one
+    uniform draw; tau[j] = t where ``hit(*new_states)`` holds. Updates
+    ``walkers`` and ``tau`` in place; walkers open after max_steps stay so."""
+    cum = _cumrows(P)
+    for t in range(1, max_steps + 1):
+        idx = np.flatnonzero(tau < 0)
+        if idx.size == 0:
+            break
+        for w in walkers:
+            w[idx] = _advance(w[idx], cum, rng)
+        tau[idx[hit(*(w[idx] for w in walkers))]] = t
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import numpy as np
 
@@ -25,14 +24,17 @@ from . import stationary as stationary_mod
 from . import structure as structure_mod
 from .errors import ErgokitError, InvalidGeneratorParamsError
 
-ALL_METHODS = (
-    "linear_solve",
-    "tree_enumeration",
-    "tree_determinant",
-    "return_time",
-    "envelope",
-    "power_iteration",
-)
+#: Every stationary route, in report order: name -> (P, tol) -> StationaryResult.
+#: Each entry looks its function up when called, so a patched module
+#: attribute is what runs; only the envelope squeeze reads tol.
+METHODS = {
+    "linear_solve": lambda P, tol: stationary_mod.stationary_linear(P),
+    "tree_enumeration": lambda P, tol: stationary_mod.stationary_by_trees(P, "enumeration"),
+    "tree_determinant": lambda P, tol: stationary_mod.stationary_by_trees(P, "determinant"),
+    "return_time": lambda P, tol: stationary_mod.stationary_by_return_time(P),
+    "envelope": lambda P, tol: envelope_mod.stationary_by_envelope(P, tol=tol),
+    "power_iteration": lambda P, tol: stationary_mod.stationary_by_power(P),
+}
 
 _PARAM_ALIASES = {
     "lazy_hypercube": {"d": "dim"},
@@ -71,50 +73,21 @@ def _resolve_chain(args) -> chain_mod.StochasticMatrix:
     raise InvalidGeneratorParamsError("provide --chain <path> or --gen <name>")
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("ERGOKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _write_csv(path: str | None, text: str) -> None:
     if path:
         with open(path, "w") as f:
             f.write(text)
 
 
-def _run_method(P, method: str, tol: float):
-    if method == "linear_solve":
-        return stationary_mod.stationary_linear(P)
-    if method == "tree_enumeration":
-        return stationary_mod.stationary_by_trees(P, mode="enumeration")
-    if method == "tree_determinant":
-        return stationary_mod.stationary_by_trees(P, mode="determinant")
-    if method == "return_time":
-        return stationary_mod.stationary_by_return_time(P)
-    if method == "envelope":
-        return envelope_mod.stationary_by_envelope(P, tol=tol)
-    if method == "power_iteration":
-        return stationary_mod.stationary_by_power(P)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def _stationary_table(P, methods, tol):
     """Per-method results (errors surfaced inline, not aborting the rest)."""
-    def run(m):
+    results = {}
+    for m in methods:
         try:
-            return m, _run_method(P, m, tol)
+            results[m] = METHODS[m](P, tol)
         except ErgokitError as e:
-            return m, e
-
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run, methods))
-    else:
-        done = [run(m) for m in methods]
-    return dict(done)
+            results[m] = e
+    return results
 
 
 def _discrepancies(results):
@@ -139,9 +112,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_stationary(args) -> int:
     P = _resolve_chain(args)
-    methods = args.methods.split(",") if args.methods else list(ALL_METHODS)
+    methods = args.methods.split(",") if args.methods else list(METHODS)
     for m in methods:
-        if m not in ALL_METHODS:
+        if m not in METHODS:
             raise InvalidGeneratorParamsError(f"unknown method {m!r}")
     results = _stationary_table(P, methods, args.tol)
     table, worst = _discrepancies(results)
@@ -199,12 +172,10 @@ def cmd_mix(args) -> int:
         horizon = max(args.horizon, est.empirical_tmix + 1)
         deltas = envelope_mod.delta_curve(P, horizon)
         lines = ["t,d,n_delta,theta_pow"]
-        S = np.eye(P.n)
-        for t in range(1, horizon + 1):
-            S = S @ P.entries
-            d = chain_mod._tv_rows(S, pi.probs)
+        curve = islice(chain_mod.tv_curve(P, pi), 1, None)
+        for t, (delta, d) in enumerate(zip(deltas, curve), start=1):
             theta_pow = "" if split is None else f"{split.theta ** t:.17g}"
-            lines.append(f"{t},{d:.17g},{P.n * deltas[t - 1]:.17g},{theta_pow}")
+            lines.append(f"{t},{d:.17g},{P.n * delta:.17g},{theta_pow}")
         _write_csv(args.csv, "\n".join(lines) + "\n")
     return 0
 
@@ -247,7 +218,7 @@ def cmd_report(args) -> int:
     P = _resolve_chain(args)
     erg = structure_mod.analyze(P)
     out = {"ergodicity": json.loads(erg.to_json()), "verdicts": {}}
-    results = _stationary_table(P, list(ALL_METHODS), args.tol)
+    results = _stationary_table(P, METHODS, args.tol)
     table, worst = _discrepancies(results)
     out["stationary"] = {
         m: (
@@ -311,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("stationary", help="stationary distribution, cross-validated")
     add_chain_flags(sp)
-    sp.add_argument("--methods", help="comma-separated subset of " + ",".join(ALL_METHODS))
+    sp.add_argument("--methods", help="comma-separated subset of " + ",".join(METHODS))
     sp.add_argument("--tol", type=float, default=1e-10)
     sp.add_argument("--csv", help="write envelope traces here (envelope method)")
     sp.set_defaults(func=cmd_stationary)

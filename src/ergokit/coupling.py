@@ -15,7 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix, StateSpace, power, tv_distance
+from .chain import Distribution, StochasticMatrix, StateSpace, check_stationary, tv_distance
+from .chain import _check_walk, _walk_until
+from .envelope import delta_curve
 from .errors import MarginalMismatchError, NeverMetError, NotErgodicError
 from .structure import analyze
 
@@ -126,17 +128,6 @@ def _meeting_mask(x: np.ndarray, y: np.ndarray, mode) -> np.ndarray:
     raise ValueError(f"unknown meeting mode {mode!r}")
 
 
-def _cumrows(P: StochasticMatrix) -> np.ndarray:
-    cum = np.cumsum(P.entries, axis=1)
-    cum[:, -1] = 1.0
-    return cum
-
-
-def _advance(states: np.ndarray, cum: np.ndarray, rng) -> np.ndarray:
-    u = rng.random(states.size)
-    return (cum[states] < u[:, None]).sum(axis=1)
-
-
 def simulate_coupling(
     P: StochasticMatrix,
     start: tuple[int, int],
@@ -151,24 +142,17 @@ def simulate_coupling(
     and reported in `truncated`. Deterministic for a fixed seed: all trials
     advance in lockstep from a single generator.
     """
+    target = (mode[1],) if isinstance(mode, tuple) else ()
+    _check_walk(P, tuple(start) + target, trials)
     if not _pair_chain_ergodic(P):
         raise NotErgodicError("pair chain is not ergodic; meeting is not guaranteed")
-    rng = np.random.default_rng(seed)
-    cum = _cumrows(P)
     x = np.full(trials, start[0])
     y = np.full(trials, start[1])
-    tau = np.full(trials, -1, dtype=np.int64)
-    met0 = _meeting_mask(x, y, mode)
-    tau[met0] = 0
-    for t in range(1, max_steps + 1):
-        open_ = tau < 0
-        if not open_.any():
-            break
-        idx = np.flatnonzero(open_)
-        x[idx] = _advance(x[idx], cum, rng)
-        y[idx] = _advance(y[idx], cum, rng)
-        met = idx[_meeting_mask(x[idx], y[idx], mode)]
-        tau[met] = t
+    tau = np.where(_meeting_mask(x, y, mode), 0, -1)
+    _walk_until(
+        P, (x, y), lambda a, b: _meeting_mask(a, b, mode), tau, max_steps,
+        np.random.default_rng(seed),
+    )
     truncated = int((tau < 0).sum())
     return CouplingTrace(
         tau_samples=tau[tau >= 0],
@@ -258,28 +242,18 @@ def verify_coupling_lemma(
     empirical meeting-time tail of a coupling started (X from pi, Y at
     start_y). The lemma says the tail dominates; the verdict allows a
     3-standard-error band on the simulated side."""
+    _check_walk(P, (start_y,), trials)
     if not _pair_chain_ergodic(P):
         raise NotErgodicError("coupling lemma check needs an ergodic chain")
-    from .chain import check_stationary
-
     check_stationary(P, pi)
     rng = np.random.default_rng(seed)
-    cum = _cumrows(P)
     cdf = np.cumsum(pi.probs)
     cdf[-1] = 1.0
     x = (cdf < rng.random(trials)[:, None]).sum(axis=1)
     y = np.full(trials, start_y)
-    tau = np.full(trials, horizon + 1, dtype=np.int64)  # censored beyond horizon
-    tau[x == y] = 0
-    for t in range(1, horizon + 1):
-        open_ = tau > horizon
-        idx = np.flatnonzero(open_)
-        if idx.size == 0:
-            break
-        x[idx] = _advance(x[idx], cum, rng)
-        y[idx] = _advance(y[idx], cum, rng)
-        met = idx[x[idx] == y[idx]]
-        tau[met] = t
+    tau = np.where(x == y, 0, -1)
+    _walk_until(P, (x, y), np.equal, tau, horizon, rng)
+    tau[tau < 0] = horizon + 1  # censored beyond horizon
 
     rows = []
     passed = True
@@ -314,11 +288,7 @@ def convergence_by_coupling(
     P^n must shrink monotonically toward zero for an ergodic chain."""
     if not analyze(P, with_primitivity=False).ergodic:
         raise NotErgodicError("row discrepancies need not vanish without ergodicity")
-    S = P.entries
-    disc = []
-    for _ in range(horizon):
-        disc.append(float((S.max(axis=0) - S.min(axis=0)).max()))
-        S = S @ P.entries
+    disc = delta_curve(P, horizon)
     monotone = all(b <= a + tol for a, b in zip(disc, disc[1:]))
     return ConvergenceCurve(
         discrepancies=tuple(disc),

@@ -11,17 +11,13 @@ powering, never by computing a canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .chain import (
-    Distribution,
-    StochasticMatrix,
-    _tv_rows,
-    check_stationary,
-    power,
-)
+from .chain import Distribution, StochasticMatrix, check_stationary, power, tv_curve
 from .errors import NoConvergenceError, NotErgodicError, NotPositiveError
+from .stationary import _power_iterate
 from .structure import analyze
 
 
@@ -139,10 +135,7 @@ def tv_bound_doeblin(
     """Exact d(n) against the geometric bound theta^n for n = 1..max_n."""
     rows = []
     passed = True
-    S = np.eye(P.n)
-    for n in range(1, max_n + 1):
-        S = S @ P.entries
-        d = _tv_rows(S, pi.probs)
+    for n, d in enumerate(islice(tv_curve(P, pi), 1, max_n + 1), start=1):
         bound = split.theta**n
         if d > bound + tol:
             passed = False
@@ -162,15 +155,7 @@ def spectral_check(
     if not analyze(P, with_primitivity=False).ergodic:
         raise NotErgodicError("spectral checks assume an ergodic chain")
     n = P.n
-    mu = np.full(n, 1.0 / n)
-    for _ in range(max_iter):
-        nxt = mu @ P.entries
-        if np.abs(nxt - mu).max() < 1e-14:
-            mu = nxt
-            break
-        mu = nxt
-    else:
-        raise NoConvergenceError("dominant power iteration did not settle")
+    mu, _ = _power_iterate(P, 1e-14, max_iter)
     dominant_value = float((mu @ P.entries).sum() / mu.sum())  # = 1 for stochastic P
     pi = mu / mu.sum()
     Pi = np.tile(pi, (n, 1))

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix, _tv_rows, power, stationary_residual
+from .chain import Distribution, StochasticMatrix, power, stationary_residual, tv_curve
 from .errors import (
+    ArgumentRangeError,
     MaxIterExceededError,
     MonotonicityViolationError,
     NotErgodicError,
@@ -212,7 +213,7 @@ def mixing_estimate(
     bound m * ceil(ln(n / eps) / (2 p_min(P^m)) + 1) in original-chain steps.
     """
     if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+        raise ArgumentRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
     report = analyze(P)
     if not report.ergodic:
         raise NotErgodicError("mixing time is defined for ergodic chains only")
@@ -222,13 +223,11 @@ def mixing_estimate(
     n = P.n
     bound = m * math.ceil(math.log(n / epsilon) / (2.0 * pmin_m) + 1.0)
 
-    S = np.eye(n)
-    t = 0
-    while _tv_rows(S, pi.probs) > epsilon:
-        S = S @ P.entries
-        t += 1
+    for t, d in enumerate(tv_curve(P, pi)):
         if t > min(bound, scan_cap):
             raise MaxIterExceededError(f"d(t) still above {epsilon} at t = {t}")
+        if d <= epsilon:
+            break
     return MixingEstimate(
         epsilon=epsilon,
         empirical_tmix=t,
@@ -240,7 +239,8 @@ def mixing_estimate(
 
 def delta_curve(P: StochasticMatrix, horizon: int) -> list[float]:
     """max-over-columns envelope gap Delta^(t) for t = 1..horizon; the
-    comparison curve for d(t) <= n * Delta^(t)."""
+    comparison curve for d(t) <= n * Delta^(t), and the row discrepancy of
+    :func:`ergokit.coupling.convergence_by_coupling`."""
     S = P.entries
     out = []
     for _ in range(horizon):

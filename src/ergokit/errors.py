@@ -9,6 +9,14 @@ class NonSquareError(ErgokitError):
     pass
 
 
+class StateLabelError(ErgokitError, ValueError):
+    """State labels are missing or repeated."""
+
+
+class ArgumentRangeError(ErgokitError, ValueError):
+    """A state index, trial count or threshold lies outside its range."""
+
+
 class NegativeEntryError(ErgokitError):
     pass
 

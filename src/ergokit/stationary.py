@@ -18,6 +18,7 @@ from typing import Any
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, stationary_residual
+from .chain import _check_walk, _walk_until
 from .errors import (
     BalanceViolationError,
     MaxIterExceededError,
@@ -265,31 +266,33 @@ def monte_carlo_return(
     All trials advance in lockstep, so for a fixed seed the result does not
     depend on how the work is scheduled.
     """
+    _check_walk(P, (z,), trials)
     _require_irreducible(P)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(P.entries, axis=1)
-    cum[:, -1] = 1.0
-    states = np.full(trials, z)
-    alive = np.ones(trials, dtype=bool)
-    times = np.zeros(trials, dtype=np.int64)
-    for t in range(1, max_steps + 1):
-        if not alive.any():
-            break
-        idx = np.flatnonzero(alive)
-        u = rng.random(idx.size)
-        states[idx] = (cum[states[idx]] < u[:, None]).sum(axis=1)
-        returned = idx[states[idx] == z]
-        times[returned] = t
-        alive[returned] = False
-    if alive.any():
+    times = np.full(trials, -1, dtype=np.int64)
+    _walk_until(
+        P, (np.full(trials, z),), lambda s: s == z, times, max_steps,
+        np.random.default_rng(seed),
+    )
+    if (times < 0).any():
         raise MaxIterExceededError(
-            f"{alive.sum()} trials did not return in {max_steps} steps"
+            f"{(times < 0).sum()} trials did not return in {max_steps} steps"
         )
     mean = float(times.mean())
     se = float(times.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return mean, se
+
+
+def _power_iterate(P: StochasticMatrix, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
+    """Iterate mu <- mu P from the uniform vector until two successive
+    iterates differ by less than tol in every entry. Returns the last
+    iterate (not renormalized) and the number of products taken."""
+    mu = np.full(P.n, 1.0 / P.n)
+    for it in range(1, max_iter + 1):
+        nxt = mu @ P.entries
+        if np.abs(nxt - mu).max() < tol:
+            return nxt, it
+        mu = nxt
+    raise NoConvergenceError(f"power iteration did not settle in {max_iter} steps")
 
 
 def stationary_by_power(
@@ -298,15 +301,7 @@ def stationary_by_power(
     """Power iteration mu <- mu P from uniform; requires ergodicity."""
     if not analyze(P, with_primitivity=False).ergodic:
         raise NotErgodicError("power iteration needs an ergodic chain")
-    mu = np.full(P.n, 1.0 / P.n)
-    for it in range(1, max_iter + 1):
-        nxt = mu @ P.entries
-        if np.abs(nxt - mu).max() < tol:
-            mu = nxt
-            break
-        mu = nxt
-    else:
-        raise NoConvergenceError(f"power iteration did not settle in {max_iter} steps")
+    mu, it = _power_iterate(P, tol, max_iter)
     mu = mu / mu.sum()
     return StationaryResult(
         pi=Distribution(P.space, mu),

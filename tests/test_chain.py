@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import ergokit as ek
 from ergokit import generators as gen
+from ergokit.chain import tv_curve
 from ergokit.errors import (
+    ErgokitError,
     NegativeEntryError,
     NonFiniteEntryError,
     NonSquareError,
@@ -91,6 +93,21 @@ class TestValidation:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             ek.validate_stochastic(np.eye(2), ["a", "a"])
+
+    @given(
+        st.lists(
+            st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=4),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_float_rows_give_matrix_or_typed_error(self, rows):
+        # ragged, empty, non-finite or extreme: never an untyped exception
+        try:
+            P = ek.validate_stochastic(rows, labels(len(rows)))
+        except ErgokitError:
+            return
+        assert isinstance(P, ek.StochasticMatrix)
 
 
 class TestPower:
@@ -215,6 +232,14 @@ class TestDistanceFromStationary:
         ]
         assert all(b <= a + 1e-12 for a, b in zip(ds, ds[1:]))
         assert ds[-1] < 1e-4
+
+    def test_tv_curve_matches_direct_powers(self, two_state_chain):
+        pi = ek.stationary_linear(two_state_chain).pi
+        curve = tv_curve(two_state_chain, pi)
+        for t in range(15):
+            assert next(curve) == pytest.approx(
+                ek.distance_from_stationary(two_state_chain, pi, t), abs=1e-14
+            )
 
     def test_not_stationary_guard(self, two_state_chain):
         bogus = _dist(two_state_chain, [0.5, 0.5])

@@ -13,6 +13,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+#: (file name, contents, error type, a fragment of the error message)
+MALFORMED = [
+    ("dup.json", '{"states": ["a", "a"], "matrix": [[0.5, 0.5], [0.5, 0.5]]}',
+     "StateLabelError", "'a'"),
+    ("labels.json", '{"states": 5, "matrix": [[1.0]]}', "StateLabelError", "int"),
+    ("ragged.json", '{"states": ["a", "b"], "matrix": [[0.5, 0.5], [1.0]]}',
+     "NonSquareError", "row 1"),
+    ("ragged.csv", "a,b\n0.5,0.5\n1.0\n", "NonSquareError", "row 1"),
+    ("empty.json", "", "ChainParseError", "JSON"),
+    ("no_states.json", '{"states": [], "matrix": []}', "NonSquareError", "(0,)"),
+    ("inf.json", '{"states": ["a", "b"], "matrix": [[0.5, 0.5], [Infinity, 0.5]]}',
+     "NonFiniteEntryError", "row 1, column 0"),
+    ("wide.json", '{"states": ["a", "b"], "matrix": [[0.5, 0.5]]}',
+     "NonSquareError", "(1, 2)"),
+    ("text.json", '{"states": ["a", "b"], "matrix": [["x", 0.5], [0.5, 0.5]]}',
+     "ChainParseError", "'x'"),
+    ("no_matrix.json", '{"states": ["a", "b"]}', "ChainParseError", "'matrix'"),
+]
+
+
 class TestAnalyze:
     def test_ergodic_chain_exit_zero(self, capsys):
         code, out, _ = run(capsys, "analyze", "--gen", "lazy_hypercube", "--params", "d=3")
@@ -67,6 +87,38 @@ class TestAnalyze:
         assert out == ""
         assert err.count("\n") == 1
         assert "NonFiniteEntryError" in err and "row 0, column 0" in err
+
+    @pytest.mark.parametrize(
+        "name, text, error, detail", MALFORMED, ids=[case[0] for case in MALFORMED]
+    )
+    def test_malformed_chain_exit_one(self, capsys, tmp_path, name, text, error, detail):
+        f = tmp_path / name
+        f.write_text(text)
+        code, out, err = run(capsys, "analyze", "--chain", str(f))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert error in err and detail in err
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (("couple", "--start", "5"), "state 5"),
+            (("couple", "--start", "-1"), "state -1"),
+            (("report", "--start", "5"), "state 5"),
+            (("couple", "--trials", "0"), "trials"),
+            (("mix", "--epsilon", "2"), "epsilon"),
+        ],
+        ids=["couple_start", "couple_negative_start", "report_start", "trials", "epsilon"],
+    )
+    def test_out_of_range_exit_one(self, capsys, argv, detail):
+        code, out, err = run(capsys, *argv, "--gen", "two_state", "--params", "p=0.2,q=0.3")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "ArgumentRangeError" in err and detail in err
 
 
 class TestStationary:
@@ -315,17 +367,3 @@ class TestReport:
         assert obj["stationary"]["linear_solve"] == {"error": "SingularSystemError"}
         assert obj["verdicts"]["linear_solve"] is False
         assert "mixing" not in obj
-
-
-class TestThreadsEnv:
-    def test_threaded_matches_serial(self, capsys, monkeypatch):
-        args = ("stationary", "--gen", "two_state", "--params", "p=0.2,q=0.3")
-        _, serial, _ = run(capsys, *args)
-        monkeypatch.setenv("ERGOKIT_THREADS", "4")
-        _, threaded, _ = run(capsys, *args)
-        assert serial == threaded
-
-    def test_garbage_env_tolerated(self, capsys, monkeypatch):
-        monkeypatch.setenv("ERGOKIT_THREADS", "many")
-        code, out, _ = run(capsys, "stationary", "--gen", "uniform", "--params", "n=3")
-        assert code == 0

@@ -6,8 +6,14 @@ from scipy import stats
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.coupling import _cumrows, _advance, exact_meeting_tail
-from ergokit.errors import MarginalMismatchError, NeverMetError, NotErgodicError
+from ergokit.chain import _cumrows, _advance
+from ergokit.coupling import exact_meeting_tail
+from ergokit.errors import (
+    ArgumentRangeError,
+    MarginalMismatchError,
+    NeverMetError,
+    NotErgodicError,
+)
 
 from conftest import from_array, random_positive
 
@@ -207,6 +213,25 @@ class TestConvergenceByCoupling:
             tail = trace.tail(n)
             se = np.sqrt((tail * (1 - tail) + 1e-9) / trials)
             assert curve.discrepancies[n - 1] <= tail + 4 * se
+
+
+class TestArgumentRanges:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda P, pi: ek.simulate_coupling(P, (0, 2)),
+            lambda P, pi: ek.simulate_coupling(P, (0, 1), mode=("meet_at_state", -1)),
+            lambda P, pi: ek.simulate_coupling(P, (0, 1), trials=0),
+            lambda P, pi: ek.verify_coupling_lemma(P, pi, start_y=-1),
+            lambda P, pi: ek.monte_carlo_return(P, z=-1, trials=10, seed=0),
+            lambda P, pi: ek.monte_carlo_return(P, z=0, trials=0, seed=0),
+        ],
+        ids=["start", "target", "trials", "lemma_start", "anchor", "return_trials"],
+    )
+    def test_rejected_before_any_step(self, two_state_chain, call):
+        pi = ek.stationary_linear(two_state_chain).pi
+        with pytest.raises(ArgumentRangeError):
+            call(two_state_chain, pi)
 
 
 class TestStickingPreservesLaw:
