@@ -1,6 +1,14 @@
 """Core chain types: state spaces, stochastic matrices, distributions, TV
 metrics, and the lockstep walker loop that every simulation runs on.
 
+Every simulated draw, a walker step or a start state drawn from pi, goes
+through one inverse-CDF sampler: each row's cumulative sums are padded with
+1.0 to a power-of-two width w, and a branchless binary search finds the
+first column whose cumulative sum reaches the walker's uniform. A step thus
+costs O(log n) per walker, with no (walkers x n) temporary, and it returns
+exactly the state that counting the cumulative sums below the uniform
+would.
+
 All values are immutable after construction and all operations but the
 walker loop (which fills its caller's arrays) are pure, so everything here
 is safe to share across threads.
@@ -173,6 +181,8 @@ def validate_stochastic(
         raise ChainParseError(f"matrix entries are not all numbers: {e}") from e
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NonSquareError(f"matrix of shape {a.shape} is not square")
+    if isinstance(labels, str):  # tuple() would split it into characters
+        raise StateLabelError(f"state labels are a str ({labels!r}), not a list of names")
     try:
         space = StateSpace(tuple(labels))
     except TypeError as e:  # labels not iterable, or a label not hashable
@@ -266,24 +276,59 @@ def stationary_residual(P: StochasticMatrix, pi: np.ndarray) -> float:
     return float(np.abs(pi @ P.entries - pi).max())
 
 
+def _check_at_least(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ArgumentRangeError(f"{name} must be >= {least}, got {value}")
+
+
 def _check_walk(P: StochasticMatrix, states, trials: int) -> None:
     """Reject start or target states outside 0..n-1 and fewer than one trial."""
     for x in states:
         if not 0 <= x < P.n:
             raise ArgumentRangeError(f"state {x} is not in 0..{P.n - 1}")
-    if trials < 1:
-        raise ArgumentRangeError(f"trials must be >= 1, got {trials}")
+    _check_at_least("trials", trials, 1)
 
 
-def _cumrows(P: StochasticMatrix) -> np.ndarray:
-    cum = np.cumsum(P.entries, axis=1)
-    cum[:, -1] = 1.0
+def _cumrows(P: "StochasticMatrix | Distribution") -> np.ndarray:
+    """The sampler's table: each row's cumulative sums, padded with 1.0 to
+    the power-of-two width w >= n. A Distribution is a table of one row.
+
+    The last real column is set to exactly 1.0, so a uniform in [0, 1) never
+    runs past it. Cumulative sums of nonnegative entries never decrease
+    before that column, and from it on every value is 1.0, so along each row
+    ``cum < u`` is True up to some column and False after it: the search in
+    :func:`_advance` can halve the row."""
+    rows = P.entries if isinstance(P, StochasticMatrix) else P.probs[None, :]
+    n = rows.shape[1]
+    cum = np.ones((rows.shape[0], 1 << (n - 1).bit_length()))
+    np.cumsum(rows, axis=1, out=cum[:, :n])
+    cum[:, n - 1] = 1.0
     return cum
 
 
 def _advance(states: np.ndarray, cum: np.ndarray, rng) -> np.ndarray:
+    """One draw per walker from row ``states`` of a :func:`_cumrows` table:
+    the count of columns j with cum[s, j] < u, for one uniform u each.
+
+    A branchless binary search over the flattened table. ``pos`` is the flat
+    index of the last column known to hold a value below u; it starts just
+    before the row, at s * w - 1. Each of the log2(w) halvings adds ``step``
+    where the column ``step`` further on is still below u. It compares the
+    same floats with the same uniform as counting across the whole row
+    would, so it returns the same states bit for bit, in O(log n) time per
+    walker and O(walkers) memory."""
     u = rng.random(states.size)
-    return (cum[states] < u[:, None]).sum(axis=1)
+    w = cum.shape[1]
+    flat = cum.reshape(-1)
+    base = states * w
+    pos = base - 1
+    step = w >> 1
+    while step:
+        pos += (flat.take(pos + step) < u) * step
+        step >>= 1
+    pos += 1
+    pos -= base
+    return pos
 
 
 def _walk_until(P: StochasticMatrix, walkers, hit, tau, max_steps: int, rng) -> None:

@@ -251,6 +251,11 @@ def cmd_report(args) -> int:
             trials=args.trials, seed=args.seed,
         )
         out["verdicts"]["coupling_lemma"] = lemma.passed
+        out["coupling_lemma"] = {
+            "worst_slack": lemma.worst_slack,
+            "trials": lemma.trials,
+            "horizon": args.horizon,
+        }
         if (P.entries > 0.0).all():
             split = doeblin_mod.doeblin_split(P, pi)
             curve = doeblin_mod.tv_bound_doeblin(split, P, pi, max_n=args.horizon)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, StateSpace, check_stationary, tv_distance
-from .chain import _check_walk, _walk_until
+from .chain import _advance, _check_at_least, _check_walk, _cumrows, _walk_until
 from .envelope import delta_curve
 from .errors import MarginalMismatchError, NeverMetError, NotErgodicError
 from .structure import analyze
@@ -144,6 +144,7 @@ def simulate_coupling(
     """
     target = (mode[1],) if isinstance(mode, tuple) else ()
     _check_walk(P, tuple(start) + target, trials)
+    _check_at_least("max_steps", max_steps, 1)
     if not _pair_chain_ergodic(P):
         raise NotErgodicError("pair chain is not ergodic; meeting is not guaranteed")
     x = np.full(trials, start[0])
@@ -223,6 +224,12 @@ class CouplingLemmaReport:
     trials: int
     seed: int
 
+    @property
+    def worst_slack(self) -> float:
+        """min over steps of tail + 3 s.e. - exact TV: how far the closest
+        step stayed inside the band (negative where the check failed)."""
+        return min(r.tail + 3.0 * r.tail_se - r.exact_tv for r in self.rows)
+
     def to_csv(self) -> str:
         lines = ["step,exact_tv,tail,tail_se"]
         for r in self.rows:
@@ -243,13 +250,12 @@ def verify_coupling_lemma(
     start_y). The lemma says the tail dominates; the verdict allows a
     3-standard-error band on the simulated side."""
     _check_walk(P, (start_y,), trials)
+    _check_at_least("horizon", horizon, 0)
     if not _pair_chain_ergodic(P):
         raise NotErgodicError("coupling lemma check needs an ergodic chain")
     check_stationary(P, pi)
     rng = np.random.default_rng(seed)
-    cdf = np.cumsum(pi.probs)
-    cdf[-1] = 1.0
-    x = (cdf < rng.random(trials)[:, None]).sum(axis=1)
+    x = _advance(np.zeros(trials, dtype=np.int64), _cumrows(pi), rng)
     y = np.full(trials, start_y)
     tau = np.where(x == y, 0, -1)
     _walk_until(P, (x, y), np.equal, tau, horizon, rng)

@@ -16,6 +16,7 @@ from itertools import islice
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, check_stationary, power, tv_curve
+from .chain import _check_at_least
 from .errors import NoConvergenceError, NotErgodicError, NotPositiveError
 from .stationary import _power_iterate
 from .structure import analyze
@@ -133,6 +134,7 @@ def tv_bound_doeblin(
     tol: float = 1e-12,
 ) -> TVBoundCurve:
     """Exact d(n) against the geometric bound theta^n for n = 1..max_n."""
+    _check_at_least("max_n", max_n, 1)
     rows = []
     passed = True
     for n, d in enumerate(islice(tv_curve(P, pi), 1, max_n + 1), start=1):

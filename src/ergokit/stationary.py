@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, stationary_residual
-from .chain import _check_walk, _walk_until
+from .chain import _check_at_least, _check_walk, _walk_until
 from .errors import (
     BalanceViolationError,
     MaxIterExceededError,
@@ -267,6 +267,7 @@ def monte_carlo_return(
     depend on how the work is scheduled.
     """
     _check_walk(P, (z,), trials)
+    _check_at_least("max_steps", max_steps, 1)
     _require_irreducible(P)
     times = np.full(trials, -1, dtype=np.int64)
     _walk_until(

@@ -16,6 +16,7 @@ from ergokit.errors import (
     NotStationaryError,
     RowSumError,
     SpaceMismatchError,
+    StateLabelError,
 )
 
 from conftest import from_array, labels, random_positive
@@ -93,6 +94,11 @@ class TestValidation:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             ek.validate_stochastic(np.eye(2), ["a", "a"])
+
+    def test_string_labels_rejected(self):
+        # "ab" would otherwise be read as the two labels "a" and "b"
+        with pytest.raises(StateLabelError, match="'ab'"):
+            ek.validate_stochastic(np.eye(2), "ab")
 
     @given(
         st.lists(

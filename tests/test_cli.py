@@ -18,6 +18,8 @@ MALFORMED = [
     ("dup.json", '{"states": ["a", "a"], "matrix": [[0.5, 0.5], [0.5, 0.5]]}',
      "StateLabelError", "'a'"),
     ("labels.json", '{"states": 5, "matrix": [[1.0]]}', "StateLabelError", "int"),
+    ("str_labels.json", '{"states": "ab", "matrix": [[0.5, 0.5], [0.5, 0.5]]}',
+     "StateLabelError", "'ab'"),
     ("ragged.json", '{"states": ["a", "b"], "matrix": [[0.5, 0.5], [1.0]]}',
      "NonSquareError", "row 1"),
     ("ragged.csv", "a,b\n0.5,0.5\n1.0\n", "NonSquareError", "row 1"),
@@ -110,8 +112,13 @@ class TestBadArguments:
             (("report", "--start", "5"), "state 5"),
             (("couple", "--trials", "0"), "trials"),
             (("mix", "--epsilon", "2"), "epsilon"),
+            (("couple", "--horizon", "-3"), "horizon"),
+            (("report", "--horizon", "-3"), "horizon"),
         ],
-        ids=["couple_start", "couple_negative_start", "report_start", "trials", "epsilon"],
+        ids=[
+            "couple_start", "couple_negative_start", "report_start", "trials", "epsilon",
+            "couple_horizon", "report_horizon",
+        ],
     )
     def test_out_of_range_exit_one(self, capsys, argv, detail):
         code, out, err = run(capsys, *argv, "--gen", "two_state", "--params", "p=0.2,q=0.3")
@@ -318,6 +325,9 @@ class TestReport:
             "doeblin_recursion",
         }
         assert obj["doeblin"]["delta"] == pytest.approx(0.5)
+        lemma = obj["coupling_lemma"]
+        assert lemma["trials"] == 20000 and lemma["horizon"] == 30
+        assert lemma["worst_slack"] >= 0.0
         for r in obj["stationary"].values():
             assert np.abs(np.array(r["pi"]) - [0.6, 0.4]).max() < 1e-8
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,15 @@ class TestCouplingLemma:
         with pytest.raises(NotErgodicError):
             ek.verify_coupling_lemma(flip_chain, pi, start_y=0)
 
+    def test_worst_slack_is_the_closest_step(self, two_state_chain):
+        pi = ek.stationary_linear(two_state_chain).pi
+        rep = ek.verify_coupling_lemma(
+            two_state_chain, pi, start_y=1, horizon=10, trials=5000, seed=12
+        )
+        slacks = [r.tail + 3.0 * r.tail_se - r.exact_tv for r in rep.rows]
+        assert rep.worst_slack == min(slacks)
+        assert rep.passed == (rep.worst_slack >= 0.0)
+
 
 class TestConvergenceByCoupling:
     def test_uniform_immediate(self):
@@ -225,8 +236,14 @@ class TestArgumentRanges:
             lambda P, pi: ek.verify_coupling_lemma(P, pi, start_y=-1),
             lambda P, pi: ek.monte_carlo_return(P, z=-1, trials=10, seed=0),
             lambda P, pi: ek.monte_carlo_return(P, z=0, trials=0, seed=0),
+            lambda P, pi: ek.verify_coupling_lemma(P, pi, start_y=0, horizon=-3),
+            lambda P, pi: ek.simulate_coupling(P, (0, 1), max_steps=0),
+            lambda P, pi: ek.monte_carlo_return(P, z=0, trials=10, seed=0, max_steps=0),
         ],
-        ids=["start", "target", "trials", "lemma_start", "anchor", "return_trials"],
+        ids=[
+            "start", "target", "trials", "lemma_start", "anchor", "return_trials",
+            "lemma_horizon", "max_steps", "return_max_steps",
+        ],
     )
     def test_rejected_before_any_step(self, two_state_chain, call):
         pi = ek.stationary_linear(two_state_chain).pi
@@ -285,3 +302,93 @@ class TestStickingPreservesLaw:
         assert counts[~keep].sum() == 0
         _, pvalue = stats.chisquare(counts[keep], trials * probs[keep] / probs[keep].sum())
         assert pvalue > 1e-3
+
+
+class _Uniforms:
+    """A stand-in generator that hands out the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return self.u[:size]
+
+
+@st.composite
+def sampler_cases(draw):
+    """A row-stochastic table with zero entries (trailing ones included),
+    walker states and a seed; n = 1, a power of two or one past it."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 8, 9, 16, 17]))
+    weight = st.one_of(st.just(0.0), st.floats(1e-300, 1.0), st.floats(0.0, 1.0))
+    rows = []
+    for _ in range(n):
+        row = draw(st.lists(weight, min_size=n, max_size=n))
+        if sum(row) == 0.0:
+            row[draw(st.integers(0, n - 1))] = 1.0
+        rows.append(row)
+    a = np.array(rows)
+    a /= a.sum(axis=1, keepdims=True)
+    walkers = draw(st.integers(1, 40))
+    states = np.array(draw(st.lists(st.integers(0, n - 1), min_size=walkers, max_size=walkers)))
+    return a, states, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSampler:
+    @given(sampler_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_row_count(self, case):
+        a, states, seed = case
+        P = ek.StochasticMatrix(ek.StateSpace(tuple(map(str, range(a.shape[0])))), a)
+        cum = np.cumsum(a, axis=1)
+        cum[:, -1] = 1.0
+        # random uniforms, then the edges: ties with a row's own cumulative
+        # sums, 0, and the largest uniform below 1 (past a row sum that
+        # rounds below 1), where the search must stop where the count does
+        u = np.random.default_rng(seed).random(states.size)
+        tie = cum[states, np.arange(states.size) % a.shape[0]]
+        u[1::4] = np.where(tie < 1.0, tie, 0.0)[1::4]
+        u[2::4] = 0.0
+        u[3::4] = np.nextafter(1.0, 0.0)
+        got = _advance(states, _cumrows(P), _Uniforms(u))
+        assert got.tolist() == (cum[states] < u[:, None]).sum(axis=1).tolist()
+
+    def test_start_draw_table_is_one_row(self):
+        pi = ek.Distribution(ek.StateSpace(("a", "b", "c")), [0.2, 0.0, 0.8])
+        cum = _cumrows(pi)
+        assert cum.shape == (1, 4)
+        assert cum.tolist() == [[0.2, 0.2, 1.0, 1.0]]
+
+
+#: Outputs recorded before the O(log n) sampler replaced the full-row count:
+#: meeting times (sha256 of the int64 samples, and their sum), coupling-lemma
+#: tail counts and return-time (mean, s.e.). The draws must not move a bit.
+PINNED = {
+    "top_to_random_3": (
+        gen.top_to_random(3),
+        "1fb406a349db8225ee3667daddaaee26173c1b82776011939e49c7f3a35e5c72", 25071,
+        [2555, 2197, 1917, 1655, 1436, 1241, 1076, 942, 816, 701, 607, 518, 452],
+        (6.097, 0.12793048095824658),
+    ),
+    "lazy_hypercube_3": (
+        gen.lazy_hypercube(3),
+        "4eca96d1c83246599f08e6fc3cde23ec84cdff0af19498b4519c87095658baa7", 37518,
+        [2668, 2403, 2187, 1946, 1774, 1627, 1470, 1334, 1222, 1125, 1026, 948, 847],
+        (7.411, 0.22369034875032348),
+    ),
+}
+
+
+class TestSeededParity:
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_outputs_unchanged(self, name):
+        P, tau_sha, tau_sum, tails, mc = PINNED[name]
+        trials = 3000
+        trace = ek.simulate_coupling(P, (0, P.n - 1), trials=trials, seed=7)
+        taus = np.ascontiguousarray(trace.tau_samples, dtype=np.int64)
+        assert trace.truncated == 0
+        assert int(taus.sum()) == tau_sum
+        assert hashlib.sha256(taus.tobytes()).hexdigest() == tau_sha
+        pi = ek.stationary_linear(P).pi
+        lemma = ek.verify_coupling_lemma(P, pi, start_y=P.n - 1, horizon=12, trials=trials, seed=8)
+        assert [round(r.tail * trials) for r in lemma.rows] == tails
+        assert ek.monte_carlo_return(P, z=1, trials=trials, seed=9) == mc

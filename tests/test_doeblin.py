@@ -3,7 +3,12 @@ import pytest
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.errors import NotErgodicError, NotPositiveError, NotStationaryError
+from ergokit.errors import (
+    ArgumentRangeError,
+    NotErgodicError,
+    NotPositiveError,
+    NotStationaryError,
+)
 
 from conftest import from_array, random_positive
 
@@ -106,6 +111,12 @@ class TestTVBound:
         assert curve.passed
         ds = [d for _, d, _ in curve.rows]
         assert ds[-1] < ds[0] or ds[0] == 0.0
+
+    @pytest.mark.parametrize("max_n", [0, -3])
+    def test_max_n_below_one_rejected(self, two_state_chain, max_n):
+        split, pi = split_of(two_state_chain)
+        with pytest.raises(ArgumentRangeError, match="max_n"):
+            ek.tv_bound_doeblin(split, two_state_chain, pi, max_n=max_n)
 
     def test_csv_shape(self, two_state_chain):
         split, pi = split_of(two_state_chain)
