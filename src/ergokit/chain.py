@@ -217,6 +217,28 @@ def power(P: StochasticMatrix, k: int) -> StochasticMatrix:
     return StochasticMatrix(P.space, np.linalg.matrix_power(P.entries, k))
 
 
+def _first_power(M: np.ndarray, holds, cap: int, mul=np.matmul):
+    """The least k in 1..cap with ``holds(M^k)``, as (k, M^k), or None.
+    ``holds`` must stay true once true, and ``mul`` builds the powers.
+
+    Squares M until ``holds`` is true, then binary lifting over the stored
+    squares: O(log k) products, not k, and O(n^2 log k) memory."""
+    squares = [M]  # squares[i] = M^(2^i)
+    while not holds(squares[-1]):
+        if 1 << (len(squares) - 1) >= cap:
+            return None
+        squares.append(mul(squares[-1], squares[-1]))
+    # the largest failing k, bit by bit; the last power that held is M^(k+1)
+    k, R, found = 0, None, squares[-1]
+    for i in range(len(squares) - 2, -1, -1):
+        C = squares[i] if R is None else mul(R, squares[i])
+        if holds(C):
+            found = C
+        else:
+            k, R = k + (1 << i), C
+    return (k + 1, found) if k < cap else None
+
+
 def evolve(sigma: Distribution, P: StochasticMatrix, steps: int = 1) -> Distribution:
     """Push a distribution through `steps` transitions: sigma P^steps."""
     if sigma.space != P.space:

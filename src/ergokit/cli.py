@@ -2,16 +2,17 @@
 
 Commands: analyze, stationary, mix, couple, generate, report.
 Exit codes: 0 success / ergodic, 2 analysis-negative (not ergodic, methods
-disagree), 1 usage or I/O error. All stdout reports are JSON; curve data
-goes to --csv files.
+disagree, a bound violated), 1 usage or I/O error. Every error is one
+stderr line. All stdout reports are JSON; curve data goes to --csv files.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import envelope as envelope_mod
 from . import generators
 from . import stationary as stationary_mod
 from . import structure as structure_mod
-from .errors import ErgokitError, InvalidGeneratorParamsError
+from .errors import ArgumentRangeError, ErgokitError, InvalidGeneratorParamsError
 
 #: Every stationary route, in report order: name -> (P, tol) -> StationaryResult.
 #: Each entry looks its function up when called, so a patched module
@@ -73,6 +74,11 @@ def _resolve_chain(args) -> chain_mod.StochasticMatrix:
     raise InvalidGeneratorParamsError("provide --chain <path> or --gen <name>")
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:  # NaN fails too
+        raise ArgumentRangeError(f"--tol must be > 0, got {tol}")
+
+
 def _write_csv(path: str | None, text: str) -> None:
     if path:
         with open(path, "w") as f:
@@ -91,16 +97,20 @@ def _stationary_table(P, methods, tol):
 
 
 def _discrepancies(results):
-    ok = {m: r for m, r in results.items() if not isinstance(r, Exception)}
-    names = sorted(ok)
-    table = {}
-    worst = 0.0
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            d = float(np.abs(ok[a].pi.probs - ok[b].pi.probs).max())
-            table[f"{a}/{b}"] = d
-            worst = max(worst, d)
-    return table, worst
+    ok = {m: r for m, r in sorted(results.items()) if not isinstance(r, Exception)}
+    table = {
+        f"{a}/{b}": float(np.abs(ok[a].pi.probs - ok[b].pi.probs).max())
+        for a, b in combinations(ok, 2)
+    }
+    return table, max(table.values(), default=0.0)
+
+
+def _result_json(r, message: bool) -> dict:
+    """One method's result as JSON: pi and residual, or the error's type
+    name (and its message, when asked)."""
+    if not isinstance(r, Exception):
+        return {"pi": r.pi.probs.tolist(), "residual": r.residual}
+    return {"error": type(r).__name__, **({"message": str(r)} if message else {})}
 
 
 def cmd_analyze(args) -> int:
@@ -111,6 +121,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_stationary(args) -> int:
+    _check_tol(args.tol)
     P = _resolve_chain(args)
     methods = args.methods.split(",") if args.methods else list(METHODS)
     for m in methods:
@@ -118,21 +129,14 @@ def cmd_stationary(args) -> int:
             raise InvalidGeneratorParamsError(f"unknown method {m!r}")
     results = _stationary_table(P, methods, args.tol)
     table, worst = _discrepancies(results)
-    out = {"methods": {}, "pairwise_max_discrepancy": table}
-    n_ok = 0
-    for m, r in results.items():
-        if isinstance(r, Exception):
-            out["methods"][m] = {"error": type(r).__name__, "message": str(r)}
-        else:
-            n_ok += 1
-            out["methods"][m] = {
-                "pi": r.pi.probs.tolist(),
-                "residual": r.residual,
-            }
+    out = {
+        "methods": {m: _result_json(r, message=True) for m, r in results.items()},
+        "pairwise_max_discrepancy": table,
+    }
     print(json.dumps(out))
     if args.csv and "envelope" in methods:
         _write_csv(args.csv, _envelope_trace_csv(P, args.tol))
-    if n_ok == 0 or worst > 10.0 * args.tol:
+    if all(isinstance(r, Exception) for r in results.values()) or worst > 10.0 * args.tol:
         return 2
     return 0
 
@@ -156,14 +160,7 @@ def _envelope_trace_csv(P, tol) -> str:
 def cmd_mix(args) -> int:
     P = _resolve_chain(args)
     est = envelope_mod.mixing_estimate(P, epsilon=args.epsilon)
-    out = {
-        "epsilon": est.epsilon,
-        "empirical_tmix": est.empirical_tmix,
-        "bound_tmix": est.bound_tmix,
-        "primitivity_m": est.primitivity_m,
-        "pmin_of_Pm": est.pmin_of_Pm,
-    }
-    print(json.dumps(out))
+    print(json.dumps(dataclasses.asdict(est)))
     if args.csv:
         pi = stationary_mod.stationary_linear(P).pi
         split = None
@@ -177,7 +174,7 @@ def cmd_mix(args) -> int:
             theta_pow = "" if split is None else f"{split.theta ** t:.17g}"
             lines.append(f"{t},{d:.17g},{P.n * delta:.17g},{theta_pow}")
         _write_csv(args.csv, "\n".join(lines) + "\n")
-    return 0
+    return 0 if est.empirical_tmix <= est.bound_tmix else 2
 
 
 def cmd_couple(args) -> int:
@@ -215,19 +212,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # flags first, so no route runs before a bad one is named
+    _check_tol(args.tol)
+    chain_mod._check_at_least("--horizon", args.horizon, 1)
+    chain_mod._check_at_least("--trials", args.trials, 1)
+    if not 0.0 < args.epsilon < 1.0:
+        raise ArgumentRangeError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
     P = _resolve_chain(args)
     erg = structure_mod.analyze(P)
     out = {"ergodicity": json.loads(erg.to_json()), "verdicts": {}}
     results = _stationary_table(P, METHODS, args.tol)
     table, worst = _discrepancies(results)
-    out["stationary"] = {
-        m: (
-            {"error": type(r).__name__}
-            if isinstance(r, Exception)
-            else {"pi": r.pi.probs.tolist(), "residual": r.residual}
-        )
-        for m, r in results.items()
-    }
+    out["stationary"] = {m: _result_json(r, message=False) for m, r in results.items()}
     out["pairwise_max_discrepancy"] = table
     out["verdicts"]["methods_agree"] = worst <= 10.0 * args.tol
 
@@ -238,9 +234,7 @@ def cmd_report(args) -> int:
     elif erg.ergodic:
         est = envelope_mod.mixing_estimate(P, epsilon=args.epsilon)
         out["mixing"] = {
-            "epsilon": est.epsilon,
-            "empirical_tmix": est.empirical_tmix,
-            "bound_tmix": est.bound_tmix,
+            k: getattr(est, k) for k in ("epsilon", "empirical_tmix", "bound_tmix")
         }
         out["verdicts"]["mixing_bound_dominates"] = (
             est.empirical_tmix <= est.bound_tmix
@@ -267,8 +261,14 @@ def cmd_report(args) -> int:
     return 0 if (erg.ergodic and all(out["verdicts"].values())) else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error exits 1 like any other bad input; 2 is analysis-negative
+        self.exit(1, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="ergokit",
         description="Finite Markov chain analysis and cross-validated "
         "stationary/convergence certificates.",
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--csv", help="write envelope traces here (envelope method)")
     sp.set_defaults(func=cmd_stationary)
 
-    sp = sub.add_parser("mix", help="mixing time: empirical scan vs contraction bound")
+    sp = sub.add_parser("mix", help="mixing time: doubling search vs contraction bound")
     add_chain_flags(sp)
     sp.add_argument("--epsilon", type=float, default=0.25)
     sp.add_argument("--horizon", type=int, default=50)

@@ -6,7 +6,8 @@ maximum M^(i) falls, and the gap Delta^(i) contracts by at least
 This module tracks those envelopes, verifies the contraction inequalities
 on actual traces, squeezes the stationary distribution out of the
 collapsing interval, and turns the contraction rate into a mixing-time
-bound that can be compared with the empirically scanned mixing time.
+bound that can be compared with the empirical mixing time. Both the
+mixing time and the squeeze are doubling searches over matrix powers.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix, power, stationary_residual, tv_curve
+from .chain import Distribution, StochasticMatrix, power, stationary_residual
+from .chain import _check_at_least, _first_power, _tv_rows
 from .errors import (
     ArgumentRangeError,
     MaxIterExceededError,
@@ -126,32 +128,26 @@ def verify_contraction(trace: EnvelopeTrace, tol: float = 1e-12) -> ContractionV
     """
     p = trace.p_min
     two_factor = 1.0 - 2.0 * p
-    min_ok = max_ok = dahiya_ok = True
-    two_ok: bool | None = True if two_factor > 0 else None
-    worst = math.inf
+    checks = 4 if two_factor > 0 else 3
+    # worst margin of each inequality: the lower envelope rises enough, the
+    # upper one falls enough, the gap shrinks by (1 - p) and by (1 - 2p)
+    worst = [math.inf] * checks
     for a, b in zip(trace.iterations, trace.iterations[1:]):
-        slacks = [
-            b.m - (a.m + p * (a.M - a.m)),        # lower envelope must rise enough
-            (a.M - p * (a.M - a.m)) - b.M,        # upper envelope must fall enough
-            (1.0 - p) * a.delta - b.delta,        # single-inequality gap bound
-        ]
-        if b.m < a.m + p * (a.M - a.m) - tol:
-            min_ok = False
-        if b.M > a.M - p * (a.M - a.m) + tol:
-            max_ok = False
-        if b.delta > (1.0 - p) * a.delta + tol:
-            dahiya_ok = False
-        if two_ok is not None:
-            slacks.append(two_factor * a.delta - b.delta)
-            if b.delta > two_factor * a.delta + tol:
-                two_ok = False
-        worst = min(worst, *slacks)
+        shrink = p * (a.M - a.m)
+        slacks = (
+            b.m - (a.m + shrink),
+            (a.M - shrink) - b.M,
+            (1.0 - p) * a.delta - b.delta,
+            two_factor * a.delta - b.delta,
+        )
+        worst = [min(w, s) for w, s in zip(worst, slacks)]
+    ok = [bool(w >= -tol) for w in worst]
     return ContractionVerdict(
-        min_entry_ok=min_ok,
-        max_entry_ok=max_ok,
-        two_pmin_ok=two_ok,
-        dahiya_ok=dahiya_ok,
-        worst_slack=worst if worst != math.inf else 0.0,
+        min_entry_ok=ok[0],
+        max_entry_ok=ok[1],
+        two_pmin_ok=ok[3] if checks == 4 else None,
+        dahiya_ok=ok[2],
+        worst_slack=min(worst) if len(trace.iterations) > 1 else 0.0,
     )
 
 
@@ -163,12 +159,19 @@ def _default_max_iter(p_min: float, tol: float) -> int:
     return max(10, int(10 * math.ceil(need)))
 
 
+def _column_gap(S: np.ndarray) -> float:
+    """max over columns of max - min: the widest envelope of S."""
+    return float((S.max(axis=0) - S.min(axis=0)).max())
+
+
 def stationary_by_envelope(
     P: StochasticMatrix, tol: float = 1e-10, max_iter: int | None = None
 ) -> StationaryResult:
     """Extract pi from the collapsing envelopes of every column at once.
 
-    Non-positive ergodic chains are lifted to the m-step chain P^m first.
+    Non-positive ergodic chains are lifted to B = P^m first. The column
+    gaps of B^k never grow, so a doubling search finds the least k <=
+    max_iter with all of them at most tol (``evidence["iterations"]``).
     Each pi_k is the midpoint of its final [m, M] interval, certified to
     half-width tol / 2.
     """
@@ -177,21 +180,17 @@ def stationary_by_envelope(
         raise NotErgodicError("envelope squeeze needs an ergodic chain")
     m = report.primitivity_exponent  # 1 for an entrywise positive P
     B = power(P, m).entries
-    p_min = float(B.min())
     if max_iter is None:
-        max_iter = _default_max_iter(p_min, tol)
-    S = B
-    for it in range(1, max_iter + 1):
-        lo = S.min(axis=0)
-        hi = S.max(axis=0)
-        worst = float((hi - lo).max())
-        if worst <= tol:
-            break
-        S = S @ B
-    else:
+        max_iter = _default_max_iter(float(B.min()), tol)
+    _check_at_least("max_iter", max_iter, 1)
+    found = _first_power(B, lambda S: _column_gap(S) <= tol, max_iter)
+    if found is None:
+        worst = _column_gap(np.linalg.matrix_power(B, max_iter))
         raise MaxIterExceededError(
             f"envelopes at Delta = {worst:.3g} after {max_iter} iterations"
         )
+    it, S = found
+    lo, hi = S.min(axis=0), S.max(axis=0)
     mid = (lo + hi) / 2.0
     pi = mid / mid.sum()
     return StationaryResult(
@@ -201,16 +200,21 @@ def stationary_by_envelope(
         evidence={
             "lift_exponent": m,
             "iterations": it,
-            "max_half_width": worst / 2.0,
+            "max_half_width": float((hi - lo).max()) / 2.0,
         },
     )
 
 
-def mixing_estimate(
-    P: StochasticMatrix, epsilon: float = 0.25, scan_cap: int = 100_000
-) -> MixingEstimate:
-    """Empirical mixing time by direct d(t) scan, next to the contraction
-    bound m * ceil(ln(n / eps) / (2 p_min(P^m)) + 1) in original-chain steps.
+#: The mixing search looks no further than t = 2^40 (about 1.1e12 steps),
+#: so it stores at most 41 squares of P.
+_TMIX_LIMIT = 1 << 40
+
+
+def mixing_estimate(P: StochasticMatrix, epsilon: float = 0.25) -> MixingEstimate:
+    """Empirical mixing time, the least t with d(t) <= epsilon, by a
+    doubling search (d(t) never grows), next to the contraction bound
+    m * ceil(ln(n / eps) / (2 p_min(P^m)) + 1) in original-chain steps.
+    A t above the bound is returned as found; the caller's verdict fails.
     """
     if not 0.0 < epsilon < 1.0:
         raise ArgumentRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -218,16 +222,17 @@ def mixing_estimate(
     if not report.ergodic:
         raise NotErgodicError("mixing time is defined for ergodic chains only")
     m = report.primitivity_exponent
-    pi = stationary_linear(P).pi
+    pi = stationary_linear(P).pi.probs
     pmin_m = power(P, m).min_entry()
     n = P.n
     bound = m * math.ceil(math.log(n / epsilon) / (2.0 * pmin_m) + 1.0)
 
-    for t, d in enumerate(tv_curve(P, pi)):
-        if t > min(bound, scan_cap):
-            raise MaxIterExceededError(f"d(t) still above {epsilon} at t = {t}")
-        if d <= epsilon:
-            break
+    t = 0
+    if _tv_rows(np.eye(n), pi) > epsilon:
+        found = _first_power(P.entries, lambda S: _tv_rows(S, pi) <= epsilon, _TMIX_LIMIT)
+        if found is None:
+            raise MaxIterExceededError(f"d(t) still above {epsilon} at t = {_TMIX_LIMIT}")
+        t = found[0]
     return MixingEstimate(
         epsilon=epsilon,
         empirical_tmix=t,
@@ -244,6 +249,6 @@ def delta_curve(P: StochasticMatrix, horizon: int) -> list[float]:
     S = P.entries
     out = []
     for _ in range(horizon):
-        out.append(float((S.max(axis=0) - S.min(axis=0)).max()))
+        out.append(_column_gap(S))
         S = S @ P.entries
     return out

@@ -11,7 +11,6 @@ aperiodicity; irreducibility is checked up front.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,9 +42,6 @@ class StationaryResult:
     #              return_time | envelope | power_iteration
     residual: float  # ||pi P - pi||_inf
     evidence: dict[str, Any] = field(default_factory=dict)
-
-    def evidence_json(self) -> str:
-        return json.dumps(self.evidence, default=float)
 
 
 @dataclass(frozen=True)

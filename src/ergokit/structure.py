@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .chain import StateSpace, StochasticMatrix
+from .chain import StateSpace, StochasticMatrix, _first_power
 from .errors import NoClosedWalkError, NotErgodicError
 
 
@@ -177,9 +177,10 @@ def primitivity_exponent(P: StochasticMatrix) -> int:
 
     Requires ergodicity (checked first); for ergodic chains positivity of
     the boolean power is monotone in the exponent, so the minimal m is
-    found by doubling plus binary search, capped at the Wielandt bound.
-    Positivity is decided on the boolean pattern, never on float values,
-    so numeric underflow cannot misreport a zero.
+    found by the doubling search of :func:`~ergokit.chain._first_power`,
+    capped at the Wielandt bound. Positivity is decided on the boolean
+    pattern, never on float values, so numeric underflow cannot misreport
+    a zero.
     """
     report = analyze(P, with_primitivity=False)
     if not report.ergodic:
@@ -187,39 +188,14 @@ def primitivity_exponent(P: StochasticMatrix) -> int:
             "no power of P is entrywise positive: chain is "
             + ("reducible" if not report.irreducible else "periodic")
         )
-    A = (P.entries > 0.0).astype(np.float64)
     cap = wielandt_bound(P.n)
-
-    cache: dict[int, np.ndarray] = {1: A}
-
-    def boolean_power(k: int) -> np.ndarray:
-        if k in cache:
-            return cache[k]
-        half = boolean_power(k // 2)
-        out = (half @ half) > 0.0
-        if k % 2:
-            out = (out @ A) > 0.0
-        cache[k] = out.astype(np.float64)
-        return cache[k]
-
-    def positive(k: int) -> bool:
-        return bool(boolean_power(k).all())
-
-    hi = 1
-    while not positive(hi):
-        if hi >= cap:
-            raise NotErgodicError(
-                f"no positive power up to the Wielandt bound {cap}"
-            )
-        hi = min(2 * hi, cap)
-    lo = hi // 2 if hi > 1 else 0  # positive(lo) is False (or lo == 0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if positive(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    found = _first_power(
+        (P.entries > 0.0).astype(np.float64), lambda A: bool(A.all()), cap,
+        mul=lambda X, Y: ((X @ Y) > 0.0).astype(np.float64),
+    )
+    if found is None:
+        raise NotErgodicError(f"no positive power up to the Wielandt bound {cap}")
+    return found[0]
 
 
 def _structural_report(P: StochasticMatrix) -> ErgodicityReport:

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 import ergokit as ek
+from ergokit import cli
 from ergokit.cli import main
+from ergokit.envelope import MixingEstimate
+
+
+def estimate_above_bound(P, epsilon=0.25):
+    """A mixing estimate whose empirical time breaks its bound."""
+    return MixingEstimate(
+        epsilon=epsilon, empirical_tmix=8, bound_tmix=7, primitivity_m=1, pmin_of_Pm=0.2
+    )
 
 
 def run(capsys, *argv):
@@ -128,6 +137,69 @@ class TestBadArguments:
         assert "ArgumentRangeError" in err and detail in err
 
 
+    @pytest.mark.parametrize(
+        "gen_args",
+        [
+            ("--gen", "two_state", "--params", "p=0.2,q=0.3"),
+            ("--gen", "lazy_hypercube", "--params", "d=2"),
+            ("--gen", "flip"),
+        ],
+        ids=["positive", "zero_entries", "periodic"],
+    )
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("report", "--horizon", "0"), "--horizon must be >= 1, got 0"),
+            (("report", "--trials", "0"), "--trials must be >= 1, got 0"),
+            (("report", "--epsilon", "1"), "--epsilon must lie in (0, 1), got 1.0"),
+            (("report", "--tol", "0"), "--tol must be > 0, got 0.0"),
+            (("report", "--tol", "nan"), "--tol must be > 0, got nan"),
+            (("stationary", "--tol", "-1"), "--tol must be > 0, got -1.0"),
+        ],
+        ids=[
+            "report_horizon", "report_trials", "report_epsilon", "report_tol",
+            "report_tol_nan", "stationary_tol",
+        ],
+    )
+    def test_flags_checked_before_any_work(self, capsys, monkeypatch, argv, message, gen_args):
+        from ergokit import structure
+
+        def never(P):
+            raise AssertionError("analysis ran before the flags were checked")
+
+        monkeypatch.setattr(structure, "analyze", never)
+        code, out, err = run(capsys, *argv, *gen_args)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: ArgumentRangeError: {message}\n"
+
+    def test_couple_horizon_zero_is_valid(self, capsys):
+        code, out, _ = run(
+            capsys, "couple", "--gen", "two_state", "--params", "p=0.2,q=0.3",
+            "--horizon", "0", "--trials", "100",
+        )
+        assert code == 0
+        assert json.loads(out)["horizon"] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("report", "--tol", "abc"), ("bogus",), ("report", "--no-such-flag"), ()],
+        ids=["bad_float", "unknown_command", "unknown_flag", "no_command"],
+    )
+    def test_usage_error_exit_one(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exc.value.code == 1
+        assert err.startswith("error: ergokit") and err.count("\n") == 1
+
+    def test_help_exit_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--help"])
+        assert exc.value.code == 0
+        assert "--horizon" in capsys.readouterr().out
+
+
 class TestStationary:
     def test_all_methods_agree(self, capsys):
         code, out, _ = run(
@@ -234,6 +306,13 @@ class TestMix:
     def test_periodic_exit_one(self, capsys):
         code, _, err = run(capsys, "mix", "--gen", "flip")
         assert code == 1
+
+    def test_violated_bound_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.envelope_mod, "mixing_estimate", estimate_above_bound)
+        code, out, err = run(capsys, "mix", "--gen", "two_state", "--params", "p=0.2,q=0.3")
+        assert code == 2
+        assert err == ""
+        assert json.loads(out)["empirical_tmix"] == 8
 
 
 class TestCouple:
@@ -361,6 +440,29 @@ class TestReport:
         assert code == 0
         assert 1 <= len(calls) <= most
         assert len(set(calls)) == len(calls)  # never twice for the same chain
+
+    def test_violated_bound_is_a_failed_verdict(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.envelope_mod, "mixing_estimate", estimate_above_bound)
+        code, out, err = run(
+            capsys, "report", "--gen", "two_state", "--params", "p=0.2,q=0.3", "--trials", "2000"
+        )
+        obj = json.loads(out)
+        assert code == 2
+        assert err == ""
+        assert obj["mixing"] == {"epsilon": 0.25, "empirical_tmix": 8, "bound_tmix": 7}
+        assert obj["verdicts"]["mixing_bound_dominates"] is False
+        assert all(v for k, v in obj["verdicts"].items() if k != "mixing_bound_dominates")
+
+    def test_stiff_chain_reports(self, capsys):
+        # d(t) = (2/3) (1 - 3e-6)^t, so t_mix = ceil(ln 0.375 / ln(1 - 3e-6))
+        code, out, err = run(
+            capsys, "report", "--gen", "two_state", "--params", "p=0.000001,q=0.000002"
+        )
+        obj = json.loads(out)
+        assert code == 0
+        assert err == ""
+        assert obj["mixing"]["empirical_tmix"] == 326943
+        assert obj["stationary"]["envelope"]["pi"] == pytest.approx([2 / 3, 1 / 3], abs=1e-10)
 
     def test_failed_linear_solve_reported_inline(self, capsys, monkeypatch):
         from ergokit import cli
