@@ -265,8 +265,8 @@ def _tv_rows(rows: np.ndarray, pi: np.ndarray) -> float:
 
 def tv_curve(P: StochasticMatrix, pi: Distribution):
     """Yield d(0), d(1), ... without end: d(t) = max_x TV(P^t(x, .), pi), with
-    P^t as the running product S <- S P from the identity. The mixing-time
-    scan, the Doeblin bound and ``ergokit mix --csv`` all read this curve."""
+    P^t as the running product S <- S P from the identity. The Doeblin bound
+    and ``ergokit mix --csv`` read this curve."""
     S = np.eye(P.n)
     while True:
         yield _tv_rows(S, pi.probs)

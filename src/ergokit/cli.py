@@ -9,10 +9,9 @@ stderr line. All stdout reports are JSON; curve data goes to --csv files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from itertools import combinations, islice
+from itertools import islice
 
 import numpy as np
 
@@ -23,7 +22,12 @@ from . import envelope as envelope_mod
 from . import generators
 from . import stationary as stationary_mod
 from . import structure as structure_mod
-from .errors import ArgumentRangeError, ErgokitError, InvalidGeneratorParamsError
+from .errors import (
+    ArgumentRangeError,
+    ErgokitError,
+    InvalidGeneratorParamsError,
+    TooLargeError,
+)
 
 #: Every stationary route, in report order: name -> (P, tol) -> StationaryResult.
 #: Each entry looks its function up when called, so a patched module
@@ -97,20 +101,16 @@ def _stationary_table(P, methods, tol):
 
 
 def _discrepancies(results):
-    ok = {m: r for m, r in sorted(results.items()) if not isinstance(r, Exception)}
-    table = {
-        f"{a}/{b}": float(np.abs(ok[a].pi.probs - ok[b].pi.probs).max())
-        for a, b in combinations(ok, 2)
-    }
-    return table, max(table.values(), default=0.0)
-
-
-def _result_json(r, message: bool) -> dict:
-    """One method's result as JSON: pi and residual, or the error's type
-    name (and its message, when asked)."""
-    if not isinstance(r, Exception):
-        return {"pi": r.pi.probs.tolist(), "residual": r.residual}
-    return {"error": type(r).__name__, **({"message": str(r)} if message else {})}
+    ok = {m: r for m, r in results.items() if not isinstance(r, Exception)}
+    names = sorted(ok)
+    table = {}
+    worst = 0.0
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            d = float(np.abs(ok[a].pi.probs - ok[b].pi.probs).max())
+            table[f"{a}/{b}"] = d
+            worst = max(worst, d)
+    return table, worst
 
 
 def cmd_analyze(args) -> int:
@@ -129,14 +129,21 @@ def cmd_stationary(args) -> int:
             raise InvalidGeneratorParamsError(f"unknown method {m!r}")
     results = _stationary_table(P, methods, args.tol)
     table, worst = _discrepancies(results)
-    out = {
-        "methods": {m: _result_json(r, message=True) for m, r in results.items()},
-        "pairwise_max_discrepancy": table,
-    }
+    out = {"methods": {}, "pairwise_max_discrepancy": table}
+    n_ok = 0
+    for m, r in results.items():
+        if isinstance(r, Exception):
+            out["methods"][m] = {"error": type(r).__name__, "message": str(r)}
+        else:
+            n_ok += 1
+            out["methods"][m] = {
+                "pi": r.pi.probs.tolist(),
+                "residual": r.residual,
+            }
     print(json.dumps(out))
     if args.csv and "envelope" in methods:
         _write_csv(args.csv, _envelope_trace_csv(P, args.tol))
-    if all(isinstance(r, Exception) for r in results.values()) or worst > 10.0 * args.tol:
+    if n_ok == 0 or worst > 10.0 * args.tol:
         return 2
     return 0
 
@@ -157,10 +164,27 @@ def _envelope_trace_csv(P, tol) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: ``mix --csv`` runs its curve through t_mix, one product per row, so it
+#: refuses a t_mix above this many steps before it builds any row.
+_MIX_CSV_TMIX_LIMIT = 100_000
+
+
 def cmd_mix(args) -> int:
     P = _resolve_chain(args)
     est = envelope_mod.mixing_estimate(P, epsilon=args.epsilon)
-    print(json.dumps(dataclasses.asdict(est)))
+    if args.csv and est.empirical_tmix > _MIX_CSV_TMIX_LIMIT:
+        raise TooLargeError(
+            f"--csv would need {est.empirical_tmix + 1} rows to reach t_mix; "
+            f"it writes curves for t_mix <= {_MIX_CSV_TMIX_LIMIT} only"
+        )
+    out = {
+        "epsilon": est.epsilon,
+        "empirical_tmix": est.empirical_tmix,
+        "bound_tmix": est.bound_tmix,
+        "primitivity_m": est.primitivity_m,
+        "pmin_of_Pm": est.pmin_of_Pm,
+    }
+    print(json.dumps(out))
     if args.csv:
         pi = stationary_mod.stationary_linear(P).pi
         split = None
@@ -223,7 +247,14 @@ def cmd_report(args) -> int:
     out = {"ergodicity": json.loads(erg.to_json()), "verdicts": {}}
     results = _stationary_table(P, METHODS, args.tol)
     table, worst = _discrepancies(results)
-    out["stationary"] = {m: _result_json(r, message=False) for m, r in results.items()}
+    out["stationary"] = {
+        m: (
+            {"error": type(r).__name__}
+            if isinstance(r, Exception)
+            else {"pi": r.pi.probs.tolist(), "residual": r.residual}
+        )
+        for m, r in results.items()
+    }
     out["pairwise_max_discrepancy"] = table
     out["verdicts"]["methods_agree"] = worst <= 10.0 * args.tol
 
@@ -234,7 +265,9 @@ def cmd_report(args) -> int:
     elif erg.ergodic:
         est = envelope_mod.mixing_estimate(P, epsilon=args.epsilon)
         out["mixing"] = {
-            k: getattr(est, k) for k in ("epsilon", "empirical_tmix", "bound_tmix")
+            "epsilon": est.epsilon,
+            "empirical_tmix": est.empirical_tmix,
+            "bound_tmix": est.bound_tmix,
         }
         out["verdicts"]["mixing_bound_dominates"] = (
             est.empirical_tmix <= est.bound_tmix

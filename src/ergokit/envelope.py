@@ -128,26 +128,32 @@ def verify_contraction(trace: EnvelopeTrace, tol: float = 1e-12) -> ContractionV
     """
     p = trace.p_min
     two_factor = 1.0 - 2.0 * p
-    checks = 4 if two_factor > 0 else 3
-    # worst margin of each inequality: the lower envelope rises enough, the
-    # upper one falls enough, the gap shrinks by (1 - p) and by (1 - 2p)
-    worst = [math.inf] * checks
+    min_ok = max_ok = dahiya_ok = True
+    two_ok: bool | None = True if two_factor > 0 else None
+    worst = math.inf
     for a, b in zip(trace.iterations, trace.iterations[1:]):
-        shrink = p * (a.M - a.m)
-        slacks = (
-            b.m - (a.m + shrink),
-            (a.M - shrink) - b.M,
-            (1.0 - p) * a.delta - b.delta,
-            two_factor * a.delta - b.delta,
-        )
-        worst = [min(w, s) for w, s in zip(worst, slacks)]
-    ok = [bool(w >= -tol) for w in worst]
+        slacks = [
+            b.m - (a.m + p * (a.M - a.m)),        # lower envelope must rise enough
+            (a.M - p * (a.M - a.m)) - b.M,        # upper envelope must fall enough
+            (1.0 - p) * a.delta - b.delta,        # single-inequality gap bound
+        ]
+        if b.m < a.m + p * (a.M - a.m) - tol:
+            min_ok = False
+        if b.M > a.M - p * (a.M - a.m) + tol:
+            max_ok = False
+        if b.delta > (1.0 - p) * a.delta + tol:
+            dahiya_ok = False
+        if two_ok is not None:
+            slacks.append(two_factor * a.delta - b.delta)
+            if b.delta > two_factor * a.delta + tol:
+                two_ok = False
+        worst = min(worst, *slacks)
     return ContractionVerdict(
-        min_entry_ok=ok[0],
-        max_entry_ok=ok[1],
-        two_pmin_ok=ok[3] if checks == 4 else None,
-        dahiya_ok=ok[2],
-        worst_slack=min(worst) if len(trace.iterations) > 1 else 0.0,
+        min_entry_ok=min_ok,
+        max_entry_ok=max_ok,
+        two_pmin_ok=two_ok,
+        dahiya_ok=dahiya_ok,
+        worst_slack=worst if worst != math.inf else 0.0,
     )
 
 

@@ -11,6 +11,7 @@ aperiodicity; irreducibility is checked up front.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -42,6 +43,9 @@ class StationaryResult:
     #              return_time | envelope | power_iteration
     residual: float  # ||pi P - pi||_inf
     evidence: dict[str, Any] = field(default_factory=dict)
+
+    def evidence_json(self) -> str:
+        return json.dumps(self.evidence, default=float)
 
 
 @dataclass(frozen=True)

@@ -314,6 +314,27 @@ class TestMix:
         assert err == ""
         assert json.loads(out)["empirical_tmix"] == 8
 
+    def test_stiff_chain_without_csv(self, capsys):
+        code, out, err = run(
+            capsys, "mix", "--gen", "two_state", "--params", "p=0.000001,q=0.000002"
+        )
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["empirical_tmix"] == 326943
+
+    def test_csv_refuses_a_curve_past_the_row_limit(self, capsys, tmp_path):
+        # the curve would take one product per row up to t_mix = 326,943
+        out_csv = tmp_path / "curve.csv"
+        code, out, err = run(
+            capsys, "mix", "--gen", "two_state", "--params", "p=0.000001,q=0.000002",
+            "--csv", str(out_csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: TooLargeError: --csv would need 326944 rows")
+        assert err.count("\n") == 1
+        assert not out_csv.exists()
+
 
 class TestCouple:
     def test_two_state_passes(self, capsys, tmp_path):

@@ -74,6 +74,16 @@ def corpus():
     return chains
 
 
+def bottleneck():
+    """Two uniform 20-cliques joined by one edge of weight 1e-4."""
+    a = np.zeros((40, 40))
+    a[:20, :20] = a[20:, 20:] = 1.0 / 20
+    a[19, 20] = a[20, 19] = 1e-4
+    a[19, 19] -= 1e-4
+    a[20, 20] -= 1e-4
+    return from_array(a)
+
+
 CORPUS = corpus()
 IDS = [name for name, _ in CORPUS]
 CHAINS = [P for _, P in CORPUS]
@@ -150,13 +160,25 @@ class TestStiffChains:
         assert est.empirical_tmix <= est.bound_tmix
 
     def test_bottleneck_mixing_time(self):
-        # two uniform 20-cliques joined by one edge of weight 1e-4
-        a = np.zeros((40, 40))
-        a[:20, :20] = a[20:, 20:] = 1.0 / 20
-        a[19, 20] = a[20, 19] = 1e-4
-        a[19, 19] -= 1e-4
-        a[20, 20] -= 1e-4
-        P = from_array(a)
+        P = bottleneck()
         assert ek.mixing_estimate(P).empirical_tmix == 69329
         res = ek.stationary_by_envelope(P)
         assert np.abs(res.pi.probs - 1.0 / 40).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "P, iterations, pi",
+        [
+            (gen.two_state(1e-6, 2e-6), 7_712_374, [2 / 3, 1 / 3]),
+            (bottleneck(), 667_821, [1 / 40] * 40),
+        ],
+        ids=["two_state(1e-6,2e-6)", "bottleneck(40)"],
+    )
+    def test_envelope_iterations_drift_on_stiff_chains(self, P, iterations, pi):
+        # Once the column gap nears tol only after some 10^5 products, float64
+        # rounding decides the last iterations, and squaring rounds otherwise
+        # than stepping one product at a time. The linear oracle, too slow to
+        # run here, stops at 7,707,201 and 667,817; this pins the drift of
+        # 5,173 and 4 iterations. pi is unaffected.
+        res = ek.stationary_by_envelope(P)
+        assert res.evidence["iterations"] == iterations
+        assert res.pi.probs == pytest.approx(pi, abs=1e-10)
