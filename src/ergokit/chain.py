@@ -20,6 +20,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -239,16 +240,22 @@ def _first_power(M: np.ndarray, holds, cap: int, mul=np.matmul):
     return (k + 1, found) if k < cap else None
 
 
+def orbit(S: np.ndarray, M: np.ndarray):
+    """Yield S, S M, S M^2, ... without end, each as the running product of
+    the one before and M. Every P^t curve in ergokit is read off this
+    stream, so each power is formed once and always the same way."""
+    while True:
+        yield S
+        S = S @ M
+
+
 def evolve(sigma: Distribution, P: StochasticMatrix, steps: int = 1) -> Distribution:
     """Push a distribution through `steps` transitions: sigma P^steps."""
     if sigma.space != P.space:
         raise SpaceMismatchError("distribution and matrix on different spaces")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    p = sigma.probs
-    for _ in range(steps):
-        p = p @ P.entries
-    return Distribution(P.space, p)
+    return Distribution(P.space, next(islice(orbit(sigma.probs, P.entries), steps, None)))
 
 
 def tv_distance(mu: Distribution, nu: Distribution) -> float:
@@ -264,13 +271,9 @@ def _tv_rows(rows: np.ndarray, pi: np.ndarray) -> float:
 
 
 def tv_curve(P: StochasticMatrix, pi: Distribution):
-    """Yield d(0), d(1), ... without end: d(t) = max_x TV(P^t(x, .), pi), with
-    P^t as the running product S <- S P from the identity. The Doeblin bound
-    and ``ergokit mix --csv`` read this curve."""
-    S = np.eye(P.n)
-    while True:
-        yield _tv_rows(S, pi.probs)
-        S = S @ P.entries
+    """Yield d(0), d(1), ... without end: d(t) = max_x TV(P^t(x, .), pi), over
+    the :func:`orbit` of the identity. The Doeblin bound reads this curve."""
+    return (_tv_rows(S, pi.probs) for S in orbit(np.eye(P.n), P.entries))
 
 
 def distance_from_stationary(P: StochasticMatrix, pi: Distribution, t: int) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
 
 import numpy as np
 
@@ -26,6 +25,7 @@ from .errors import (
     ArgumentRangeError,
     ErgokitError,
     InvalidGeneratorParamsError,
+    MaxIterExceededError,
     TooLargeError,
 )
 
@@ -128,6 +128,9 @@ def cmd_stationary(args) -> int:
         if m not in METHODS:
             raise InvalidGeneratorParamsError(f"unknown method {m!r}")
     results = _stationary_table(P, methods, args.tol)
+    trace = None  # built before printing, so a refused trace prints nothing
+    if args.csv and "envelope" in methods:
+        trace = _envelope_trace_csv(P, results["envelope"], args.tol)
     table, worst = _discrepancies(results)
     out = {"methods": {}, "pairwise_max_discrepancy": table}
     n_ok = 0
@@ -141,22 +144,35 @@ def cmd_stationary(args) -> int:
                 "residual": r.residual,
             }
     print(json.dumps(out))
-    if args.csv and "envelope" in methods:
-        _write_csv(args.csv, _envelope_trace_csv(P, args.tol))
+    if trace is not None:
+        _write_csv(args.csv, trace)
     if n_ok == 0 or worst > 10.0 * args.tol:
         return 2
     return 0
 
 
-def _envelope_trace_csv(P, tol) -> str:
-    report = structure_mod.analyze(P)
-    if not report.ergodic:
-        return "column,i,m,M,delta\n"
-    m = report.primitivity_exponent or 1
-    lifted = chain_mod.power(P, m)
+#: ``stationary --csv`` writes at most this many rows per column trace.
+_TRACE_ROWS = 10_000
+
+
+def _envelope_trace_csv(P, squeeze, tol) -> str:
+    """Each column's envelope trace on the chain the squeeze lifted to; the
+    header only if the squeeze refused the chain. Refuses traces that would
+    stop short of tol: the squeeze took more than _TRACE_ROWS iterations,
+    or did not reach tol."""
+    if isinstance(squeeze, MaxIterExceededError):
+        raise TooLargeError(f"--csv: the envelope traces would stop short of --tol ({squeeze})")
     lines = ["column,i,m,M,delta"]
+    if isinstance(squeeze, Exception):
+        return lines[0] + "\n"
+    if squeeze.evidence["iterations"] > _TRACE_ROWS:
+        raise TooLargeError(
+            f"--csv would need {squeeze.evidence['iterations']} rows per column to reach "
+            f"--tol; it writes envelope traces of at most {_TRACE_ROWS} rows"
+        )
+    lifted = chain_mod.power(P, squeeze.evidence["lift_exponent"])
     for col in range(P.n):
-        trace = envelope_mod.envelope_iterate(lifted, col, tol=tol)
+        trace = envelope_mod.envelope_iterate(lifted, col, max_iter=_TRACE_ROWS, tol=tol)
         for rec in trace.iterations:
             lines.append(
                 f"{col},{rec.i},{rec.m:.17g},{rec.M:.17g},{rec.delta:.17g}"
@@ -191,10 +207,11 @@ def cmd_mix(args) -> int:
         if (P.entries > 0.0).all():
             split = doeblin_mod.doeblin_split(P, pi)
         horizon = max(args.horizon, est.empirical_tmix + 1)
-        deltas = envelope_mod.delta_curve(P, horizon)
         lines = ["t,d,n_delta,theta_pow"]
-        curve = islice(chain_mod.tv_curve(P, pi), 1, None)
-        for t, (delta, d) in enumerate(zip(deltas, curve), start=1):
+        # d(t) and Delta(t) off one stream, so each P^t is formed once
+        for t, S in zip(range(1, horizon + 1), chain_mod.orbit(P.entries, P.entries)):
+            d = chain_mod._tv_rows(S, pi.probs)
+            delta = envelope_mod._column_gap(S)
             theta_pow = "" if split is None else f"{split.theta ** t:.17g}"
             lines.append(f"{t},{d:.17g},{P.n * delta:.17g},{theta_pow}")
         _write_csv(args.csv, "\n".join(lines) + "\n")

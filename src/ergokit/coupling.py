@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, StateSpace, check_stationary, tv_distance
-from .chain import _advance, _check_at_least, _check_walk, _cumrows, _walk_until
+from .chain import _advance, _check_at_least, _check_walk, _cumrows, _walk_until, orbit
 from .envelope import delta_curve
-from .errors import MarginalMismatchError, NeverMetError, NotErgodicError
-from .structure import analyze
+from .errors import MarginalMismatchError, NeverMetError
+from .structure import analyze, require_ergodic
 
 #: Cap for the exact absorbing-chain tail oracle; the product matrix is
 #: n^2 x n^2, so this keeps it at 36 x 36.
@@ -111,14 +112,6 @@ def product_ergodicity(P: StochasticMatrix) -> bool:
     return verdict
 
 
-def _pair_chain_ergodic(P: StochasticMatrix) -> bool:
-    # explicit product-chain verdict where it is cheap; the base verdict is
-    # provably identical and avoids the n^2 x n^2 build for larger chains
-    if P.n <= 12:
-        return product_ergodicity(P)
-    return analyze(P, with_primitivity=False).ergodic
-
-
 def _meeting_mask(x: np.ndarray, y: np.ndarray, mode) -> np.ndarray:
     if mode == "meet_anywhere":
         return x == y
@@ -145,8 +138,7 @@ def simulate_coupling(
     target = (mode[1],) if isinstance(mode, tuple) else ()
     _check_walk(P, tuple(start) + target, trials)
     _check_at_least("max_steps", max_steps, 1)
-    if not _pair_chain_ergodic(P):
-        raise NotErgodicError("pair chain is not ergodic; meeting is not guaranteed")
+    require_ergodic(P, "meeting of two independent copies")
     x = np.full(trials, start[0])
     y = np.full(trials, start[1])
     tau = np.where(_meeting_mask(x, y, mode), 0, -1)
@@ -199,14 +191,9 @@ def exact_meeting_tail(
     absorbing = _meeting_mask(xs, ys, mode)
     Q[absorbing] = 0.0
     Q[absorbing, pairs[absorbing]] = 1.0
-    v = np.zeros(n * n)
-    v[pc.flat(*start)] = 1.0
-    out = np.empty(horizon + 1)
-    out[0] = v[~absorbing].sum()
-    for i in range(1, horizon + 1):
-        v = v @ Q
-        out[i] = v[~absorbing].sum()
-    return out
+    point = np.zeros(n * n)
+    point[pc.flat(*start)] = 1.0
+    return np.array([v[~absorbing].sum() for v in islice(orbit(point, Q), horizon + 1)])
 
 
 @dataclass(frozen=True)
@@ -251,8 +238,7 @@ def verify_coupling_lemma(
     3-standard-error band on the simulated side."""
     _check_walk(P, (start_y,), trials)
     _check_at_least("horizon", horizon, 0)
-    if not _pair_chain_ergodic(P):
-        raise NotErgodicError("coupling lemma check needs an ergodic chain")
+    require_ergodic(P, "coupling lemma check")
     check_stationary(P, pi)
     rng = np.random.default_rng(seed)
     x = _advance(np.zeros(trials, dtype=np.int64), _cumrows(pi), rng)
@@ -263,9 +249,9 @@ def verify_coupling_lemma(
 
     rows = []
     passed = True
-    row_y = np.zeros(P.n)
-    row_y[start_y] = 1.0
-    for i in range(horizon + 1):
+    point = np.zeros(P.n)
+    point[start_y] = 1.0
+    for i, row_y in zip(range(horizon + 1), orbit(point, P.entries)):
         exact = tv_distance(pi, Distribution(P.space, row_y))
         k = int((tau > i).sum())
         tail = k / trials
@@ -276,7 +262,6 @@ def verify_coupling_lemma(
         if exact > tail + 3.0 * se:
             passed = False
         rows.append(CouplingLemmaRow(step=i, exact_tv=exact, tail=tail, tail_se=se))
-        row_y = row_y @ P.entries
     return CouplingLemmaReport(rows=tuple(rows), passed=passed, trials=trials, seed=seed)
 
 
@@ -292,8 +277,7 @@ def convergence_by_coupling(
 ) -> ConvergenceCurve:
     """Exact row-discrepancy diagnostics: the worst pairwise column gap of
     P^n must shrink monotonically toward zero for an ergodic chain."""
-    if not analyze(P, with_primitivity=False).ergodic:
-        raise NotErgodicError("row discrepancies need not vanish without ergodicity")
+    require_ergodic(P, "vanishing row discrepancy")
     disc = delta_curve(P, horizon)
     monotone = all(b <= a + tol for a, b in zip(disc, disc[1:]))
     return ConvergenceCurve(

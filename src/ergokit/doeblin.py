@@ -11,15 +11,15 @@ powering, never by computing a canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, pairwise
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix, check_stationary, power, tv_curve
+from .chain import Distribution, StochasticMatrix, check_stationary, orbit, power, tv_curve
 from .chain import _check_at_least
-from .errors import NoConvergenceError, NotErgodicError, NotPositiveError
+from .errors import NoConvergenceError, NotPositiveError
 from .stationary import _power_iterate
-from .structure import analyze
+from .structure import require_ergodic
 
 
 @dataclass(frozen=True)
@@ -104,12 +104,9 @@ def verify_error_recursion(
     Q = split.Q_matrix.entries
     th = split.theta
     errors = []
-    Pn = np.eye(P.n)
-    Qn = np.eye(P.n)
-    for n in range(1, max_n + 1):
-        Qprev = Qn
-        Pn = Pn @ P.entries
-        Qn = Qn @ Q
+    eye = np.eye(P.n)
+    steps = zip(islice(orbit(eye, P.entries), 1, None), pairwise(orbit(eye, Q)))
+    for n, (Pn, (Qprev, Qn)) in zip(range(1, max_n + 1), steps):
         rhs = th**n * (Qn - Pi @ Qprev)
         errors.append(float(np.abs((Pn - Pi) - rhs).max()))
     rng = np.random.default_rng(7)
@@ -154,8 +151,7 @@ def spectral_check(
     """Dominant pair by power iteration on the transpose (converges to the
     stationary row vector), subdominant modulus from norms of powers of the
     deflated operator P - Pi, and the rank-1 limit gap ||P^probe_n - Pi||_inf."""
-    if not analyze(P, with_primitivity=False).ergodic:
-        raise NotErgodicError("spectral checks assume an ergodic chain")
+    require_ergodic(P, "spectral check")
     n = P.n
     mu, _ = _power_iterate(P, 1e-14, max_iter)
     dominant_value = float((mu @ P.entries).sum() / mu.sum())  # = 1 for stochastic P

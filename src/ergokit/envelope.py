@@ -17,17 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix, power, stationary_residual
+from .chain import Distribution, StochasticMatrix, orbit, power, stationary_residual
 from .chain import _check_at_least, _first_power, _tv_rows
 from .errors import (
     ArgumentRangeError,
     MaxIterExceededError,
     MonotonicityViolationError,
-    NotErgodicError,
     NotPositiveError,
 )
 from .stationary import StationaryResult, stationary_linear
-from .structure import analyze
+from .structure import analyze, require_ergodic
 
 #: Slack for the "should be impossible" monotonicity assertions; a few ulps
 #: of accumulated matmul rounding, nothing more.
@@ -97,10 +96,9 @@ def envelope_iterate(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     p_min = P.min_entry()
-    S = P.entries
     records = []
     prev_m, prev_M = -np.inf, np.inf
-    for i in range(1, max_iter + 1):
+    for i, S in zip(range(1, max_iter + 1), orbit(P.entries, P.entries)):
         col = S[:, column]
         m, M = float(col.min()), float(col.max())
         if m < prev_m - _MONOTONE_SLACK or M > prev_M + _MONOTONE_SLACK:
@@ -112,7 +110,6 @@ def envelope_iterate(
         if M - m <= tol:
             break
         prev_m, prev_M = m, M
-        S = S @ P.entries
     return EnvelopeTrace(
         column=column,
         iterations=tuple(records),
@@ -157,12 +154,20 @@ def verify_contraction(trace: EnvelopeTrace, tol: float = 1e-12) -> ContractionV
     )
 
 
+#: The mixing search looks no further than t = 2^40 (about 1.1e12 steps),
+#: so it stores at most 41 squares of P; the squeeze's default cap too.
+_TMIX_LIMIT = 1 << 40
+
+
 def _default_max_iter(p_min: float, tol: float) -> int:
-    # 10x the iteration count implied by the geometric decay guarantee
+    # 10x the iteration count implied by the geometric decay guarantee, at
+    # most _TMIX_LIMIT; log1p keeps the rate above 0 for p_min below 1e-16
     if p_min >= 1.0:
         return 10
-    need = math.log(max(tol, 1e-300)) / math.log(1.0 - p_min)
-    return max(10, int(10 * math.ceil(need)))
+    need, rate = -math.log(max(tol, 1e-300)), -math.log1p(-p_min)
+    if need >= rate * _TMIX_LIMIT:  # also where p_min underflowed to 0
+        return _TMIX_LIMIT
+    return min(_TMIX_LIMIT, max(10, 10 * math.ceil(need / rate)))
 
 
 def _column_gap(S: np.ndarray) -> float:
@@ -181,10 +186,8 @@ def stationary_by_envelope(
     Each pi_k is the midpoint of its final [m, M] interval, certified to
     half-width tol / 2.
     """
-    report = analyze(P)
-    if not report.ergodic:
-        raise NotErgodicError("envelope squeeze needs an ergodic chain")
-    m = report.primitivity_exponent  # 1 for an entrywise positive P
+    require_ergodic(P, "envelope squeeze")
+    m = analyze(P).primitivity_exponent  # 1 for an entrywise positive P
     B = power(P, m).entries
     if max_iter is None:
         max_iter = _default_max_iter(float(B.min()), tol)
@@ -211,11 +214,6 @@ def stationary_by_envelope(
     )
 
 
-#: The mixing search looks no further than t = 2^40 (about 1.1e12 steps),
-#: so it stores at most 41 squares of P.
-_TMIX_LIMIT = 1 << 40
-
-
 def mixing_estimate(P: StochasticMatrix, epsilon: float = 0.25) -> MixingEstimate:
     """Empirical mixing time, the least t with d(t) <= epsilon, by a
     doubling search (d(t) never grows), next to the contraction bound
@@ -224,10 +222,8 @@ def mixing_estimate(P: StochasticMatrix, epsilon: float = 0.25) -> MixingEstimat
     """
     if not 0.0 < epsilon < 1.0:
         raise ArgumentRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
-    report = analyze(P)
-    if not report.ergodic:
-        raise NotErgodicError("mixing time is defined for ergodic chains only")
-    m = report.primitivity_exponent
+    require_ergodic(P, "mixing time")
+    m = analyze(P).primitivity_exponent
     pi = stationary_linear(P).pi.probs
     pmin_m = power(P, m).min_entry()
     n = P.n
@@ -252,9 +248,4 @@ def delta_curve(P: StochasticMatrix, horizon: int) -> list[float]:
     """max-over-columns envelope gap Delta^(t) for t = 1..horizon; the
     comparison curve for d(t) <= n * Delta^(t), and the row discrepancy of
     :func:`ergokit.coupling.convergence_by_coupling`."""
-    S = P.entries
-    out = []
-    for _ in range(horizon):
-        out.append(_column_gap(S))
-        S = S @ P.entries
-    return out
+    return [_column_gap(S) for _, S in zip(range(horizon), orbit(P.entries, P.entries))]

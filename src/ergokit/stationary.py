@@ -17,19 +17,18 @@ from typing import Any
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix, stationary_residual
+from .chain import Distribution, StochasticMatrix, orbit, stationary_residual
 from .chain import _check_at_least, _check_walk, _walk_until
 from .errors import (
     BalanceViolationError,
     MaxIterExceededError,
     NoConvergenceError,
-    NotErgodicError,
     NotIrreducibleError,
     RankDeficientError,
     SingularSystemError,
     TooLargeError,
 )
-from .structure import analyze
+from .structure import analyze, require_ergodic
 
 #: Above n^(n-1) candidate functions the exhaustive tree enumeration is
 #: hopeless; the determinant route has no such cap.
@@ -234,12 +233,13 @@ def return_time_table(P: StochasticMatrix, z: int) -> ReturnTimeTable:
 
 def stationary_by_return_time(P: StochasticMatrix) -> StationaryResult:
     """Normalize the visit counts of anchor 0; verify anchor-independence
-    through the identity pi_x * E_x(return time to x) = 1 for every x."""
+    through the identity pi_x * E_x(return time to x) = 1 for every x.
+    One solve per anchor: anchor 0's table serves both."""
     table = return_time_table(P, 0)
     pi = table.visit_counts / table.expected_return
     expected_returns = []
     for x in range(P.n):
-        ert = return_time_table(P, x).expected_return
+        ert = (table if x == 0 else return_time_table(P, x)).expected_return
         expected_returns.append(ert)
         if abs(pi[x] * ert - 1.0) > 1e-8:
             raise BalanceViolationError(
@@ -287,12 +287,10 @@ def _power_iterate(P: StochasticMatrix, tol: float, max_iter: int) -> tuple[np.n
     """Iterate mu <- mu P from the uniform vector until two successive
     iterates differ by less than tol in every entry. Returns the last
     iterate (not renormalized) and the number of products taken."""
-    mu = np.full(P.n, 1.0 / P.n)
-    for it in range(1, max_iter + 1):
-        nxt = mu @ P.entries
+    steps = itertools.pairwise(orbit(np.full(P.n, 1.0 / P.n), P.entries))
+    for it, (mu, nxt) in zip(range(1, max_iter + 1), steps):
         if np.abs(nxt - mu).max() < tol:
             return nxt, it
-        mu = nxt
     raise NoConvergenceError(f"power iteration did not settle in {max_iter} steps")
 
 
@@ -300,8 +298,7 @@ def stationary_by_power(
     P: StochasticMatrix, tol: float = 1e-12, max_iter: int = 100_000
 ) -> StationaryResult:
     """Power iteration mu <- mu P from uniform; requires ergodicity."""
-    if not analyze(P, with_primitivity=False).ergodic:
-        raise NotErgodicError("power iteration needs an ergodic chain")
+    require_ergodic(P, "power iteration")
     mu, it = _power_iterate(P, tol, max_iter)
     mu = mu / mu.sum()
     return StationaryResult(

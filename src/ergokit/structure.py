@@ -182,12 +182,7 @@ def primitivity_exponent(P: StochasticMatrix) -> int:
     pattern, never on float values, so numeric underflow cannot misreport
     a zero.
     """
-    report = analyze(P, with_primitivity=False)
-    if not report.ergodic:
-        raise NotErgodicError(
-            "no power of P is entrywise positive: chain is "
-            + ("reducible" if not report.irreducible else "periodic")
-        )
+    require_ergodic(P, "a positive power of P")
     cap = wielandt_bound(P.n)
     found = _first_power(
         (P.entries > 0.0).astype(np.float64), lambda A: bool(A.all()), cap,
@@ -239,3 +234,15 @@ def analyze(P: StochasticMatrix, with_primitivity: bool = True) -> ErgodicityRep
             base, primitivity_exponent=primitivity_exponent(P)
         )
     return memo["structure+primitivity"]
+
+
+def require_ergodic(P: StochasticMatrix, what: str) -> ErgodicityReport:
+    """The one ergodicity gate: the memoized base report of P (no
+    primitivity search), or a NotErgodicError naming ``what`` and saying
+    whether P is reducible or periodic. Ergodicity of P is also that of the
+    product chain of two copies, so coupling routines ask this gate too."""
+    report = analyze(P, with_primitivity=False)
+    if not report.ergodic:
+        kind = "periodic" if report.irreducible else "reducible"
+        raise NotErgodicError(f"{what} needs an ergodic chain; this one is {kind}")
+    return report

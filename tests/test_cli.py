@@ -271,6 +271,39 @@ class TestStationary:
         assert lines[0] == "column,i,m,M,delta"
         assert len(lines) > 2
 
+    def test_tiny_entries_fail_the_squeeze_inline(self, capsys):
+        # 1 - 1e-300 rounds to 1.0: the envelopes never close, and the
+        # default cap is the mixing search's 2^40, not a division by zero
+        code, out, err = run(
+            capsys, "stationary", "--gen", "two_state", "--params", "p=1e-300,q=1e-300",
+            "--methods", "envelope",
+        )
+        assert code == 2
+        assert err == ""
+        envelope = json.loads(out)["methods"]["envelope"]
+        assert envelope["error"] == "MaxIterExceededError"
+        assert "after 1099511627776 iterations" in envelope["message"]
+
+    @pytest.mark.parametrize(
+        "params, detail",
+        [
+            ("p=0.000001,q=0.000002", "--csv would need 7712374 rows per column"),
+            ("p=1e-300,q=1e-300", "--csv: the envelope traces would stop short of --tol"),
+        ],
+        ids=["stiff", "never_closes"],
+    )
+    def test_csv_refuses_traces_that_stop_short(self, capsys, tmp_path, params, detail):
+        out_csv = tmp_path / "trace.csv"
+        code, out, err = run(
+            capsys, "stationary", "--gen", "two_state", "--params", params,
+            "--methods", "linear_solve,envelope", "--csv", str(out_csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: TooLargeError: {detail}")
+        assert err.count("\n") == 1
+        assert not out_csv.exists()
+
 
 class TestMix:
     def test_two_state(self, capsys):
@@ -306,6 +339,25 @@ class TestMix:
     def test_periodic_exit_one(self, capsys):
         code, _, err = run(capsys, "mix", "--gen", "flip")
         assert code == 1
+
+    def test_csv_forms_each_power_once(self, capsys, monkeypatch, tmp_path):
+        from ergokit import chain, coupling, doeblin, envelope, stationary
+
+        streams = []
+        orbit = chain.orbit
+
+        def counted(S, M):
+            streams.append(S.shape)
+            return orbit(S, M)
+
+        for mod in (chain, envelope, stationary, coupling, doeblin):
+            monkeypatch.setattr(mod, "orbit", counted)
+        code, _, _ = run(
+            capsys, "mix", "--gen", "two_state", "--params", "p=0.2,q=0.3",
+            "--csv", str(tmp_path / "curve.csv"),
+        )
+        assert code == 0
+        assert streams == [(2, 2)]  # d(t) and n Delta(t) read one stream
 
     def test_violated_bound_exit_two(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.envelope_mod, "mixing_estimate", estimate_above_bound)
@@ -440,13 +492,13 @@ class TestReport:
 
 
     @pytest.mark.parametrize(
-        "gen_args, most",
+        "gen_args",
         [
-            (("--gen", "two_state", "--params", "p=0.2,q=0.3"), 2),  # P and P x P
-            (("--gen", "lazy_hypercube", "--params", "d=4"), 1),  # n = 16 > 12
+            ("--gen", "two_state", "--params", "p=0.2,q=0.3"),
+            ("--gen", "lazy_hypercube", "--params", "d=4"),
         ],
     )
-    def test_structure_computed_once_per_chain(self, capsys, monkeypatch, gen_args, most):
+    def test_structure_computed_once_per_chain(self, capsys, monkeypatch, gen_args):
         from ergokit import structure
 
         calls = []
@@ -459,8 +511,7 @@ class TestReport:
         monkeypatch.setattr(structure, "strongly_connected_components", counted)
         code, _, _ = run(capsys, "report", *gen_args, "--trials", "2000")
         assert code == 0
-        assert 1 <= len(calls) <= most
-        assert len(set(calls)) == len(calls)  # never twice for the same chain
+        assert len(calls) == 1  # P only: no product chain, no second pass
 
     def test_violated_bound_is_a_failed_verdict(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.envelope_mod, "mixing_estimate", estimate_above_bound)

@@ -17,7 +17,7 @@ from ergokit.errors import (
     NotErgodicError,
 )
 
-from conftest import from_array, random_positive
+from conftest import from_array, random_ergodic, random_irreducible, random_positive
 
 
 class TestProductChain:
@@ -76,6 +76,25 @@ class TestProductErgodicity:
 
     def test_identity(self, identity3):
         assert ek.product_ergodicity(identity3) is False
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_base_ergodicity(self, seed):
+        # the coupling routines gate on P's own verdict; this keeps the
+        # product-chain lemma they rely on checked
+        rng = np.random.default_rng(900 + seed)
+        reducible = np.eye(4)
+        reducible[0] = rng.random(4) + 0.1
+        chains = [
+            random_positive(rng, int(rng.integers(2, 6))),
+            random_ergodic(rng, int(rng.integers(3, 9))),
+            random_irreducible(rng, int(rng.integers(3, 9))),
+            gen.flip(),
+            gen.cycle(int(rng.integers(3, 7))),
+            from_array(reducible / reducible.sum(axis=1, keepdims=True)),
+        ]
+        for P in chains:
+            assert ek.product_ergodicity(P) == ek.analyze(P).ergodic
+        assert [ek.analyze(P).ergodic for P in chains][3:] == [False] * 3
 
 
 class TestSimulateCoupling:

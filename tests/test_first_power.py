@@ -144,6 +144,21 @@ class TestCaps:
         with pytest.raises(ArgumentRangeError, match="max_iter"):
             ek.stationary_by_envelope(gen.two_state(0.2, 0.3), max_iter=max_iter)
 
+    @pytest.mark.parametrize("p_min", [1e-300, 5e-324, 0.0])
+    def test_envelope_cap_on_tiny_entries(self, p_min):
+        # log(1 - p_min) is 0.0 below about 1.1e-16; the cap stays finite
+        # and never passes the mixing search's limit
+        assert envelope._default_max_iter(p_min, 1e-10) == envelope._TMIX_LIMIT
+
+    @pytest.mark.parametrize("p_min, tol", [(0.2, 1e-10), (0.05, 1e-12), (1e-6, 1e-10)])
+    def test_envelope_cap_is_ten_times_the_geometric_need(self, p_min, tol):
+        need = math.log(tol) / math.log1p(-p_min)
+        assert envelope._default_max_iter(p_min, tol) == 10 * math.ceil(need)
+
+    def test_envelope_on_tiny_entries_stops_at_the_limit(self):
+        with pytest.raises(MaxIterExceededError, match="after 1099511627776 iterations"):
+            ek.stationary_by_envelope(gen.two_state(1e-300, 1e-300))
+
     def test_mixing_past_the_limit(self, monkeypatch):
         monkeypatch.setattr(envelope, "_TMIX_LIMIT", 64)
         # d(t) = (2/3) (1 - p - q)^t: t_mix 16 here, 163 below

@@ -1,0 +1,161 @@
+"""The one running product, ``chain.orbit``, and parity of every P^t curve
+read off it with values pinned before the curves shared it.
+
+Each pin is a sha256 of the float64 bytes (or of a CSV file's text), or an
+exact integer, compared with ``==``: the curves must be the same bit for
+bit, not merely close."""
+
+import hashlib
+from itertools import islice
+
+import numpy as np
+import pytest
+
+import ergokit as ek
+from ergokit import generators as gen
+from ergokit.chain import orbit
+from ergokit.cli import main
+from ergokit.coupling import exact_meeting_tail
+
+from conftest import random_ergodic, random_positive
+
+
+def digest(values) -> str:
+    a = np.ascontiguousarray(np.asarray(values, dtype=np.float64))
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def positive5():
+    return random_positive(np.random.default_rng(41), 5)
+
+
+def ergodic6():
+    return random_ergodic(np.random.default_rng(42), 6)
+
+
+CHAINS = {
+    "two_state": lambda: gen.two_state(0.2, 0.3),
+    "lazy_hypercube_3": lambda: gen.lazy_hypercube(3),
+    "positive5": positive5,
+    "ergodic6": ergodic6,
+}
+
+
+def cli_csv(tmp_path, P, *argv) -> str:
+    chain = tmp_path / "chain.json"
+    chain.write_text(P.to_json())
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--chain", str(chain), "--csv", str(out)]) == 0
+    return text_digest(out.read_text())
+
+
+def mix_csv(tmp_path, P):
+    return cli_csv(tmp_path, P, "mix", "--horizon", "40")
+
+
+def stationary_csv(tmp_path, P):
+    return cli_csv(tmp_path, P, "stationary")
+
+
+def meeting_tails(tmp_path, P):
+    start = (0, P.n - 1)
+    return digest(
+        np.concatenate([
+            exact_meeting_tail(P, start, 25),
+            exact_meeting_tail(P, start, 25, mode=("meet_at_state", 0)),
+        ])
+    )
+
+
+def recursion_errors(tmp_path, P):
+    pi = ek.stationary_linear(P).pi
+    return digest(ek.verify_error_recursion(ek.doeblin_split(P, pi), P, max_n=25).per_n_error)
+
+
+def evolved(tmp_path, P):
+    return digest(ek.evolve(ek.Distribution.point_mass(P.space, 0), P, 17).probs)
+
+
+def power_iterations(tmp_path, P):
+    return ek.stationary_by_power(P).evidence["iterations"]
+
+
+def lemma_exact_tv(tmp_path, P):
+    pi = ek.stationary_linear(P).pi
+    lemma = ek.verify_coupling_lemma(P, pi, start_y=P.n - 1, horizon=20, trials=200, seed=3)
+    return digest([r.exact_tv for r in lemma.rows])
+
+
+OUTPUTS = {
+    "mix_csv": mix_csv,
+    "stationary_csv": stationary_csv,
+    "meeting_tails": meeting_tails,
+    "recursion_errors": recursion_errors,
+    "evolve": evolved,
+    "power_iterations": power_iterations,
+    "lemma_exact_tv": lemma_exact_tv,
+}
+
+#: (output, chain) -> value recorded before the curves shared one orbit.
+PINNED = {
+    ('mix_csv', 'two_state'): 'eddb5763504859997e6e1f2a1f877e7648beee243c11a0abebd52871e312f943',
+    ('mix_csv', 'lazy_hypercube_3'): '650d658672277c36b0223351003e4d7144f092b9d28c5fee7c8a4861738c2809',
+    ('mix_csv', 'positive5'): 'a7d93ff3ed6d913eec36c8705a7258240a9c6b5b15cb8f3e84520f3b23a582ad',
+    ('mix_csv', 'ergodic6'): '3f693c311ddf5c6fbeb14c1d19f41ffa65e716196bd9d439b5eedb5a08aaebc1',
+    ('stationary_csv', 'two_state'): 'd073ffe411addfa28b6e402c4a97d84a748f5ddbc8b8e1676223658cd792f096',
+    ('stationary_csv', 'lazy_hypercube_3'): 'e90ae5721ee24ed1b85cd3ef1d9cc1f4e2040a219ac0a5ab8f2a4a828c13c6e8',
+    ('stationary_csv', 'positive5'): 'ebe6b2c2f5562bd2b0e67b14e8da697376129c194767e7ea9bb84708a9321cde',
+    ('stationary_csv', 'ergodic6'): 'f0773e76a8db2bf4cf3889816fea3e74c0e948076a71bbef4219034a2a12eb6c',
+    ('meeting_tails', 'two_state'): 'bc62bec4ffae5666c1161721c96ff0325d595ad715f48b858c84fedd7bbf1106',
+    ('meeting_tails', 'positive5'): '24f7b022e034b71795689e90c87f406db5f60b7bab767f98e869ed442def3236',
+    ('meeting_tails', 'ergodic6'): '163a4b496d4b77eb03ffe5f40e292467dd80b99d34b851b6a9d06bc6736332e6',
+    ('recursion_errors', 'two_state'): '206bea3bc9eaa0d38ef80fbe18980e6320f1576ac112dbf776a9cd5182245b82',
+    ('recursion_errors', 'positive5'): '5c49db06d135230e5a5add347878ef2cc85c79846239432009715134385bcfd2',
+    ('evolve', 'two_state'): 'c79b8a46f593d0ee99fa6def42bda92f0ef7dda3d976021b515ff926eda933b4',
+    ('evolve', 'lazy_hypercube_3'): '9d7fe02ce0f404ed5888b63675f9763235761da2458eb9b819406bc5c1c5e04f',
+    ('evolve', 'positive5'): '1578af4f4ebd91319cced83007742e69475fc4c6dd179cf5571973b1a393d567',
+    ('evolve', 'ergodic6'): '5932ff2e8f3a8cba13a05bfc55aaf461fb3dd624befcf0c30eaf926d7738134c',
+    ('power_iterations', 'two_state'): 37,
+    ('power_iterations', 'lazy_hypercube_3'): 1,
+    ('power_iterations', 'positive5'): 18,
+    ('power_iterations', 'ergodic6'): 116,
+    ('lemma_exact_tv', 'two_state'): '24dab659af98a58813fdc083f4500ef1c8a33f1e55d80be38b5c8ba36fba8b69',
+    ('lemma_exact_tv', 'lazy_hypercube_3'): 'c564436ec65d869a84aff32494c953f7edbb17dacede69cce3458c86330130ba',
+    ('lemma_exact_tv', 'positive5'): '3113f5c6bcc5be13ec5295631c336ede26524e3e71f77475ecc8924599f5a01c',
+    ('lemma_exact_tv', 'ergodic6'): 'abd1315270e18014c60bb6676c18e757d7bf19c7354f3b58d2cccc0116558b40',
+}
+
+
+class TestOrbit:
+    def test_running_products(self):
+        P = gen.two_state(0.2, 0.3).entries
+        S = np.array([[1.0, 0.0]])
+        got = list(islice(orbit(S, P), 4))
+        assert got[0] is S
+        expected = S
+        for k in range(1, 4):
+            expected = expected @ P
+            assert np.array_equal(got[k], expected)
+
+    def test_forms_only_the_powers_read(self):
+        class Counted:
+            products = 0
+
+            def __matmul__(self, other):
+                Counted.products += 1
+                return self
+
+        stream = orbit(Counted(), None)
+        next(stream), next(stream)
+        assert Counted.products == 1
+
+
+class TestCurveParity:
+    @pytest.mark.parametrize("key", sorted(PINNED), ids=["/".join(k) for k in sorted(PINNED)])
+    def test_bit_for_bit(self, tmp_path, key):
+        output, chain = key
+        assert OUTPUTS[output](tmp_path, CHAINS[chain]()) == PINNED[key]

@@ -243,3 +243,51 @@ class TestAnalyzeOnce:
         a[0] = [1.0, 0.0]
         assert np.array_equal(P.entries, [[0.0, 1.0], [1.0, 0.0]])
         assert ek.analyze(P).periods == {"s0": 2, "s1": 2}
+
+
+class TestRequireErgodic:
+    def test_returns_the_memoized_base_report(self, monkeypatch):
+        from ergokit import structure
+
+        def never(P):
+            raise AssertionError("the gate started a primitivity search")
+
+        monkeypatch.setattr(structure, "primitivity_exponent", never)
+        P = gen.lazy_hypercube(3)
+        rep = structure.require_ergodic(P, "this check")
+        assert rep is ek.analyze(P, with_primitivity=False)
+        assert "structure+primitivity" not in P._memo
+
+    @pytest.mark.parametrize(
+        "P, kind",
+        [(gen.flip(), "periodic"), (gen.cycle(3), "periodic"),
+         (block_diag_two_flips(), "reducible"), (from_array(np.eye(3)), "reducible")],
+        ids=["flip", "cycle3", "two_flips", "identity"],
+    )
+    def test_names_the_routine_and_the_fault(self, P, kind):
+        from ergokit.structure import require_ergodic
+
+        with pytest.raises(NotErgodicError) as exc:
+            require_ergodic(P, "this check")
+        assert str(exc.value) == f"this check needs an ergodic chain; this one is {kind}"
+
+    @pytest.mark.parametrize(
+        "routine",
+        [
+            lambda P: ek.stationary_by_power(P),
+            lambda P: ek.stationary_by_envelope(P),
+            lambda P: ek.mixing_estimate(P),
+            lambda P: ek.simulate_coupling(P, (0, 1), trials=10),
+            lambda P: ek.verify_coupling_lemma(P, ek.stationary_linear(P).pi, 0, trials=10),
+            lambda P: ek.convergence_by_coupling(P),
+            lambda P: ek.spectral_check(P),
+            lambda P: ek.primitivity_exponent(P),
+        ],
+        ids=[
+            "power", "envelope", "mixing", "simulate_coupling", "coupling_lemma",
+            "convergence_by_coupling", "spectral", "primitivity",
+        ],
+    )
+    def test_every_ergodic_precondition_goes_through_the_gate(self, routine):
+        with pytest.raises(NotErgodicError, match="needs an ergodic chain; this one is periodic"):
+            routine(gen.flip())
