@@ -158,19 +158,12 @@ class Distribution:
         return cls(space, np.full(space.size, 1.0 / space.size))
 
 
-def validate_stochastic(
-    raw_matrix,
-    labels,
-    tolerance: float = ROW_SUM_TOL,
-    renormalize: bool = True,
-) -> StochasticMatrix:
+def validate_stochastic(raw_matrix, labels) -> StochasticMatrix:
     """Validate a raw square matrix as row-stochastic and wrap it.
 
-    Rows are renormalized (when ``renormalize``) only if every row sum is
-    within ``tolerance`` of 1; a worse row rejects the whole matrix.
+    Rows are renormalized only if every row sum is within ``ROW_SUM_TOL``
+    of 1; a worse row rejects the whole matrix.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     try:
         a = np.asarray(raw_matrix, dtype=np.float64)
     except (TypeError, ValueError) as e:
@@ -201,14 +194,12 @@ def validate_stochastic(
     sums = a.sum(axis=1)
     dev = np.abs(sums - 1.0)
     worst = int(np.argmax(dev))
-    if dev[worst] > tolerance:
+    if dev[worst] > ROW_SUM_TOL:
         raise RowSumError(
             f"row {worst} sums to {sums[worst]:.17g} "
-            f"(deviation {dev[worst]:.3g} > tolerance {tolerance:.3g})"
+            f"(deviation {dev[worst]:.3g} > tolerance {ROW_SUM_TOL:.3g})"
         )
-    if renormalize:
-        a = a / sums[:, None]
-    return StochasticMatrix(space, a)
+    return StochasticMatrix(space, a / sums[:, None])
 
 
 def power(P: StochasticMatrix, k: int) -> StochasticMatrix:

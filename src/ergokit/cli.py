@@ -9,6 +9,7 @@ stderr line. All stdout reports are JSON; curve data goes to --csv files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -96,7 +97,8 @@ def _stationary_table(P, methods, tol):
         try:
             results[m] = METHODS[m](P, tol)
         except ErgokitError as e:
-            results[m] = e
+            # no traceback: its frames would keep this table in a reference cycle
+            results[m] = e.with_traceback(None)
     return results
 
 
@@ -317,7 +319,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {self.prog}: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: a parser is a web of reference cycles, which
+    only the cyclic collector would free after each call."""
     p = _Parser(
         prog="ergokit",
         description="Finite Markov chain analysis and cross-validated "

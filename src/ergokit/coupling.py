@@ -19,7 +19,7 @@ import numpy as np
 from .chain import Distribution, StochasticMatrix, StateSpace, check_stationary, tv_distance
 from .chain import _advance, _check_at_least, _check_walk, _cumrows, _walk_until, orbit
 from .envelope import delta_curve
-from .errors import MarginalMismatchError, NeverMetError
+from .errors import MarginalMismatchError, NeverMetError, TooLargeError
 from .structure import analyze, require_ergodic
 
 #: Cap for the exact absorbing-chain tail oracle; the product matrix is
@@ -183,7 +183,7 @@ def exact_meeting_tail(
     Serves as the oracle for the simulation; O(n^4) memory, hence capped."""
     n = P.n
     if n > EXACT_TAIL_CAP:
-        raise ValueError(f"exact tail oracle capped at n = {EXACT_TAIL_CAP}")
+        raise TooLargeError(f"n = {n} exceeds the exact tail oracle's cap {EXACT_TAIL_CAP}")
     pc = build_product_chain(P)
     Q = pc.product_matrix.entries.copy()
     pairs = np.arange(n * n)

@@ -93,8 +93,7 @@ def envelope_iterate(
     """
     if (P.entries <= 0.0).any():
         raise NotPositiveError("envelope iteration needs an entrywise positive matrix")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    _check_at_least("max_iter", max_iter, 1)
     p_min = P.min_entry()
     records = []
     prev_m, prev_M = -np.inf, np.inf

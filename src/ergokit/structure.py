@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from .chain import StateSpace, StochasticMatrix, _first_power
-from .errors import NoClosedWalkError, NotErgodicError
+from .errors import NoClosedWalkError, NotErgodicError, NotIrreducibleError
 
 
 @dataclass(frozen=True)
@@ -245,4 +245,17 @@ def require_ergodic(P: StochasticMatrix, what: str) -> ErgodicityReport:
     if not report.ergodic:
         kind = "periodic" if report.irreducible else "reducible"
         raise NotErgodicError(f"{what} needs an ergodic chain; this one is {kind}")
+    return report
+
+
+def require_irreducible(P: StochasticMatrix, what: str) -> ErgodicityReport:
+    """The irreducibility gate of the routes that need no aperiodicity: the
+    memoized base report of P, or a NotIrreducibleError naming ``what`` and
+    the number of strongly connected classes."""
+    report = analyze(P, with_primitivity=False)
+    if not report.irreducible:
+        k = len(report.scc_decomposition)
+        raise NotIrreducibleError(
+            f"{what} needs an irreducible chain; this one has {k} strongly connected classes"
+        )
     return report

@@ -284,6 +284,26 @@ class TestStationary:
         assert envelope["error"] == "MaxIterExceededError"
         assert "after 1099511627776 iterations" in envelope["message"]
 
+    def test_inline_errors_hold_no_frames(self):
+        # a traceback would tie the table and the chain into a reference cycle
+        results = cli._stationary_table(ek.generators.uniform(9), ["tree_enumeration"], 1e-10)
+        assert type(results["tree_enumeration"]).__name__ == "TooLargeError"
+        assert results["tree_enumeration"].__traceback__ is None
+
+    def test_zero_tree_weights_fail_inline(self, capsys):
+        # 1 - (1 - 1e-300) rounds to 0: every determinant tree weight is 0
+        code, out, err = run(
+            capsys, "stationary", "--gen", "two_state", "--params", "p=1e-300,q=1e-300"
+        )
+        assert code == 0
+        assert err == ""
+        methods = json.loads(out)["methods"]
+        assert methods["tree_determinant"] == {
+            "error": "SingularSystemError",
+            "message": "tree_determinant: tree weights sum to 0.0, not > 0",
+        }
+        assert methods["tree_enumeration"]["pi"] == [0.5, 0.5]
+
     @pytest.mark.parametrize(
         "params, detail",
         [

@@ -15,6 +15,7 @@ from ergokit.errors import (
     MarginalMismatchError,
     NeverMetError,
     NotErgodicError,
+    TooLargeError,
 )
 
 from conftest import from_array, random_ergodic, random_irreducible, random_positive
@@ -268,6 +269,10 @@ class TestArgumentRanges:
         pi = ek.stationary_linear(two_state_chain).pi
         with pytest.raises(ArgumentRangeError):
             call(two_state_chain, pi)
+
+    def test_exact_tail_past_its_cap(self):
+        with pytest.raises(TooLargeError, match="n = 7 exceeds the exact tail oracle's cap 6"):
+            exact_meeting_tail(gen.uniform(7), (0, 1), horizon=3)
 
 
 class TestStickingPreservesLaw:

@@ -4,7 +4,7 @@ import pytest
 import ergokit as ek
 from ergokit import generators as gen
 from ergokit.envelope import delta_curve
-from ergokit.errors import NotErgodicError, NotPositiveError
+from ergokit.errors import ArgumentRangeError, NotErgodicError, NotPositiveError
 
 from conftest import random_positive
 
@@ -34,6 +34,10 @@ class TestEnvelopeIterate:
     def test_rejects_zero_entries(self, flip_chain):
         with pytest.raises(NotPositiveError):
             ek.envelope_iterate(flip_chain, column=0)
+
+    def test_rejects_fewer_than_one_iteration(self, two_state_chain):
+        with pytest.raises(ArgumentRangeError, match="max_iter must be >= 1, got 0"):
+            ek.envelope_iterate(two_state_chain, column=0, max_iter=0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_monotone_envelopes(self, seed):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,63 @@ from ergokit.errors import (
     MaxIterExceededError,
     NoConvergenceError,
     NotIrreducibleError,
+    SingularSystemError,
     TooLargeError,
 )
-from ergokit.stationary import check_balance
+from ergokit.stationary import Arborescence, check_balance
 
 from conftest import from_array, random_irreducible
+
+
+def walk_arborescences(P, root):
+    """The trees rooted at `root` by walking every candidate parent function
+    in itertools.product order: the oracle for the array enumeration."""
+    others = [y for y in range(P.n) if y != root]
+    choices = [
+        [int(j) for j in np.flatnonzero(P.entries[y] > 0.0) if j != y]
+        for y in others
+    ]
+    out = []
+    for combo in itertools.product(*choices):
+        f = dict(zip(others, combo))
+        ok = True
+        for y in others:
+            seen = set()
+            v = y
+            while v != root:
+                if v in seen:
+                    ok = False
+                    break
+                seen.add(v)
+                v = f[v]
+            if not ok:
+                break
+        if ok:
+            w = float(np.prod([P.entries[y, f[y]] for y in others])) if others else 1.0
+            out.append(Arborescence(root=root, parent_edges=f, weight=w))
+    return out
+
+
+def seeded_tree_chain(n, density):
+    """A seeded chain on n states: random edges at the given density plus
+    the cycle 0 -> 1 -> ... -> 0, which keeps it irreducible."""
+    rng = np.random.default_rng([n, int(density * 10)])
+    a = rng.random((n, n)) * (rng.random((n, n)) < density)
+    a[np.arange(n), (np.arange(n) + 1) % n] += 0.1
+    return from_array(a / a.sum(axis=1, keepdims=True))
+
+
+TREE_CORPUS = {
+    **{
+        f"n{n}_{kind}": (lambda n=n, d=d: seeded_tree_chain(n, d))
+        for n in range(1, 9)
+        for kind, d in (("sparse", 0.3), ("dense", 0.6))
+    },
+    "cycle3": lambda: gen.cycle(3),
+    "lazy_hypercube2": lambda: gen.lazy_hypercube(2),
+    "lazy_hypercube3": lambda: gen.lazy_hypercube(3),
+    "two_state": lambda: gen.two_state(0.2, 0.3),
+}
 
 
 class TestLinearSolve:
@@ -72,6 +126,44 @@ class TestArborescences:
                         assert v not in seen
                         seen.add(v)
                         v = tree.parent_edges[v]
+
+
+class TestTreeTable:
+    @pytest.mark.parametrize("name", TREE_CORPUS)
+    def test_matches_the_walk_bit_for_bit(self, name):
+        P = TREE_CORPUS[name]()
+        walks = [walk_arborescences(P, root) for root in range(P.n)]
+        for root, walk in enumerate(walks):
+            assert ek.enumerate_arborescences(P, root) == walk
+        gammas = np.array([sum(t.weight for t in walk) for walk in walks])
+        res = ek.stationary_by_trees(P, mode="enumeration")
+        assert res.evidence["gamma"] == gammas.tolist()
+        assert res.evidence["arborescence_counts"] == [len(walk) for walk in walks]
+        pi = ek.Distribution(P.space, gammas / gammas.sum())
+        assert res.pi.probs.tolist() == pi.probs.tolist()
+
+    def test_complete_seven_state_count(self):
+        # Cayley: 7^5 trees toward each root of K7, 7^6 in all
+        res = ek.stationary_by_trees(gen.uniform(7), mode="enumeration")
+        assert res.evidence["arborescence_counts"] == [7**5] * 7
+        assert sum(res.evidence["arborescence_counts"]) == 117_649
+
+
+class TestZeroTreeWeights:
+    def test_determinant_weights_round_to_zero(self):
+        # 1 - (1 - 1e-300) rounds to 0, so every minor of I - P is 0
+        P = gen.two_state(1e-300, 1e-300)
+        with pytest.raises(SingularSystemError, match="tree_determinant"):
+            ek.stationary_by_trees(P, mode="determinant")
+        assert ek.stationary_by_trees(P, mode="enumeration").pi.probs.tolist() == [0.5, 0.5]
+
+    @pytest.mark.parametrize("mode", ["enumeration", "determinant"])
+    def test_tree_weights_underflow(self, mode):
+        # each tree weight is a product of two entries of 1e-200
+        a = np.full((3, 3), 1e-200)
+        np.fill_diagonal(a, 1.0 - 2e-200)
+        with pytest.raises(SingularSystemError, match=f"tree_{mode}: tree weights sum to 0.0"):
+            ek.stationary_by_trees(from_array(a), mode=mode)
 
 
 class TestTreeStationary:

@@ -5,7 +5,7 @@ import pytest
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.errors import NoClosedWalkError, NotErgodicError
+from ergokit.errors import NoClosedWalkError, NotErgodicError, NotIrreducibleError
 from ergokit.structure import strongly_connected_components, wielandt_bound
 
 from conftest import from_array, random_ergodic, random_irreducible
@@ -291,3 +291,53 @@ class TestRequireErgodic:
     def test_every_ergodic_precondition_goes_through_the_gate(self, routine):
         with pytest.raises(NotErgodicError, match="needs an ergodic chain; this one is periodic"):
             routine(gen.flip())
+
+
+class TestRequireIrreducible:
+    def test_returns_the_memoized_base_report(self, monkeypatch):
+        from ergokit import structure
+
+        def never(P):
+            raise AssertionError("the gate started a primitivity search")
+
+        monkeypatch.setattr(structure, "primitivity_exponent", never)
+        P = gen.flip()  # periodic chains pass this gate
+        rep = structure.require_irreducible(P, "this check")
+        assert rep is ek.analyze(P, with_primitivity=False)
+        assert "structure+primitivity" not in P._memo
+
+    @pytest.mark.parametrize(
+        "P, k",
+        [(block_diag_two_flips(), 2), (from_array(np.eye(3)), 3)],
+        ids=["two_flips", "identity"],
+    )
+    def test_names_the_routine_and_the_classes(self, P, k):
+        from ergokit.structure import require_irreducible
+
+        with pytest.raises(NotIrreducibleError) as exc:
+            require_irreducible(P, "this check")
+        assert str(exc.value) == (
+            f"this check needs an irreducible chain; this one has {k} strongly connected classes"
+        )
+
+    @pytest.mark.parametrize(
+        "routine, what",
+        [
+            (lambda P: ek.stationary_linear(P), "linear solve"),
+            (lambda P: ek.enumerate_arborescences(P, 0), "tree enumeration"),
+            (lambda P: ek.stationary_by_trees(P, "enumeration"), "tree_enumeration"),
+            (lambda P: ek.stationary_by_trees(P, "determinant"), "tree_determinant"),
+            (lambda P: ek.return_time_table(P, 0), "return-time table"),
+            (lambda P: ek.stationary_by_return_time(P), "return-time table"),
+            (lambda P: ek.monte_carlo_return(P, 0, trials=10, seed=0), "Monte Carlo return time"),
+        ],
+        ids=[
+            "linear", "arborescences", "tree_enumeration", "tree_determinant",
+            "return_time_table", "return_time", "monte_carlo_return",
+        ],
+    )
+    def test_every_irreducibility_precondition_goes_through_the_gate(self, routine, what):
+        with pytest.raises(
+            NotIrreducibleError, match=f"^{what} needs an irreducible chain; this one has 2 "
+        ):
+            routine(block_diag_two_flips())
