@@ -6,6 +6,13 @@ exhaustive enumeration or by the matrix-tree determinant shortcut), and
 the expected-visits-before-return formula. A Monte Carlo return-time
 estimator provides a stochastic cross-check. None of these requires
 aperiodicity; irreducibility is checked up front.
+
+The determinant and return-time routes each take one inverse: every
+principal minor of I - P of order n - 1 is a rank-2 update of one of them,
+so all n tree weights (matrix determinant lemma) and all n expected return
+times (Woodbury) cost O(n^3) in all. The trees invert I - P without state
+n - 1 and the return times without state 0, so the two routes share no
+factorisation and a defect in one cannot agree with itself.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -139,15 +146,71 @@ def _gamma_enumeration(P: StochasticMatrix) -> tuple[np.ndarray, list[int]]:
     return np.array(gammas), counts
 
 
+class _SlotSwap(NamedTuple):
+    """A = (I - P) without state `base`, its inverse G, and for every slot x
+    of A the 2x2 capacitance C_x = I_2 + V^T G U of one slot swap.
+
+    Put `base` in slot x of A, in place of x: the result is (I - P) without
+    x. It differs from A only in row and column x, so it is A + U V^T with
+    U = [e_x, v] and V = [u, e_x]: u is row `base` of I - P minus row x of
+    A (slot x takes the corner), v is column `base` minus column x of A,
+    zero in slot x. As row x of A times G is e_x^T, every entry of C_x is O(1)
+    from G's diagonal, h = p G and k = G q, where p and q are row and column
+    `base` of P without their `base` entry. Slots are the states in order,
+    `base` left out.
+    """
+
+    A: np.ndarray
+    G: np.ndarray
+    h: np.ndarray  # p G: expected visits per excursion from `base`
+    g: np.ndarray  # diag G
+    t: np.ndarray  # 1 - p_bb + p_bx = (I - P)_{base,base} - (I - P)_{base,x}
+    w: np.ndarray  # 1 - p_xx + p_xb = (I - P)_{x,x} - (I - P)_{x,base}
+    c11: np.ndarray  # 1 + u^T G e_x
+    c12: np.ndarray  # u^T G v
+    c22: np.ndarray  # 1 + e_x^T G v; c21 = e_x^T G e_x is g
+
+    @property
+    def det(self) -> np.ndarray:
+        """det C_x = det((I - P) without x) / det A, per slot."""
+        return self.c11 * self.c22 - self.c12 * self.g
+
+
+def _slot_swap(P: StochasticMatrix, base: int, what: str) -> _SlotSwap:
+    """One inverse of (I - P) without `base` (0 or n - 1), built straight
+    from P's entries, and the capacitances of all n - 1 slot swaps."""
+    n = P.n
+    rest = slice(1, n) if base == 0 else slice(0, n - 1)
+    A = np.negative(P.entries[rest, rest])
+    A.flat[::n] += 1.0  # the diagonal of an (n-1) x (n-1) array
+    try:
+        G = np.linalg.inv(A)
+    except np.linalg.LinAlgError as e:
+        raise SingularSystemError(f"{what}: I - P without state {base} is singular: {e}") from e
+    row, col = P.entries[base, rest], P.entries[rest, base]
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, k, g = row @ G, G @ col, G.diagonal()
+        t = (1.0 - P.entries[base, base]) + row
+        w = col + A.diagonal()
+        c22 = w * g - k
+        c12 = h @ col + row - w * h + t * (c22 - 1.0)
+        return _SlotSwap(A, G, h, g, t, w, t * g - h, c12, c22)
+
+
 def _gamma_determinant(P: StochasticMatrix) -> np.ndarray:
     """Matrix-tree shortcut: gamma(x) is the principal minor of I - P with
-    row and column x deleted. Cross-validated against enumeration in tests."""
-    L = np.eye(P.n) - P.entries
-    gammas = np.empty(P.n)
-    keep = np.arange(P.n)
-    for x in range(P.n):
-        idx = keep[keep != x]
-        gammas[x] = np.linalg.det(L[np.ix_(idx, idx)])
+    row and column x deleted. The root r = n - 1 has det A, A = (I - P)
+    without r; every other minor is a rank-2 swap of A, so by the matrix
+    determinant lemma gamma(x) = det A * det C_x: one det and one inverse
+    in all, O(n^3). Cross-validated against enumeration in tests."""
+    n = P.n
+    if n == 2:  # each minor is the other diagonal entry; A may round to 0
+        return 1.0 - P.entries.diagonal()[::-1]
+    swap = _slot_swap(P, n - 1, "tree_determinant")
+    gammas = np.empty(n)
+    gammas[-1] = np.linalg.det(swap.A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gammas[:-1] = gammas[-1] * swap.det
     return gammas
 
 
@@ -162,7 +225,7 @@ def check_balance(P: StochasticMatrix, gammas: np.ndarray, rtol: float = 1e-9) -
     outflow = gammas * off.sum(axis=1)
     scale = np.maximum(np.maximum(np.abs(inflow), np.abs(outflow)), 1e-300)
     worst = float((np.abs(inflow - outflow) / scale).max())
-    if worst > rtol:
+    if not (worst <= rtol):  # a NaN weight fails too
         raise BalanceViolationError(
             f"flow balance violated: relative discrepancy {worst:.3g}"
         )
@@ -226,29 +289,56 @@ def return_time_table(P: StochasticMatrix, z: int) -> ReturnTimeTable:
     )
 
 
+def _return_times(P: StochasticMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Anchor 0's visit counts, and E_x tau_x+ for every x, from one inverse.
+
+    With A = (I - P) without 0 and G its inverse, anchor 0 visits the other
+    states h = p G times per excursion (p: row 0 of P without p_00). Anchor
+    x's system is A with slot x swapped for 0, so E_x tau_x+ =
+    1 + b^T (A + U V^T)^{-1} 1, b row x of P in slot order, follows from
+    Woodbury in O(1) per x, from G 1 and the swap's capacitance.
+    """
+    swap = _slot_swap(P, 0, "return_time")
+    visits = np.empty(P.n)
+    visits[0] = 1.0
+    visits[1:] = swap.h
+    ert = np.empty(P.n)
+    ert[0] = visits.sum()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        g1 = swap.G.sum(axis=1)  # expected steps to hit 0
+        nu = swap.t * g1 - swap.h.sum() - 1.0  # V^T G 1 = [nu, g1]
+        beta1, beta2 = swap.w * swap.g - 1.0, swap.w * (swap.c22 - 1.0)  # b^T G U
+        correction = (  # b^T G U C^{-1} V^T G 1, times det C
+            beta1 * (swap.c22 * nu - swap.c12 * g1) + beta2 * (swap.c11 * g1 - swap.g * nu)
+        )
+        ert[1:] = swap.w * g1 - correction / swap.det  # 1 + b^T G 1 = w * (G 1)_x
+    return visits, ert
+
+
 def stationary_by_return_time(P: StochasticMatrix) -> StationaryResult:
     """Normalize the visit counts of anchor 0; verify anchor-independence
     through the identity pi_x * E_x(return time to x) = 1 for every x.
-    One solve per anchor: anchor 0's table serves both."""
-    table = return_time_table(P, 0)
-    pi = table.visit_counts / table.expected_return
-    expected_returns = []
-    for x in range(P.n):
-        ert = (table if x == 0 else return_time_table(P, x)).expected_return
-        expected_returns.append(ert)
-        if abs(pi[x] * ert - 1.0) > 1e-8:
-            raise BalanceViolationError(
-                f"pi_x * E_x tau+ = {pi[x] * ert:.12g} != 1 at state {x}"
-            )
+    One inverse for all anchors: the other anchors' systems are rank-2
+    swaps of anchor 0's, solved by Woodbury."""
+    require_irreducible(P, "return-time table")
+    visits, ert = _return_times(P)
+    pi = visits / ert[0]
+    with np.errstate(invalid="ignore"):
+        kac = np.abs(pi * ert - 1.0)
+    bad = np.flatnonzero(~(kac <= 1e-8))
+    if bad.size:
+        x = int(bad[0])
+        raise BalanceViolationError(f"pi_x * E_x tau+ = {pi[x] * ert[x]:.12g} != 1 at state {x}")
     return StationaryResult(
         pi=Distribution(P.space, pi),
         method="return_time",
         residual=stationary_residual(P, pi),
         evidence={
             "anchor": 0,
-            "visit_counts": table.visit_counts.tolist(),
-            "expected_return": table.expected_return,
-            "expected_returns_per_state": expected_returns,
+            "visit_counts": visits.tolist(),
+            "expected_return": float(ert[0]),
+            "expected_returns_per_state": ert.tolist(),
+            "kac_max_error": float(kac.max()),
         },
     )
 

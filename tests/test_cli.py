@@ -533,6 +533,31 @@ class TestReport:
         assert code == 0
         assert len(calls) == 1  # P only: no product chain, no second pass
 
+    @pytest.mark.parametrize(
+        "gen_args",
+        [
+            ("--gen", "two_state", "--params", "p=0.2,q=0.3"),
+            ("--gen", "lazy_hypercube", "--params", "d=5"),
+            ("--gen", "top_to_random", "--params", "k=4"),
+        ],
+    )
+    def test_report_leaves_no_cyclic_garbage(self, capsys, gen_args):
+        # garbage in reference cycles lives until the collector runs, so the
+        # peak memory of a run of reports would follow the collector's timing
+        import gc
+
+        argv = ("report", *gen_args, "--trials", "2000")
+        run(capsys, *argv)  # first calls fill caches and import lazily
+        gc.collect()
+        gc.disable()
+        try:
+            code, _, _ = run(capsys, *argv)
+            freed = gc.collect()
+        finally:
+            gc.enable()
+        assert code == 0
+        assert freed == 0
+
     def test_violated_bound_is_a_failed_verdict(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.envelope_mod, "mixing_estimate", estimate_above_bound)
         code, out, err = run(

@@ -5,7 +5,9 @@ import pytest
 
 import ergokit as ek
 from ergokit import generators as gen
+from ergokit import stationary as st
 from ergokit.errors import (
+    BalanceViolationError,
     MaxIterExceededError,
     NoConvergenceError,
     NotIrreducibleError,
@@ -53,6 +55,71 @@ def seeded_tree_chain(n, density):
     a = rng.random((n, n)) * (rng.random((n, n)) < density)
     a[np.arange(n), (np.arange(n) + 1) % n] += 0.1
     return from_array(a / a.sum(axis=1, keepdims=True))
+
+
+def determinant_minors(P):
+    """One det per root of I - P with that row and column deleted: the
+    oracle for the rank-2 updates of one inverse."""
+    L = np.eye(P.n) - P.entries
+    keep = np.arange(P.n)
+    return np.array(
+        [np.linalg.det(L[np.ix_(keep[keep != x], keep[keep != x])]) for x in range(P.n)]
+    )
+
+
+def return_time_loop(P):
+    """One taboo solve per anchor: the oracle for the Woodbury return times."""
+    return np.array([ek.return_time_table(P, x).expected_return for x in range(P.n)])
+
+
+def seeded_irreducible(seed):
+    rng = np.random.default_rng(seed)
+    return random_irreducible(rng, int(rng.integers(2, 8)))
+
+
+#: The seeds of TestTreeStationary and TestReturnTimes, a stiff chain and a
+#: 32-state one: (name, chain builder).
+ROUTE_CORPUS = {
+    **{
+        f"seed{s}": (lambda s=s: seeded_irreducible(s))
+        for s in (*range(1100, 1112), *range(1300, 1308))
+    },
+    "two_state_stiff": lambda: gen.two_state(1e-6, 2e-6),
+    "lazy_hypercube5": lambda: gen.lazy_hypercube(5),
+}
+
+#: numpy.linalg routines that factorise (or otherwise take O(n^3) on) a matrix.
+FACTORISATIONS = (
+    "cholesky", "det", "eig", "eigh", "eigvals", "eigvalsh", "inv", "lstsq",
+    "matrix_rank", "pinv", "qr", "slogdet", "solve", "svd",
+)
+
+
+def count_factorisations(monkeypatch):
+    calls = []
+    for name in FACTORISATIONS:
+        def counted(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def corrupt_inverse(monkeypatch, P, without):
+    """Perturb np.linalg.inv's answer for (I - P) without state `without`
+    only, leaving every other inverse exact."""
+    keep = np.arange(P.n) != without
+    target = (np.eye(P.n) - P.entries)[np.ix_(keep, keep)]
+    inv = np.linalg.inv
+
+    def corrupted(a):
+        G = inv(a)
+        if a.shape == target.shape and np.array_equal(a, target):
+            G[1] *= 1.01
+        return G
+
+    monkeypatch.setattr(np.linalg, "inv", corrupted)
 
 
 TREE_CORPUS = {
@@ -166,6 +233,91 @@ class TestZeroTreeWeights:
             ek.stationary_by_trees(from_array(a), mode=mode)
 
 
+class TestOneInversePerRoute:
+    @pytest.mark.parametrize("name", ROUTE_CORPUS)
+    def test_tree_weights_match_the_determinant_loop(self, name):
+        P = ROUTE_CORPUS[name]()
+        ref = determinant_minors(P)
+        gammas = np.array(ek.stationary_by_trees(P, "determinant").evidence["gamma"])
+        assert np.abs(gammas - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("name", ROUTE_CORPUS)
+    def test_return_times_match_the_solve_loop(self, name):
+        P = ROUTE_CORPUS[name]()
+        ref = return_time_loop(P)
+        res = ek.stationary_by_return_time(P)
+        ert = np.array(res.evidence["expected_returns_per_state"])
+        assert np.abs(ert / ref - 1.0).max() <= 1e-10
+        table = ek.return_time_table(P, 0)
+        visits = np.array(res.evidence["visit_counts"])
+        assert np.abs(visits / table.visit_counts - 1.0).max() <= 1e-10
+
+    @pytest.mark.parametrize("without, moved", [(0, "return_time"), (7, "trees")])
+    def test_routes_share_no_factorisation(self, monkeypatch, without, moved):
+        # a wrong inverse moves its own route off linear_solve, not the other
+        P = seeded_tree_chain(8, 0.3)
+        ref = ek.stationary_linear(P).pi.probs
+        corrupt_inverse(monkeypatch, P, without)
+        gammas = st._gamma_determinant(P)
+        visits, ert = st._return_times(P)
+        off = {
+            "trees": np.abs(gammas / gammas.sum() - ref).max(),
+            "return_time": max(np.abs(visits / ert[0] - ref).max(), np.abs(1.0 / ert - ref).max()),
+        }
+        assert off[moved] > 1e-4
+        assert all(err < 1e-12 for route, err in off.items() if route != moved)
+        exact = {"trees": ek.stationary_by_return_time, "return_time": ek.stationary_by_trees}
+        assert np.abs(exact[moved](P).pi.probs - ref).max() < 1e-12
+        caught = {"trees": ek.stationary_by_trees, "return_time": ek.stationary_by_return_time}
+        with pytest.raises(BalanceViolationError):
+            caught[moved](P)
+
+    @pytest.mark.parametrize(
+        "route",
+        [lambda P: ek.stationary_by_trees(P, "determinant"), ek.stationary_by_return_time],
+        ids=["tree_determinant", "return_time"],
+    )
+    def test_factorisations_do_not_grow_with_n(self, monkeypatch, route):
+        calls = count_factorisations(monkeypatch)
+        counts = []
+        for n in (8, 64):
+            calls.clear()
+            route(seeded_tree_chain(n, 0.3))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
+
+    def test_singular_anchor_minor_is_typed(self):
+        # the cycle 0 -> 2 -> 1 -> 0, where 1 - (1 - 1e-300) rounds to 0 for
+        # states 0 and 1: I - P without state 2, and without state 0, has a
+        # zero row in floating point
+        P = from_array(
+            [[1.0 - 1e-300, 0.0, 1e-300], [1e-300, 1.0 - 1e-300, 0.0], [0.5, 0.25, 0.25]]
+        )
+        with pytest.raises(SingularSystemError, match="tree_determinant: I - P without state 2"):
+            ek.stationary_by_trees(P, "determinant")
+        with pytest.raises(SingularSystemError, match="return_time: I - P without state 0"):
+            ek.stationary_by_return_time(P)
+
+
+class TestNaNFailsTheGates:
+    def test_balance_rejects_nan_weights(self):
+        P = gen.uniform(4)
+        with pytest.raises(BalanceViolationError, match="nan"):
+            check_balance(P, np.array([1.0, np.nan, 1.0, 1.0]))
+
+    def test_kac_rejects_nan_return_times(self, monkeypatch):
+        inv = np.linalg.inv
+
+        def nan_entry(a):
+            G = inv(a)
+            G[-1, -1] = np.nan
+            return G
+
+        monkeypatch.setattr(np.linalg, "inv", nan_entry)
+        with pytest.raises(BalanceViolationError, match="nan"):
+            ek.stationary_by_return_time(gen.lazy_hypercube(3))
+
+
 class TestTreeStationary:
     def test_two_state_gamma(self, two_state_chain):
         res = ek.stationary_by_trees(two_state_chain, mode="enumeration")
@@ -267,6 +419,14 @@ class TestStationaryByReturnTime:
         assert all(
             e == pytest.approx(5.0) for e in res.evidence["expected_returns_per_state"]
         )
+
+
+    @pytest.mark.parametrize("seed", range(1300, 1304))
+    def test_kac_margin_in_evidence(self, seed):
+        ev = ek.stationary_by_return_time(seeded_irreducible(seed)).evidence
+        pi = np.array(ev["visit_counts"]) / ev["expected_return"]
+        margin = np.abs(pi * np.array(ev["expected_returns_per_state"]) - 1.0).max()
+        assert ev["kac_max_error"] == margin <= 1e-8
 
 
 class TestMonteCarloReturn:
