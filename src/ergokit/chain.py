@@ -85,9 +85,10 @@ class StochasticMatrix:
 
     space: StateSpace
     entries: np.ndarray = field(repr=False)
-    #: Facts derived from the entries, filled on first use (the structural
-    #: report of :func:`ergokit.structure.analyze`). The entries are
-    #: read-only, so nothing here can go stale.
+    #: Facts derived from the entries, each built on first use by
+    #: :func:`_memoized`: the structural reports, the linear-solve pi and the
+    #: lift (m, P^m). The entries and every fact here are read-only, so
+    #: nothing can go stale or be changed by a caller.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -156,6 +157,15 @@ class Distribution:
     @classmethod
     def uniform(cls, space: StateSpace) -> "Distribution":
         return cls(space, np.full(space.size, 1.0 / space.size))
+
+
+def _memoized(P: StochasticMatrix, key: str, build):
+    """P's memo entry for ``key``, made by ``build()`` on first use. A build
+    that raises stores nothing, so the next call raises again."""
+    memo = P._memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
 def validate_stochastic(raw_matrix, labels) -> StochasticMatrix:

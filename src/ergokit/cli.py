@@ -102,6 +102,14 @@ def _stationary_table(P, methods, tol):
     return results
 
 
+def _method_json(r, with_message: bool) -> dict:
+    """One method's entry in the JSON output: its pi and residual, or its
+    error's name (and message, with ``with_message``)."""
+    if not isinstance(r, Exception):
+        return {"pi": r.pi.probs.tolist(), "residual": r.residual}
+    return {"error": type(r).__name__, **({"message": str(r)} if with_message else {})}
+
+
 def _discrepancies(results):
     ok = {m: r for m, r in results.items() if not isinstance(r, Exception)}
     names = sorted(ok)
@@ -134,21 +142,14 @@ def cmd_stationary(args) -> int:
     if args.csv and "envelope" in methods:
         trace = _envelope_trace_csv(P, results["envelope"], args.tol)
     table, worst = _discrepancies(results)
-    out = {"methods": {}, "pairwise_max_discrepancy": table}
-    n_ok = 0
-    for m, r in results.items():
-        if isinstance(r, Exception):
-            out["methods"][m] = {"error": type(r).__name__, "message": str(r)}
-        else:
-            n_ok += 1
-            out["methods"][m] = {
-                "pi": r.pi.probs.tolist(),
-                "residual": r.residual,
-            }
+    out = {
+        "methods": {m: _method_json(r, with_message=True) for m, r in results.items()},
+        "pairwise_max_discrepancy": table,
+    }
     print(json.dumps(out))
     if trace is not None:
         _write_csv(args.csv, trace)
-    if n_ok == 0 or worst > 10.0 * args.tol:
+    if all(isinstance(r, Exception) for r in results.values()) or worst > 10.0 * args.tol:
         return 2
     return 0
 
@@ -172,7 +173,7 @@ def _envelope_trace_csv(P, squeeze, tol) -> str:
             f"--csv would need {squeeze.evidence['iterations']} rows per column to reach "
             f"--tol; it writes envelope traces of at most {_TRACE_ROWS} rows"
         )
-    lifted = chain_mod.power(P, squeeze.evidence["lift_exponent"])
+    _, lifted = envelope_mod._lift(P)
     for col in range(P.n):
         trace = envelope_mod.envelope_iterate(lifted, col, max_iter=_TRACE_ROWS, tol=tol)
         for rec in trace.iterations:
@@ -266,14 +267,7 @@ def cmd_report(args) -> int:
     out = {"ergodicity": json.loads(erg.to_json()), "verdicts": {}}
     results = _stationary_table(P, METHODS, args.tol)
     table, worst = _discrepancies(results)
-    out["stationary"] = {
-        m: (
-            {"error": type(r).__name__}
-            if isinstance(r, Exception)
-            else {"pi": r.pi.probs.tolist(), "residual": r.residual}
-        )
-        for m, r in results.items()
-    }
+    out["stationary"] = {m: _method_json(r, with_message=False) for m, r in results.items()}
     out["pairwise_max_discrepancy"] = table
     out["verdicts"]["methods_agree"] = worst <= 10.0 * args.tol
 

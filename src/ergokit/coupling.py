@@ -9,7 +9,6 @@ computation separate so each can check the other.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
@@ -54,22 +53,6 @@ class CouplingTrace:
     def tail(self, i: int) -> float:
         """Empirical Pr(tau > i) over the completed runs."""
         return float((self.tau_samples > i).mean())
-
-    def to_json(self) -> str:
-        taus = self.tau_samples
-        table = []
-        for n in range(int(taus.max()) + 1 if taus.size else 0):
-            survivors = int((taus > n).sum())
-            table.append([n, survivors, survivors / taus.size])
-        return json.dumps(
-            {
-                "mode": list(self.mode) if isinstance(self.mode, tuple) else self.mode,
-                "trials": self.trials,
-                "truncated": self.truncated,
-                "seed": self.seed,
-                "tail": table,
-            }
-        )
 
 
 def build_product_chain(P: StochasticMatrix) -> ProductChain:

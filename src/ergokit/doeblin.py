@@ -10,6 +10,7 @@ powering, never by computing a canonical form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import islice, pairwise
 
@@ -58,8 +59,9 @@ class SpectralCheck:
     rank1_gap: float  # ||P^k - Pi||_inf, k from the subdominant estimate
 
 
-def _pi_rows(P: StochasticMatrix, pi: Distribution) -> np.ndarray:
-    return np.tile(pi.probs, (P.n, 1))
+def _pi_rows(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray:
+    """The rank-1 matrix Pi whose every row is the vector pi."""
+    return np.tile(pi, (P.n, 1))
 
 
 def doeblin_split(P: StochasticMatrix, pi: Distribution) -> DoeblinSplit:
@@ -71,7 +73,7 @@ def doeblin_split(P: StochasticMatrix, pi: Distribution) -> DoeblinSplit:
     if (P.entries <= 0.0).any():
         raise NotPositiveError("minorization split needs an entrywise positive matrix")
     check_stationary(P, pi)
-    Pi = _pi_rows(P, pi)
+    Pi = _pi_rows(P, pi.probs)
     delta = min(1.0, float((P.entries / Pi).min()))
     if delta > 1.0 - 1e-12:
         delta = 1.0  # solver rounding in pi, not a genuine residual
@@ -150,11 +152,10 @@ def spectral_check(
     deflated operator P - Pi, and the rank-1 limit gap ||P^k - Pi||_inf at
     the k that pushes the estimated subdominant part below ~1e-10."""
     require_ergodic(P, "spectral check")
-    n = P.n
     mu, _ = _power_iterate(P, 1e-14, max_iter)
     dominant_value = float((mu @ P.entries).sum() / mu.sum())  # = 1 for stochastic P
     pi = mu / mu.sum()
-    Pi = np.tile(pi, (n, 1))
+    Pi = _pi_rows(P, pi)
     A = P.entries - Pi
 
     # Gelfand formula on the deflated operator: ||A^k||^(1/k) -> rho(A).
@@ -194,6 +195,4 @@ def _default_probe(P: StochasticMatrix, subdominant: float) -> int:
     # enough powering to push the rank-1 gap below ~1e-10
     if subdominant <= 0.0:
         return 1
-    import math
-
     return min(100_000, max(1, int(math.ceil(math.log(1e-10) / math.log(subdominant)))))

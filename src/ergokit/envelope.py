@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, orbit, power, stationary_residual
-from .chain import _check_at_least, _first_power, _tv_rows
+from .chain import _check_at_least, _first_power, _memoized, _tv_rows
 from .errors import (
     ArgumentRangeError,
     MaxIterExceededError,
@@ -174,6 +174,14 @@ def _column_gap(S: np.ndarray) -> float:
     return float((S.max(axis=0) - S.min(axis=0)).max())
 
 
+def _lift(P: StochasticMatrix) -> tuple[int, StochasticMatrix]:
+    """(m, P^m) for the primitivity exponent m of an ergodic P, formed once
+    per matrix: the squeeze and its ``stationary --csv`` traces run on P^m,
+    and its least entry sets the mixing bound. m = 1 for a positive P."""
+    m = analyze(P).primitivity_exponent
+    return _memoized(P, "lift", lambda: (m, power(P, m)))
+
+
 def stationary_by_envelope(
     P: StochasticMatrix, tol: float = 1e-10, max_iter: int | None = None
 ) -> StationaryResult:
@@ -186,8 +194,8 @@ def stationary_by_envelope(
     half-width tol / 2.
     """
     require_ergodic(P, "envelope squeeze")
-    m = analyze(P).primitivity_exponent  # 1 for an entrywise positive P
-    B = power(P, m).entries
+    m, lifted = _lift(P)
+    B = lifted.entries
     if max_iter is None:
         max_iter = _default_max_iter(float(B.min()), tol)
     _check_at_least("max_iter", max_iter, 1)
@@ -222,9 +230,9 @@ def mixing_estimate(P: StochasticMatrix, epsilon: float = 0.25) -> MixingEstimat
     if not 0.0 < epsilon < 1.0:
         raise ArgumentRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
     require_ergodic(P, "mixing time")
-    m = analyze(P).primitivity_exponent
+    m, lifted = _lift(P)
     pi = stationary_linear(P).pi.probs
-    pmin_m = power(P, m).min_entry()
+    pmin_m = lifted.min_entry()
     n = P.n
     bound = m * math.ceil(math.log(n / epsilon) / (2.0 * pmin_m) + 1.0)
 

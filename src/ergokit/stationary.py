@@ -18,14 +18,14 @@ factorisation and a defect in one cannot agree with itself.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple
 
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, orbit, stationary_residual
-from .chain import _check_at_least, _check_walk, _walk_until
+from .chain import _check_at_least, _check_walk, _memoized, _walk_until
 from .errors import (
     BalanceViolationError,
     MaxIterExceededError,
@@ -47,10 +47,12 @@ class StationaryResult:
     method: str  # linear_solve | tree_enumeration | tree_determinant |
     #              return_time | envelope | power_iteration
     residual: float  # ||pi P - pi||_inf
-    evidence: dict[str, Any] = field(default_factory=dict)
+    evidence: Mapping[str, Any] = field(default_factory=dict)  # read-only
 
-    def evidence_json(self) -> str:
-        return json.dumps(self.evidence, default=float)
+    def __post_init__(self):
+        # the linear-solve result is shared through the per-matrix memo, so
+        # callers get a read-only view of a private copy
+        object.__setattr__(self, "evidence", MappingProxyType(dict(self.evidence)))
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,13 @@ def stationary_linear(P: StochasticMatrix) -> StationaryResult:
 
     Also asserts rank(P - I) = n - 1: a one-dimensional kernel is exactly
     what irreducibility promises, so a larger nullity signals numerical
-    trouble rather than a property of the chain.
+    trouble rather than a property of the chain. Solved once per matrix:
+    the mixing scan, ``mix --csv`` and ``couple`` read the memoized result.
     """
+    return _memoized(P, "linear_solve", lambda: _solve_linear(P))
+
+
+def _solve_linear(P: StochasticMatrix) -> StationaryResult:
     require_irreducible(P, "linear solve")
     n = P.n
     A = (P.entries - np.eye(n)).T.copy()

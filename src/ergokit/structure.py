@@ -7,9 +7,10 @@ exact zero pattern of the matrix: a structural zero means exactly 0.0.
 
 The structural report is computed once per matrix: :func:`analyze` does one
 O(n + E) pass over the transition graph (a single Tarjan run, then one BFS
-per class) and memoizes the result on the frozen
-:class:`~ergokit.chain.StochasticMatrix`, whose entries are read-only. Every
-other module asks :func:`analyze` instead of recomputing.
+per class) and keeps the result in the per-matrix memo of the frozen
+:class:`~ergokit.chain.StochasticMatrix` (:func:`~ergokit.chain._memoized`),
+next to the linear-solve pi and the lift P^m that other modules keep there.
+Every other module asks :func:`analyze` instead of recomputing.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .chain import StateSpace, StochasticMatrix, _first_power
+from .chain import StateSpace, StochasticMatrix, _first_power, _memoized
 from .errors import NoClosedWalkError, NotErgodicError, NotIrreducibleError
 
 
@@ -223,17 +224,13 @@ def analyze(P: StochasticMatrix, with_primitivity: bool = True) -> ErgodicityRep
     and the full one are kept apart; the full one reuses the base one and
     adds the exponent for ergodic chains.
     """
-    memo = P._memo
-    if "structure" not in memo:
-        memo["structure"] = _structural_report(P)
-    base = memo["structure"]
+    base = _memoized(P, "structure", lambda: _structural_report(P))
     if not (with_primitivity and base.ergodic):
         return base
-    if "structure+primitivity" not in memo:
-        memo["structure+primitivity"] = replace(
-            base, primitivity_exponent=primitivity_exponent(P)
-        )
-    return memo["structure+primitivity"]
+    return _memoized(
+        P, "structure+primitivity",
+        lambda: replace(base, primitivity_exponent=primitivity_exponent(P)),
+    )
 
 
 def require_ergodic(P: StochasticMatrix, what: str) -> ErgodicityReport:

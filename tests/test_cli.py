@@ -1,3 +1,4 @@
+import collections
 import json
 
 import numpy as np
@@ -7,6 +8,8 @@ import ergokit as ek
 from ergokit import cli
 from ergokit.cli import main
 from ergokit.envelope import MixingEstimate
+
+from conftest import random_positive
 
 
 def estimate_above_bound(P, epsilon=0.25):
@@ -20,6 +23,31 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_linalg(monkeypatch):
+    """Count the numpy.linalg calls behind the memoized facts: the linear
+    solve's rank check and solve, and the lift's matrix power."""
+    calls = collections.Counter()
+    for name in ("matrix_rank", "solve", "matrix_power"):
+        def counted(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def memo_chain_args(tmp_path, name):
+    """CLI chain flags for the chains the once-per-fact tests run on."""
+    if name == "random_positive":
+        f = tmp_path / "chain.json"
+        f.write_text(random_positive(np.random.default_rng(301), 10).to_json())
+        return ("--chain", str(f))
+    return {
+        "two_state": ("--gen", "two_state", "--params", "p=0.2,q=0.3"),
+        "lazy_hypercube_4": ("--gen", "lazy_hypercube", "--params", "d=4"),
+    }[name]
 
 
 #: (file name, contents, error type, a fragment of the error message)
@@ -324,6 +352,16 @@ class TestStationary:
         assert err.count("\n") == 1
         assert not out_csv.exists()
 
+    def test_csv_forms_the_lift_once(self, capsys, monkeypatch, tmp_path):
+        # the squeeze and its traces both run on P^3
+        calls = count_linalg(monkeypatch)
+        code, _, _ = run(
+            capsys, "stationary", "--gen", "lazy_hypercube", "--params", "d=3",
+            "--csv", str(tmp_path / "trace.csv"),
+        )
+        assert code == 0
+        assert calls["matrix_power"] == 1
+
 
 class TestMix:
     def test_two_state(self, capsys):
@@ -378,6 +416,16 @@ class TestMix:
         )
         assert code == 0
         assert streams == [(2, 2)]  # d(t) and n Delta(t) read one stream
+
+    def test_csv_runs_one_linear_solve(self, capsys, monkeypatch, tmp_path):
+        # the mixing scan and the curve's pi share the memoized solve
+        calls = count_linalg(monkeypatch)
+        code, _, _ = run(
+            capsys, "mix", *memo_chain_args(tmp_path, "lazy_hypercube_4"),
+            "--csv", str(tmp_path / "curve.csv"),
+        )
+        assert code == 0
+        assert calls == {"matrix_rank": 1, "solve": 1, "matrix_power": 1}
 
     def test_violated_bound_exit_two(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.envelope_mod, "mixing_estimate", estimate_above_bound)
@@ -532,6 +580,16 @@ class TestReport:
         code, _, _ = run(capsys, "report", *gen_args, "--trials", "2000")
         assert code == 0
         assert len(calls) == 1  # P only: no product chain, no second pass
+
+    @pytest.mark.parametrize("chain", ["two_state", "lazy_hypercube_4", "random_positive"])
+    def test_each_fact_computed_once_per_chain(self, capsys, monkeypatch, tmp_path, chain):
+        # linear_solve, the mixing scan and the certificates share one linear
+        # solve; the squeeze and the mixing bound share one lift P^m
+        args = memo_chain_args(tmp_path, chain)
+        calls = count_linalg(monkeypatch)
+        code, _, _ = run(capsys, "report", *args, "--trials", "2000")
+        assert code == 0
+        assert calls == {"matrix_rank": 1, "solve": 1, "matrix_power": 1}
 
     @pytest.mark.parametrize(
         "gen_args",

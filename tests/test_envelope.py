@@ -3,7 +3,7 @@ import pytest
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.envelope import delta_curve
+from ergokit.envelope import _lift, delta_curve
 from ergokit.errors import ArgumentRangeError, NotErgodicError, NotPositiveError
 
 from conftest import random_positive
@@ -128,6 +128,32 @@ class TestStationaryByEnvelope:
         a = ek.stationary_by_envelope(P, tol=tol).pi.probs
         b = ek.stationary_linear(P).pi.probs
         assert np.abs(a - b).max() <= 2 * tol
+
+
+class TestLift:
+    def test_one_lift_per_matrix(self, monkeypatch):
+        P = gen.lazy_hypercube(3)
+        powers = []
+        matrix_power = np.linalg.matrix_power
+
+        def counted(a, k):
+            powers.append(k)
+            return matrix_power(a, k)
+
+        monkeypatch.setattr(np.linalg, "matrix_power", counted)
+        res = ek.stationary_by_envelope(P)
+        est = ek.mixing_estimate(P)
+        assert powers == [3]
+        m, lifted = _lift(P)
+        assert m == res.evidence["lift_exponent"] == est.primitivity_m == 3
+        assert est.pmin_of_Pm == lifted.min_entry()
+        assert _lift(P)[1] is lifted
+        assert not lifted.entries.flags.writeable
+
+    def test_positive_chain_lifts_to_itself(self, two_state_chain):
+        m, lifted = _lift(two_state_chain)
+        assert m == 1
+        assert np.array_equal(lifted.entries, two_state_chain.entries)
 
 
 class TestMixingEstimate:

@@ -157,6 +157,38 @@ class TestLinearSolve:
         assert res.evidence["rank"] == P.n - 1
         assert res.pi.probs.min() > 0.0  # full support
 
+    def test_memoized_per_matrix(self, two_state_chain):
+        res = ek.stationary_linear(two_state_chain)
+        assert ek.stationary_linear(two_state_chain) is res
+        assert ek.stationary_linear(gen.two_state(0.2, 0.3)) is not res
+
+    def test_memoized_result_is_read_only(self, two_state_chain):
+        res = ek.stationary_linear(two_state_chain)
+        with pytest.raises(TypeError):
+            res.evidence["rank"] = 0
+        with pytest.raises(ValueError):
+            res.pi.probs[0] = 1.0
+        assert ek.stationary_linear(two_state_chain).evidence == {"rank": 1}
+        assert np.abs(res.pi.probs - [0.6, 0.4]).max() < 1e-14
+
+    def test_source_array_changes_do_not_reach_the_memo(self):
+        a = np.array([[0.8, 0.2], [0.3, 0.7]])
+        P = ek.StochasticMatrix(ek.StateSpace(("s0", "s1")), a[:])
+        res = ek.stationary_linear(P)
+        a[:] = [[0.5, 0.5], [0.5, 0.5]]
+        assert ek.stationary_linear(P) is res
+        fresh = ek.stationary_linear(gen.two_state(0.2, 0.3))
+        assert np.array_equal(res.pi.probs, fresh.pi.probs)
+
+    def test_caller_evidence_is_copied(self):
+        evidence = {"rank": 1}
+        res = st.StationaryResult(
+            pi=ek.Distribution.uniform(ek.StateSpace(("a", "b"))), method="linear_solve",
+            residual=0.0, evidence=evidence,
+        )
+        evidence["rank"] = 5
+        assert res.evidence == {"rank": 1}
+
 
 class TestArborescences:
     def test_two_state_single_tree(self, two_state_chain):
