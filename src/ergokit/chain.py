@@ -2,16 +2,19 @@
 metrics, and the lockstep walker loop that every simulation runs on.
 
 Every simulated draw, a walker step or a start state drawn from pi, goes
-through one inverse-CDF sampler: each row's cumulative sums are padded with
-1.0 to a power-of-two width w, and a branchless binary search finds the
-first column whose cumulative sum reaches the walker's uniform. A step thus
-costs O(log n) per walker, with no (walkers x n) temporary, and it returns
-exactly the state that counting the cumulative sums below the uniform
-would.
+through one inverse-CDF sampler, built once per walk: a table of each row's
+cumulative sums over its support (its nonzero columns) only, padded with 1.0
+to the power-of-two width w >= d, d the largest row support, with an int map
+from slot back to state. A branchless binary search finds the first slot
+whose cumulative sum reaches the walker's uniform, so a step costs
+O(log d) per walker and never lands on a zero-probability state. The search
+runs ``_CHUNK`` walkers at a time in scratch arrays the sampler allocates
+once, so no step allocates an array the size of the walker set.
 
 All values are immutable after construction and all operations but the
-walker loop (which fills its caller's arrays) are pure, so everything here
-is safe to share across threads.
+walker loop (which fills its caller's ``tau`` and owns its scratch) are
+pure, so everything here is safe to share across threads; one walk's
+sampler serves that walk alone.
 """
 
 from __future__ import annotations
@@ -315,62 +318,106 @@ def _check_walk(P: StochasticMatrix, states, trials: int) -> None:
     _check_at_least("trials", trials, 1)
 
 
-def _cumrows(P: "StochasticMatrix | Distribution") -> np.ndarray:
-    """The sampler's table: each row's cumulative sums, padded with 1.0 to
-    the power-of-two width w >= n. A Distribution is a table of one row.
-
-    The last real column is set to exactly 1.0, so a uniform in [0, 1) never
-    runs past it. Cumulative sums of nonnegative entries never decrease
-    before that column, and from it on every value is 1.0, so along each row
-    ``cum < u`` is True up to some column and False after it: the search in
-    :func:`_advance` can halve the row."""
-    rows = P.entries if isinstance(P, StochasticMatrix) else P.probs[None, :]
-    n = rows.shape[1]
-    cum = np.ones((rows.shape[0], 1 << (n - 1).bit_length()))
-    np.cumsum(rows, axis=1, out=cum[:, :n])
-    cum[:, n - 1] = 1.0
-    return cum
+#: Walkers searched at a time: the sampler's scratch holds this many of each
+#: search array, so no step allocates an array the size of the open set.
+_CHUNK = 8192
 
 
-def _advance(states: np.ndarray, cum: np.ndarray, rng) -> np.ndarray:
-    """One draw per walker from row ``states`` of a :func:`_cumrows` table:
-    the count of columns j with cum[s, j] < u, for one uniform u each.
+class _Sampler:
+    """Inverse-CDF draws from the rows of a stochastic table (a matrix, or a
+    distribution as a table of one row), built once per walk.
 
-    A branchless binary search over the flattened table. ``pos`` is the flat
-    index of the last column known to hold a value below u; it starts just
-    before the row, at s * w - 1. Each of the log2(w) halvings adds ``step``
-    where the column ``step`` further on is still below u. It compares the
-    same floats with the same uniform as counting across the whole row
-    would, so it returns the same states bit for bit, in O(log n) time per
-    walker and O(walkers) memory."""
-    u = rng.random(states.size)
-    w = cum.shape[1]
-    flat = cum.reshape(-1)
-    base = states * w
-    pos = base - 1
-    step = w >> 1
-    while step:
-        pos += (flat.take(pos + step) < u) * step
-        step >>= 1
-    pos += 1
-    pos -= base
-    return pos
+    Row i keeps only its support, the d_i columns with a positive entry: slot
+    k holds the full row's cumulative sum at the k-th such column (the same
+    float, since adding 0.0 is exact) and ``cols`` maps the slot back to
+    that column. The last support slot is set to exactly 1.0 and the table
+    is padded with 1.0 to the power-of-two width w >= d = max_i d_i, so a
+    uniform u in [0, 1) is always below it. Slot values never decrease
+    before that slot, and from it on each is at least u, so along a row
+    ``cum < u`` is True up to some slot and False after it: the count of
+    True slots is found by log2(w) halvings, and it always names a support
+    column, so no walker takes a zero-probability step."""
+
+    def __init__(self, rows: np.ndarray):
+        support = rows > 0
+        d = support.sum(axis=1)
+        r, c = np.nonzero(support)
+        slot = np.arange(r.size) - np.repeat(np.cumsum(d) - d, d)
+        w = 1 << (int(d.max()) - 1).bit_length()
+        self.cum = np.ones((rows.shape[0], w))
+        self.cum[r, slot] = np.cumsum(rows, axis=1)[r, c]
+        self.cum[np.arange(rows.shape[0]), d - 1] = 1.0
+        self.cols = np.zeros(self.cum.shape, dtype=np.intp)
+        self.cols[r, slot] = c
+        self.w = w
+        # halving h reads flat slot pos + h - 1, as slot pos of a view that
+        # starts h - 1 slots in
+        flat = self.cum.reshape(-1)
+        self._halvings = [(flat[(w >> i) - 1 :], w >> i) for i in range(1, w.bit_length())]
+        self._u = np.empty(_CHUNK)
+        self._values = np.empty(_CHUNK)
+        self._mask = np.empty(_CHUNK, dtype=bool)
+        self._jump = np.empty(_CHUNK, dtype=np.intp)
+        self._pos = np.empty(_CHUNK, dtype=np.intp)
+
+    def step(self, states: np.ndarray, rng) -> None:
+        """Move each walker one draw from row ``states[j]``, in place (an
+        integer array), with one uniform each, taken in walker order.
+
+        A branchless binary search over the flattened table, ``_CHUNK``
+        walkers at a time, writing only into the sampler's scratch. ``pos``
+        is the flat index of the first slot not known to be below u; it
+        starts at the row's first slot, s * w, and each halving h moves it
+        h further where the slot h - 1 on is still below u. Draws come in
+        walker order whatever the chunking, since ``rng.random(a)`` then
+        ``rng.random(b)`` is the stream of ``rng.random(a + b)``."""
+        cols = self.cols.reshape(-1)
+        # take() with an out array buffers it unless mode is "clip" or
+        # "wrap"; every index here is in range, so clipping changes nothing
+        for lo in range(0, states.size, _CHUNK):
+            s = states[lo : lo + _CHUNK]
+            k = s.size
+            u, values, mask, jump, pos = (
+                a[:k] for a in (self._u, self._values, self._mask, self._jump, self._pos)
+            )
+            rng.random(out=u)
+            np.multiply(s, self.w, out=pos)
+            for ahead, h in self._halvings:
+                ahead.take(pos, out=values, mode="clip")
+                np.less(values, u, out=mask)
+                np.copyto(jump, mask)  # a cast in the multiply would buffer
+                jump *= h
+                pos += jump
+            cols.take(pos, out=s, mode="clip")
 
 
 def _walk_until(P: StochasticMatrix, walkers, hit, tau, max_steps: int, rng) -> None:
-    """The one simulation loop. Walker j is open while tau[j] < 0 and has
-    one state per chain copy: entry j of each array in ``walkers``. At step
-    t = 1..max_steps each open walker moves every copy, in order, by one
-    uniform draw; tau[j] = t where ``hit(*new_states)`` holds. Updates
-    ``walkers`` and ``tau`` in place; walkers open after max_steps stay so."""
-    cum = _cumrows(P)
+    """The one simulation loop. Walker j is open while tau[j] < 0 and starts
+    with one state per chain copy: entry j of each array in ``walkers``. At
+    step t = 1..max_steps each open walker moves every copy, in order, by
+    one draw of a :class:`_Sampler` built once for the walk; tau[j] = t
+    where ``hit(*new_states)`` holds. Fills ``tau`` in place; the walker
+    arrays are only read, and walkers open after max_steps stay so.
+
+    The open walkers' states live in one compacted array per copy, moved in
+    place by the sampler and compressed only on the steps where some walker
+    hits, so a step costs O(open walkers x log d), d the largest row
+    support, beside the sampler's fixed scratch."""
+    sampler = _Sampler(P.entries)
+    idx = np.flatnonzero(tau < 0)
+    states = [w[idx] for w in walkers]
     for t in range(1, max_steps + 1):
-        idx = np.flatnonzero(tau < 0)
         if idx.size == 0:
             break
-        for w in walkers:
-            w[idx] = _advance(w[idx], cum, rng)
-        tau[idx[hit(*(w[idx] for w in walkers))]] = t
+        for s in states:
+            sampler.step(s, rng)
+        met = hit(*states)
+        if met.any():
+            tau[idx[met]] = t
+            np.logical_not(met, out=met)
+            idx = idx[met]
+            for i, s in enumerate(states):
+                states[i] = s[met]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, StateSpace, check_stationary, tv_distance
-from .chain import _advance, _check_at_least, _check_walk, _cumrows, _walk_until, orbit
+from .chain import _Sampler, _check_at_least, _check_walk, _walk_until, orbit
 from .envelope import delta_curve
 from .errors import MarginalMismatchError, NeverMetError, TooLargeError
 from .structure import analyze, require_ergodic
@@ -224,7 +224,8 @@ def verify_coupling_lemma(
     require_ergodic(P, "coupling lemma check")
     check_stationary(P, pi)
     rng = np.random.default_rng(seed)
-    x = _advance(np.zeros(trials, dtype=np.int64), _cumrows(pi), rng)
+    x = np.zeros(trials, dtype=np.intp)
+    _Sampler(pi.probs[None, :]).step(x, rng)
     y = np.full(trials, start_y)
     tau = np.where(x == y, 0, -1)
     _walk_until(P, (x, y), np.equal, tau, horizon, rng)

@@ -48,10 +48,6 @@ class EnvelopeTrace:
     p_min: float
     contraction_factor: float  # 1 - p_min
 
-    @property
-    def converged_delta(self) -> float:
-        return self.iterations[-1].delta
-
 
 @dataclass(frozen=True)
 class ContractionVerdict:

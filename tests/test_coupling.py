@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import stats
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.chain import _cumrows, _advance
+from ergokit.chain import _CHUNK, _Sampler
 from ergokit.coupling import exact_meeting_tail
 from ergokit.errors import (
     ArgumentRangeError,
@@ -285,15 +286,15 @@ class TestStickingPreservesLaw:
         k = 3
         trials = 60_000
         max_steps = 60
-        cum = _cumrows(P)
+        sampler = _Sampler(P.entries)
         x0, y0 = 2, 0
         x = np.full(trials, x0)
         y = np.full(trials, y0)
         xs = [x.copy()]
         ys = [y.copy()]
         for _ in range(max_steps):
-            x = _advance(x, cum, rng)
-            y = _advance(y, cum, rng)
+            sampler.step(x, rng)
+            sampler.step(y, rng)
             xs.append(x.copy())
             ys.append(y.copy())
         X = np.array(xs).T
@@ -328,14 +329,81 @@ class TestStickingPreservesLaw:
         assert pvalue > 1e-3
 
 
+# ---------------------------------------------------------------------------
+# The full-row sampler that the support table replaced, kept as the oracle:
+# on every uniform but the edge ones it draws the same states bit for bit.
+
+def _cumrows(rows: np.ndarray) -> np.ndarray:
+    """Each row's cumulative sums over all n columns, the last column set to
+    1.0, padded with 1.0 to the power-of-two width w >= n."""
+    n = rows.shape[1]
+    cum = np.ones((rows.shape[0], 1 << (n - 1).bit_length()))
+    np.cumsum(rows, axis=1, out=cum[:, :n])
+    cum[:, n - 1] = 1.0
+    return cum
+
+
+def _advance(states: np.ndarray, cum: np.ndarray, rng) -> np.ndarray:
+    """The count of columns j with cum[s, j] < u, one uniform per walker, by
+    a branchless binary search over the flattened :func:`_cumrows` table."""
+    u = rng.random(states.size)
+    w = cum.shape[1]
+    flat = cum.reshape(-1)
+    base = states * w
+    pos = base - 1
+    step = w >> 1
+    while step:
+        pos += (flat.take(pos + step) < u) * step
+        step >>= 1
+    return pos + 1 - base
+
+
+def _oracle_walk(P, walkers, hit, tau, max_steps: int, rng) -> None:
+    """The lockstep walk on :func:`_advance`, over whole arrays: open
+    walkers are re-found from tau every step."""
+    cum = _cumrows(P.entries)
+    for t in range(1, max_steps + 1):
+        idx = np.flatnonzero(tau < 0)
+        if idx.size == 0:
+            break
+        for w in walkers:
+            w[idx] = _advance(w[idx], cum, rng)
+        tau[idx[hit(*(w[idx] for w in walkers))]] = t
+
+
 class _Uniforms:
-    """A stand-in generator that hands out the given uniforms."""
+    """A stand-in generator that hands out the given uniforms in order."""
 
     def __init__(self, u):
         self.u = u
+        self.taken = 0
 
-    def random(self, size):
-        return self.u[:size]
+    def random(self, size=None, out=None):
+        k = size if out is None else out.size
+        u = self.u[self.taken : self.taken + k]
+        self.taken += k
+        if out is None:
+            return u.copy()
+        out[...] = u
+        return out
+
+
+def _support_draw(a: np.ndarray, states, u) -> list[int]:
+    """Per walker, the support columns of its row, their cumulative sums
+    with the last set to 1.0, and the column at the count of those below u."""
+    out = []
+    for s, x in zip(states, u):
+        nz = np.flatnonzero(a[s] > 0)
+        cum = np.cumsum(a[s])[nz]
+        cum[-1] = 1.0
+        out.append(int(nz[(cum < x).sum()]))
+    return out
+
+
+def _draw(a: np.ndarray, states, u) -> np.ndarray:
+    got = np.array(states, dtype=np.intp)
+    _Sampler(a).step(got, _Uniforms(np.asarray(u, dtype=float)))
+    return got
 
 
 @st.composite
@@ -360,27 +428,134 @@ def sampler_cases(draw):
 class TestSampler:
     @given(sampler_cases())
     @settings(max_examples=200, deadline=None)
-    def test_matches_full_row_count(self, case):
+    def test_matches_support_count(self, case):
         a, states, seed = case
-        P = ek.StochasticMatrix(ek.StateSpace(tuple(map(str, range(a.shape[0])))), a)
-        cum = np.cumsum(a, axis=1)
-        cum[:, -1] = 1.0
+        cum = _cumrows(a)
         # random uniforms, then the edges: ties with a row's own cumulative
         # sums, 0, and the largest uniform below 1 (past a row sum that
-        # rounds below 1), where the search must stop where the count does
+        # rounds below 1)
         u = np.random.default_rng(seed).random(states.size)
         tie = cum[states, np.arange(states.size) % a.shape[0]]
         u[1::4] = np.where(tie < 1.0, tie, 0.0)[1::4]
         u[2::4] = 0.0
         u[3::4] = np.nextafter(1.0, 0.0)
-        got = _advance(states, _cumrows(P), _Uniforms(u))
-        assert got.tolist() == (cum[states] < u[:, None]).sum(axis=1).tolist()
+        got = _draw(a, states, u)
+        assert got.tolist() == _support_draw(a, states, u)
+        assert (a[states, got] > 0).all()
+        # interior uniforms: above 0 and at most the full-row sum at the
+        # row's last support column, where the old sampler stopped on the
+        # same column
+        last = a.shape[1] - 1 - np.argmax(a[:, ::-1] > 0, axis=1)
+        interior = (u > 0) & (u <= cum[states, last[states]])
+        old = _advance(states, cum, _Uniforms(u))
+        assert got[interior].tolist() == old[interior].tolist()
+
+    def test_zero_uniform_skips_a_leading_zero_column(self):
+        a = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        assert _draw(a, [0], [0.0]).tolist() == [1]
+        # the full-row count stepped to state 0, of probability 0
+        assert _advance(np.array([0]), _cumrows(a), _Uniforms(np.zeros(1))).tolist() == [0]
+
+    def test_top_uniform_stays_on_the_support(self):
+        # row i moves to any other state with probability 1/7; on row 7 the
+        # seven sevenths add up to 1 - 2^-52, below the largest uniform
+        a = (1.0 - np.eye(8)) / 7.0
+        states = np.arange(8)
+        u = np.full(8, np.nextafter(1.0, 0.0))
+        got = _draw(a, states, u)
+        assert (a[states, got] > 0).all()
+        # the full-row count ran on past the row sum to the last column:
+        # from state 7 to state 7, of probability 0
+        old = _advance(states, _cumrows(a), _Uniforms(u))
+        assert old.tolist() == [7, 7, 7, 7, 7, 7, 7, 7]
+        assert a[7, 7] == 0.0
+
+    def test_table_width_is_the_largest_support(self):
+        sampler = _Sampler(gen.lazy_hypercube(7).entries)
+        assert sampler.cum.shape == sampler.cols.shape == (128, 8)
 
     def test_start_draw_table_is_one_row(self):
         pi = ek.Distribution(ek.StateSpace(("a", "b", "c")), [0.2, 0.0, 0.8])
-        cum = _cumrows(pi)
-        assert cum.shape == (1, 4)
-        assert cum.tolist() == [[0.2, 0.2, 1.0, 1.0]]
+        sampler = _Sampler(pi.probs[None, :])
+        assert sampler.cum.tolist() == [[0.2, 1.0]]
+        assert sampler.cols.tolist() == [[0, 2]]
+
+
+@pytest.mark.parametrize("trials", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+class TestChunkBoundaries:
+    """Walks whose open set spans one chunk, exactly one, one past it and
+    two and a bit draw what the whole-array oracle walk draws."""
+
+    P = gen.lazy_hypercube(3)
+
+    def test_simulate_coupling(self, trials):
+        x = np.full(trials, 0)
+        y = np.full(trials, 7)
+        tau = np.full(trials, -1)
+        _oracle_walk(self.P, (x, y), np.equal, tau, 40, np.random.default_rng(3))
+        trace = ek.simulate_coupling(self.P, (0, 7), trials=trials, max_steps=40, seed=3)
+        assert trace.tau_samples.tolist() == tau[tau >= 0].tolist()
+        assert trace.truncated == int((tau < 0).sum())
+
+    def test_verify_coupling_lemma(self, trials):
+        pi = ek.stationary_linear(self.P).pi
+        rng = np.random.default_rng(4)
+        x = _advance(np.zeros(trials, dtype=np.intp), _cumrows(pi.probs[None, :]), rng)
+        y = np.full(trials, 7)
+        tau = np.where(x == y, 0, -1)
+        _oracle_walk(self.P, (x, y), np.equal, tau, 12, rng)
+        tau[tau < 0] = 13
+        rep = ek.verify_coupling_lemma(self.P, pi, start_y=7, horizon=12, trials=trials, seed=4)
+        assert [r.tail for r in rep.rows] == [(tau > i).sum() / trials for i in range(13)]
+
+    def test_monte_carlo_return(self, trials):
+        times = np.full(trials, -1)
+        _oracle_walk(
+            self.P, (np.full(trials, 2),), lambda s: s == 2, times, 10_000,
+            np.random.default_rng(5),
+        )
+        mean = float(times.mean())
+        se = float(times.std(ddof=1) / np.sqrt(trials))
+        assert ek.monte_carlo_return(self.P, z=2, trials=trials, seed=5) == (mean, se)
+
+
+class TestScratchSize:
+    P = gen.lazy_hypercube(7)
+
+    def test_step_allocates_nothing_per_walker(self):
+        sampler = _Sampler(self.P.entries)
+        states = np.zeros(200_000, dtype=np.intp)
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            sampler.step(states, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one float64 array of the walkers alone would take 1.6 MB
+        assert peak - before < 1 << 14
+
+    def test_lemma_peak_is_the_walks_own_arrays(self):
+        pi = ek.stationary_linear(self.P).pi
+        ek.verify_coupling_lemma(self.P, pi, start_y=0, horizon=2, trials=10, seed=0)
+        trials = 200_000
+        state = np.dtype(np.intp).itemsize
+        # per walker: the two start arrays, tau, one open state per copy,
+        # the open indices and, while a compaction runs, one new copy of
+        # one of those and the hit mask
+        per_walker = 2 * state + 8 + 2 * state + state + state + 1
+        # beside them: the sampler's table and chunk scratch, and 64 KiB for
+        # the report's Python objects
+        sampler = _Sampler(self.P.entries)
+        fixed = sum(a.nbytes for a in vars(sampler).values() if isinstance(a, np.ndarray))
+        tracemalloc.start()
+        try:
+            ek.verify_coupling_lemma(self.P, pi, start_y=0, horizon=30, trials=trials, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= trials * per_walker + fixed + (1 << 16)
 
 
 #: Outputs recorded before the O(log n) sampler replaced the full-row count:
