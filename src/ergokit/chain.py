@@ -101,10 +101,6 @@ class StochasticMatrix:
     def n(self) -> int:
         return self.space.size
 
-    def row(self, x: int) -> "Distribution":
-        """The one-step distribution out of state x."""
-        return Distribution(self.space, self.entries[x])
-
     def min_entry(self) -> float:
         return float(self.entries.min())
 
@@ -293,7 +289,7 @@ def check_stationary(
 ) -> None:
     if pi.space != P.space:
         raise SpaceMismatchError("distribution and matrix on different spaces")
-    residual = float(np.abs(pi.probs @ P.entries - pi.probs).max())
+    residual = stationary_residual(P, pi.probs)
     if residual > tol:
         raise NotStationaryError(
             f"residual ||pi P - pi||_inf = {residual:.3g} exceeds {tol:.3g}"

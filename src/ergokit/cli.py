@@ -223,6 +223,9 @@ def cmd_mix(args) -> int:
 
 def cmd_couple(args) -> int:
     P = _resolve_chain(args)
+    # flags first: --start needs the chain's size, so it waits for the chain
+    chain_mod._check_walk(P, (args.start,), args.trials)
+    chain_mod._check_at_least("horizon", args.horizon, 0)
     pi = stationary_mod.stationary_linear(P).pi
     report = coupling_mod.verify_coupling_lemma(
         P,
@@ -263,6 +266,7 @@ def cmd_report(args) -> int:
     if not 0.0 < args.epsilon < 1.0:
         raise ArgumentRangeError(f"--epsilon must lie in (0, 1), got {args.epsilon}")
     P = _resolve_chain(args)
+    chain_mod._check_walk(P, (args.start,), args.trials)
     erg = structure_mod.analyze(P)
     out = {"ergodicity": json.loads(erg.to_json()), "verdicts": {}}
     results = _stationary_table(P, METHODS, args.tol)

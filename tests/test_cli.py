@@ -201,6 +201,43 @@ class TestBadArguments:
         assert out == ""
         assert err == f"error: ArgumentRangeError: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("report", "--gen", "lazy_hypercube", "--params", "d=3", "--start", "99"),
+             "state 99 is not in 0..7"),
+            (("report", "--gen", "cycle", "--params", "L=3", "--start", "99"),
+             "state 99 is not in 0..2"),
+            (("couple", "--gen", "two_state", "--params", "p=0.2,q=0.3", "--start", "99"),
+             "state 99 is not in 0..1"),
+            (("couple", "--gen", "two_state", "--params", "p=0.2,q=0.3", "--trials", "0"),
+             "trials must be >= 1, got 0"),
+            (("couple", "--gen", "two_state", "--params", "p=0.2,q=0.3", "--horizon", "-3"),
+             "horizon must be >= 0, got -3"),
+        ],
+        ids=["report_start", "report_periodic_start", "couple_start", "couple_trials",
+             "couple_horizon"],
+    )
+    def test_walk_flags_checked_before_any_route(self, capsys, monkeypatch, argv, message):
+        def never(*args, **kwargs):
+            raise AssertionError("a route ran before the flags were checked")
+
+        for mod, name in [
+            (cli.structure_mod, "analyze"),
+            (cli.stationary_mod, "stationary_linear"),
+            (cli.stationary_mod, "stationary_by_trees"),
+            (cli.stationary_mod, "stationary_by_return_time"),
+            (cli.stationary_mod, "stationary_by_power"),
+            (cli.envelope_mod, "stationary_by_envelope"),
+            (cli.envelope_mod, "mixing_estimate"),
+            (cli.coupling_mod, "verify_coupling_lemma"),
+        ]:
+            monkeypatch.setattr(mod, name, never)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: ArgumentRangeError: {message}\n"
+
     def test_couple_horizon_zero_is_valid(self, capsys):
         code, out, _ = run(
             capsys, "couple", "--gen", "two_state", "--params", "p=0.2,q=0.3",

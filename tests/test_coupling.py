@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,14 +10,13 @@ from scipy import stats
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.chain import _CHUNK, _Sampler
+from ergokit.chain import _CHUNK, _Sampler, orbit
 from ergokit.coupling import exact_meeting_tail
 from ergokit.errors import (
     ArgumentRangeError,
     MarginalMismatchError,
     NeverMetError,
     NotErgodicError,
-    TooLargeError,
 )
 
 from conftest import from_array, random_ergodic, random_irreducible, random_positive
@@ -260,10 +260,16 @@ class TestArgumentRanges:
             lambda P, pi: ek.verify_coupling_lemma(P, pi, start_y=0, horizon=-3),
             lambda P, pi: ek.simulate_coupling(P, (0, 1), max_steps=0),
             lambda P, pi: ek.monte_carlo_return(P, z=0, trials=10, seed=0, max_steps=0),
+            lambda P, pi: exact_meeting_tail(P, (0, 5), 3),
+            lambda P, pi: exact_meeting_tail(P, (-1, 0), 3),
+            lambda P, pi: exact_meeting_tail(P, (0, 1), 3, mode=("meet_at_state", 9)),
+            lambda P, pi: exact_meeting_tail(P, (0, 1), -2),
+            lambda P, pi: exact_meeting_tail(P, (0, 9), 3),
         ],
         ids=[
             "start", "target", "trials", "lemma_start", "anchor", "return_trials",
-            "lemma_horizon", "max_steps", "return_max_steps",
+            "lemma_horizon", "max_steps", "return_max_steps", "exact_start",
+            "exact_negative_start", "exact_target", "exact_horizon", "exact_far_start",
         ],
     )
     def test_rejected_before_any_step(self, two_state_chain, call):
@@ -271,9 +277,36 @@ class TestArgumentRanges:
         with pytest.raises(ArgumentRangeError):
             call(two_state_chain, pi)
 
-    def test_exact_tail_past_its_cap(self):
-        with pytest.raises(TooLargeError, match="n = 7 exceeds the exact tail oracle's cap 6"):
-            exact_meeting_tail(gen.uniform(7), (0, 1), horizon=3)
+    @pytest.mark.parametrize(
+        "P", [gen.uniform(7), gen.lazy_hypercube(7)], ids=["uniform7", "lazy_hypercube7"]
+    )
+    def test_exact_tail_at_any_n(self, P):
+        tail = exact_meeting_tail(P, (0, P.n - 1), horizon=30)
+        assert tail.shape == (31,) and tail[0] == 1.0
+        # non-increasing up to the rounding of one P^T M P step
+        assert (np.diff(tail) <= 4 * np.finfo(float).eps).all()
+
+
+class TestExactCouplingLemma:
+    """With X_0 ~ pi and Y_0 = y, the exact meeting tail averaged over X_0
+    dominates TV(pi, P^t(y, .)) at every t, with equality at t = 0: both are
+    Pr(X_0 != y) = 1 - pi(y). So the simulated verdict's band at step 0
+    compares a binomial estimate with its own mean."""
+
+    @pytest.mark.parametrize(
+        "P",
+        [gen.two_state(0.3, 0.4), gen.lazy_hypercube(3), gen.lazy_hypercube(7), gen.top_to_random(5)],
+        ids=["two_state", "lazy_hypercube3", "lazy_hypercube7", "top_to_random5"],
+    )
+    def test_averaged_tail_dominates_tv(self, P):
+        pi = ek.stationary_linear(P).pi.probs
+        y = P.n - 1
+        tail = pi @ np.array([exact_meeting_tail(P, (x, y), 30) for x in range(P.n)])
+        point = np.zeros(P.n)
+        point[y] = 1.0
+        tv = np.array([0.5 * np.abs(pi - law).sum() for law in islice(orbit(point, P.entries), 31)])
+        assert (tail >= tv - 1e-12).all()
+        assert abs(tail[0] - (1.0 - pi[y])) <= 1e-15
 
 
 class TestStickingPreservesLaw:

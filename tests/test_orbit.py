@@ -15,7 +15,7 @@ import ergokit as ek
 from ergokit import generators as gen
 from ergokit.chain import orbit
 from ergokit.cli import main
-from ergokit.coupling import exact_meeting_tail
+from ergokit.coupling import _meeting_mask, exact_meeting_tail
 
 from conftest import random_ergodic, random_positive
 
@@ -100,7 +100,10 @@ OUTPUTS = {
     "lemma_exact_tv": lemma_exact_tv,
 }
 
-#: (output, chain) -> value recorded before the curves shared one orbit.
+#: (output, chain) -> value recorded before the curves shared one orbit; the
+#: meeting_tails digests were recorded again when the exact tail moved from
+#: the absorbing product chain to the pair-mass recursion, which
+#: TestPairMassTail checks against the product chain.
 PINNED = {
     ('mix_csv', 'two_state'): 'eddb5763504859997e6e1f2a1f877e7648beee243c11a0abebd52871e312f943',
     ('mix_csv', 'lazy_hypercube_3'): '650d658672277c36b0223351003e4d7144f092b9d28c5fee7c8a4861738c2809',
@@ -110,9 +113,9 @@ PINNED = {
     ('stationary_csv', 'lazy_hypercube_3'): 'e90ae5721ee24ed1b85cd3ef1d9cc1f4e2040a219ac0a5ab8f2a4a828c13c6e8',
     ('stationary_csv', 'positive5'): 'ebe6b2c2f5562bd2b0e67b14e8da697376129c194767e7ea9bb84708a9321cde',
     ('stationary_csv', 'ergodic6'): 'f0773e76a8db2bf4cf3889816fea3e74c0e948076a71bbef4219034a2a12eb6c',
-    ('meeting_tails', 'two_state'): 'bc62bec4ffae5666c1161721c96ff0325d595ad715f48b858c84fedd7bbf1106',
-    ('meeting_tails', 'positive5'): '24f7b022e034b71795689e90c87f406db5f60b7bab767f98e869ed442def3236',
-    ('meeting_tails', 'ergodic6'): '163a4b496d4b77eb03ffe5f40e292467dd80b99d34b851b6a9d06bc6736332e6',
+    ('meeting_tails', 'two_state'): 'eac97f146178d25d4803b8dc67f8de0da34dee37b6d31a91d56cf3cea7589229',
+    ('meeting_tails', 'positive5'): '6cf09f888e697af1208380994d3f8300015f727c5f941fff72a9c2a142d2a465',
+    ('meeting_tails', 'ergodic6'): 'af6c6df152402453a1a0ea73862cefc7769018ef0b89c7ac978b6d69305ffd3c',
     ('recursion_errors', 'two_state'): '206bea3bc9eaa0d38ef80fbe18980e6320f1576ac112dbf776a9cd5182245b82',
     ('recursion_errors', 'positive5'): '5c49db06d135230e5a5add347878ef2cc85c79846239432009715134385bcfd2',
     ('evolve', 'two_state'): 'c79b8a46f593d0ee99fa6def42bda92f0ef7dda3d976021b515ff926eda933b4',
@@ -152,6 +155,37 @@ class TestOrbit:
         stream = orbit(Counted(), None)
         next(stream), next(stream)
         assert Counted.products == 1
+
+
+def absorbing_tail(P, start, horizon, mode="meet_anywhere"):
+    """The exact meeting tail as the n^2 x n^2 product chain gives it, with
+    every meeting pair made absorbing and the surviving mass read off: the
+    oracle that the pair-mass recursion replaced."""
+    n = P.n
+    pc = ek.build_product_chain(P)
+    Q = pc.product_matrix.entries.copy()
+    pairs = np.arange(n * n)
+    xs, ys = np.divmod(pairs, n)
+    absorbing = _meeting_mask(xs, ys, mode)
+    Q[absorbing] = 0.0
+    Q[absorbing, pairs[absorbing]] = 1.0
+    point = np.zeros(n * n)
+    point[pc.flat(*start)] = 1.0
+    return np.array([v[~absorbing].sum() for v in islice(orbit(point, Q), horizon + 1)])
+
+
+class TestPairMassTail:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_the_absorbing_product_chain(self, n):
+        # 100 seeded chains in all, 20 per n, dense and sparse in turn
+        for seed in range(20):
+            rng = np.random.default_rng(1000 * n + seed)
+            P = (random_positive if seed % 2 else random_ergodic)(rng, n)
+            for mode in ("meet_anywhere", ("meet_at_state", seed % n)):
+                for start in np.ndindex(n, n):
+                    got = exact_meeting_tail(P, start, 30, mode=mode)
+                    want = absorbing_tail(P, start, 30, mode=mode)
+                    assert np.abs(got - want).max() <= 1e-14
 
 
 class TestCurveParity:
