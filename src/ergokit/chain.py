@@ -5,16 +5,21 @@ Every simulated draw, a walker step or a start state drawn from pi, goes
 through one inverse-CDF sampler, built once per walk: a table of each row's
 cumulative sums over its support (its nonzero columns) only, padded with 1.0
 to the power-of-two width w >= d, d the largest row support, with an int map
-from slot back to state. A branchless binary search finds the first slot
-whose cumulative sum reaches the walker's uniform, so a step costs
-O(log d) per walker and never lands on a zero-probability state. The search
-runs ``_CHUNK`` walkers at a time in scratch arrays the sampler allocates
-once, so no step allocates an array the size of the walker set.
+from slot back to state, and a guide table of m = 2w buckets per row. A
+draw reads the guide entry of its uniform's bucket, the count of slots
+below the bucket's lower edge, and finishes with log2(H) halvings of a
+branchless binary search, H the power of two above the most slots one
+bucket holds: one halving on ``lazy_hypercube(7)`` where a search of the
+whole row takes three. The draw is the count of support slots below the
+uniform, bit for bit, so it never lands on a zero-probability state. The
+search runs ``_CHUNK`` walkers at a time in scratch arrays the sampler
+allocates once, and every chain copy of a walk moves in one sampler call
+per step, so no step allocates an array the size of the walker set.
 
 All values are immutable after construction and all operations but the
-walker loop (which fills its caller's ``tau`` and owns its scratch) are
-pure, so everything here is safe to share across threads; one walk's
-sampler serves that walk alone.
+walker loop (which fills its caller's ``tau``, takes over its state buffer
+and owns its scratch) are pure, so everything here is safe to share across
+threads; one walk's sampler serves that walk alone.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -307,8 +313,13 @@ def _check_at_least(name: str, value: int, least: int) -> None:
 
 
 def _check_walk(P: StochasticMatrix, states, trials: int) -> None:
-    """Reject start or target states outside 0..n-1 and fewer than one trial."""
+    """Reject start or target states that are not integers in 0..n-1, and
+    fewer than one trial."""
     for x in states:
+        try:
+            operator.index(x)
+        except TypeError:
+            raise ArgumentRangeError(f"state {x!r} is not an integer") from None
         if not 0 <= x < P.n:
             raise ArgumentRangeError(f"state {x} is not in 0..{P.n - 1}")
     _check_at_least("trials", trials, 1)
@@ -330,26 +341,62 @@ class _Sampler:
     is padded with 1.0 to the power-of-two width w >= d = max_i d_i, so a
     uniform u in [0, 1) is always below it. Slot values never decrease
     before that slot, and from it on each is at least u, so along a row
-    ``cum < u`` is True up to some slot and False after it: the count of
-    True slots is found by log2(w) halvings, and it always names a support
-    column, so no walker takes a zero-probability step."""
+    ``cum < u`` is True up to some slot and False after it; the draw is the
+    column of the first False slot, so it is always a support column and no
+    walker takes a zero-probability step.
+
+    A guide table (Chen and Asau, 1974) finds that slot in one lookup and
+    log2(H) halvings. It splits [0, 1) into m = 2w buckets; m is a power of
+    two, so u * m is exact and ``cum < b / m`` holds exactly where
+    ``floor(cum * m) < b``. Guide entry (i, b) is the count of row i's slots
+    below b / m, a lower bound on the draw of any u in bucket b that leaves
+    at most H - 1 further candidates, H the power of two above the largest
+    count of slots in one bucket (in the last bucket, of slots up to
+    d_i - 1). Each entry is clamped to w - H, so the halvings never leave
+    the row, and stored as a flat slot index of the table. The draw is the
+    same slot as a search of the whole row, bit for bit: H = 2 on
+    ``lazy_hypercube(7)``, one halving where the row search takes three."""
 
     def __init__(self, rows: np.ndarray):
+        n = rows.shape[0]
         support = rows > 0
         d = support.sum(axis=1)
-        r, c = np.nonzero(support)
-        slot = np.arange(r.size) - np.repeat(np.cumsum(d) - d, d)
         w = 1 << (int(d.max()) - 1).bit_length()
-        self.cum = np.ones((rows.shape[0], w))
-        self.cum[r, slot] = np.cumsum(rows, axis=1)[r, c]
-        self.cum[np.arange(rows.shape[0]), d - 1] = 1.0
+        # slots 0..d_i - 1 of row i, in row order: a boolean mask assigns
+        # the support entries of the whole table in the same row order
+        slots = np.arange(w) < d[:, None]
+        self.cum = np.ones((n, w))
+        self.cum[slots] = np.cumsum(rows, axis=1)[support]
+        self.cum[np.arange(n), d - 1] = 1.0
         self.cols = np.zeros(self.cum.shape, dtype=np.intp)
-        self.cols[r, slot] = c
-        self.w = w
+        self.cols[slots] = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)[support]
+        del support, slots
+        # every slot counted once, at 1 + its bucket (the last bucket and
+        # beyond in one: those never lower a guide entry), in rows of m + 1
+        # counts; each row counts all w of its slots, so the flat running
+        # sum of the counts is row i's base i * w plus its guide entries
+        m = 2 * w
+        bucket = self.cum * m
+        np.minimum(bucket, m - 1, out=bucket)
+        keys = bucket.astype(np.intp)
+        del bucket
+        keys += 1 + (m + 1) * np.arange(n)[:, None]
+        guide = np.bincount(keys.reshape(-1), minlength=n * (m + 1)).reshape(n, m + 1)
+        del keys
+        # candidates past the guide entry: a bucket's own count, and in the
+        # last bucket the slots up to d_i - 1
+        span = guide[:, 1:m].max(axis=1)
+        np.cumsum(guide.reshape(-1), out=guide.reshape(-1))
+        base = w * np.arange(n)
+        np.maximum(span, d - 1 - (guide[:, m - 1] - base), out=span)
+        H = 1 << int(span.max()).bit_length()
+        np.minimum(guide, (base + w - H)[:, None], out=guide)
+        self.guide = guide
+        self.m = m
         # halving h reads flat slot pos + h - 1, as slot pos of a view that
         # starts h - 1 slots in
         flat = self.cum.reshape(-1)
-        self._halvings = [(flat[(w >> i) - 1 :], w >> i) for i in range(1, w.bit_length())]
+        self._halvings = [(flat[(H >> i) - 1 :], H >> i) for i in range(1, H.bit_length())]
         self._u = np.empty(_CHUNK)
         self._values = np.empty(_CHUNK)
         self._mask = np.empty(_CHUNK, dtype=bool)
@@ -358,16 +405,17 @@ class _Sampler:
 
     def step(self, states: np.ndarray, rng) -> None:
         """Move each walker one draw from row ``states[j]``, in place (an
-        integer array), with one uniform each, taken in walker order.
+        intp array), with one uniform each, taken in walker order.
 
-        A branchless binary search over the flattened table, ``_CHUNK``
-        walkers at a time, writing only into the sampler's scratch. ``pos``
-        is the flat index of the first slot not known to be below u; it
-        starts at the row's first slot, s * w, and each halving h moves it
-        h further where the slot h - 1 on is still below u. Draws come in
-        walker order whatever the chunking, since ``rng.random(a)`` then
+        ``_CHUNK`` walkers at a time, writing only into the sampler's
+        scratch: bucket b = floor(u * m), ``pos`` the guide entry (s, b),
+        the flat index of the first slot not known to be below u, and then
+        a branchless binary search: each halving h moves ``pos`` h further
+        where the slot h - 1 on is still below u. Draws come in walker order
+        whatever the chunking, since ``rng.random(a)`` then
         ``rng.random(b)`` is the stream of ``rng.random(a + b)``."""
         cols = self.cols.reshape(-1)
+        guide = self.guide.reshape(-1)
         # take() with an out array buffers it unless mode is "clip" or
         # "wrap"; every index here is in range, so clipping changes nothing
         for lo in range(0, states.size, _CHUNK):
@@ -377,43 +425,67 @@ class _Sampler:
                 a[:k] for a in (self._u, self._values, self._mask, self._jump, self._pos)
             )
             rng.random(out=u)
-            np.multiply(s, self.w, out=pos)
+            np.multiply(u, self.m, out=values)
+            np.copyto(pos, values, casting="unsafe")  # floor: u * m >= 0
+            np.multiply(s, self.m + 1, out=jump)
+            jump += pos
+            guide.take(jump, out=pos, mode="clip")
             for ahead, h in self._halvings:
                 ahead.take(pos, out=values, mode="clip")
                 np.less(values, u, out=mask)
                 np.copyto(jump, mask)  # a cast in the multiply would buffer
-                jump *= h
+                if h > 1:
+                    jump *= h
                 pos += jump
             cols.take(pos, out=s, mode="clip")
 
 
-def _walk_until(P: StochasticMatrix, walkers, hit, tau, max_steps: int, rng) -> None:
-    """The one simulation loop. Walker j is open while tau[j] < 0 and starts
-    with one state per chain copy: entry j of each array in ``walkers``. At
-    step t = 1..max_steps each open walker moves every copy, in order, by
-    one draw of a :class:`_Sampler` built once for the walk; tau[j] = t
-    where ``hit(*new_states)`` holds. Fills ``tau`` in place; the walker
-    arrays are only read, and walkers open after max_steps stay so.
+def _compact(flat: np.ndarray, copies: int, k: int, keep) -> int:
+    """Keep the walkers that ``keep`` (a mask, or increasing indices)
+    selects, in place: ``flat`` holds ``copies`` blocks of k states, and
+    each block's kept entries move, in order, to the front of its new
+    place. Returns the new block size k'. Block i moves to
+    [i k', (i + 1) k'), which ends at or before the old place of block
+    i + 1, so no block overwrites one not yet moved; one block's kept
+    entries are the only temporary."""
+    for i in range(copies):
+        block = flat[i * k : (i + 1) * k][keep]
+        flat[i * block.size : (i + 1) * block.size] = block
+    return block.size
 
-    The open walkers' states live in one compacted array per copy, moved in
-    place by the sampler and compressed only on the steps where some walker
-    hits, so a step costs O(open walkers x log d), d the largest row
-    support, beside the sampler's fixed scratch."""
+
+def _walk_until(P: StochasticMatrix, states: np.ndarray, hit, tau, max_steps: int, rng) -> None:
+    """The one simulation loop. ``states`` is a C-contiguous (copies,
+    walkers) intp array: walker j starts at ``states[:, j]``, one state per
+    chain copy, and is open while tau[j] < 0. At step t = 1..max_steps each
+    open walker moves every copy by one draw of a :class:`_Sampler` built
+    once for the walk; tau[j] = t where ``hit(*new_states)`` holds. Fills
+    ``tau`` in place; walkers open after max_steps stay so.
+
+    The walk takes ``states`` over as its buffer (the caller's values are
+    overwritten): the open walkers' states stay in it as one flat array,
+    every copy's in turn (copy 0 first), moved by one sampler call per step.
+    The uniforms come in walker order, so the draws are those of one call
+    per copy. The buffer is compacted in place, copy by copy, only on the
+    steps where some walker hits. A draw costs one guide lookup and log2(H)
+    halvings, so a step costs O(open walkers x copies x log H) beside the
+    sampler's fixed scratch."""
     sampler = _Sampler(P.entries)
+    flat = states.reshape(-1)
+    copies, k = states.shape
     idx = np.flatnonzero(tau < 0)
-    states = [w[idx] for w in walkers]
+    if idx.size < k:
+        k = _compact(flat, copies, k, idx)
     for t in range(1, max_steps + 1):
-        if idx.size == 0:
+        if k == 0:
             break
-        for s in states:
-            sampler.step(s, rng)
-        met = hit(*states)
+        sampler.step(flat[: copies * k], rng)
+        met = hit(*(flat[i * k : (i + 1) * k] for i in range(copies)))
         if met.any():
             tau[idx[met]] = t
             np.logical_not(met, out=met)
             idx = idx[met]
-            for i, s in enumerate(states):
-                states[i] = s[met]
+            k = _compact(flat, copies, k, met)
 
 
 # ---------------------------------------------------------------------------

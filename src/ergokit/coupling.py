@@ -19,7 +19,7 @@ import numpy as np
 from .chain import Distribution, StochasticMatrix, StateSpace, check_stationary
 from .chain import _Sampler, _check_at_least, _check_walk, _walk_until, orbit
 from .envelope import delta_curve
-from .errors import MarginalMismatchError, NeverMetError
+from .errors import ArgumentRangeError, MarginalMismatchError, NeverMetError
 from .structure import analyze, require_ergodic
 
 
@@ -45,7 +45,12 @@ class CouplingTrace:
     truncated: int  # runs that hit max_steps without meeting (excluded)
 
     def tail(self, i: int) -> float:
-        """Empirical Pr(tau > i) over the completed runs."""
+        """Empirical Pr(tau > i) over the completed runs; NeverMetError
+        when every run was truncated."""
+        if self.tau_samples.size == 0:
+            raise NeverMetError(
+                f"no completed run: all {self.truncated} runs hit max_steps without meeting"
+            )
         return float((self.tau_samples > i).mean())
 
 
@@ -89,13 +94,33 @@ def product_ergodicity(P: StochasticMatrix) -> bool:
     return verdict
 
 
+def _meeting_targets(mode) -> tuple:
+    """The states a meeting mode names: none for "meet_anywhere", (t,) for
+    ("meet_at_state", t). Any other mode is an ArgumentRangeError."""
+    if isinstance(mode, str) and mode == "meet_anywhere":
+        return ()
+    if isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "meet_at_state":
+        return (mode[1],)
+    raise ArgumentRangeError(
+        f"unknown meeting mode {mode!r}: not \"meet_anywhere\" or (\"meet_at_state\", t)"
+    )
+
+
+def _check_coupling(P: StochasticMatrix, start, mode, trials: int) -> None:
+    """Reject a malformed mode, a start that is not a pair of states of P, a
+    target that is not a state of P and fewer than one trial."""
+    targets = _meeting_targets(mode)
+    if len(start) != 2:
+        raise ArgumentRangeError(f"start {start!r} is not a pair of states")
+    _check_walk(P, tuple(start) + targets, trials)
+
+
 def _meeting_mask(x: np.ndarray, y: np.ndarray, mode) -> np.ndarray:
+    """Where the pair meets, for a mode :func:`_meeting_targets` accepts."""
     if mode == "meet_anywhere":
         return x == y
-    if isinstance(mode, tuple) and mode[0] == "meet_at_state":
-        t = mode[1]
-        return (x == t) & (y == t)
-    raise ValueError(f"unknown meeting mode {mode!r}")
+    t = mode[1]
+    return (x == t) & (y == t)
 
 
 def simulate_coupling(
@@ -112,15 +137,14 @@ def simulate_coupling(
     and reported in `truncated`. Deterministic for a fixed seed: all trials
     advance in lockstep from a single generator.
     """
-    target = (mode[1],) if isinstance(mode, tuple) else ()
-    _check_walk(P, tuple(start) + target, trials)
+    _check_coupling(P, start, mode, trials)
     _check_at_least("max_steps", max_steps, 1)
     require_ergodic(P, "meeting of two independent copies")
-    x = np.full(trials, start[0])
-    y = np.full(trials, start[1])
-    tau = np.where(_meeting_mask(x, y, mode), 0, -1)
+    states = np.empty((2, trials), dtype=np.intp)
+    states[0], states[1] = start
+    tau = np.where(_meeting_mask(*states, mode), 0, -1)
     _walk_until(
-        P, (x, y), lambda a, b: _meeting_mask(a, b, mode), tau, max_steps,
+        P, states, lambda a, b: _meeting_mask(a, b, mode), tau, max_steps,
         np.random.default_rng(seed),
     )
     truncated = int((tau < 0).sum())
@@ -141,6 +165,7 @@ def stick(
     The result satisfies now-equals-forever with respect to x: it equals
     x from tau onward (at tau the two paths agree by definition).
     """
+    _meeting_targets(mode)
     if len(x_path) != len(y_path):
         raise ValueError("paths must have equal length")
     x = np.asarray(x_path)
@@ -160,8 +185,7 @@ def exact_meeting_tail(
     point mass at `start`, each step is M <- P^T M P with the meeting set
     zeroed, and the tail is M's sum. Serves as the oracle for the simulation;
     O(n^2) memory and O(n^3) per step, at any n."""
-    target = (mode[1],) if isinstance(mode, tuple) else ()
-    _check_walk(P, tuple(start) + target, 1)
+    _check_coupling(P, start, mode, 1)
     _check_at_least("horizon", horizon, 0)
     met = _meeting_mask(*np.indices((P.n, P.n)), mode)
     M = np.zeros((P.n, P.n))
@@ -220,11 +244,11 @@ def verify_coupling_lemma(
     require_ergodic(P, "coupling lemma check")
     check_stationary(P, pi)
     rng = np.random.default_rng(seed)
-    x = np.zeros(trials, dtype=np.intp)
-    _Sampler(pi.probs[None, :]).step(x, rng)
-    y = np.full(trials, start_y)
-    tau = np.where(x == y, 0, -1)
-    _walk_until(P, (x, y), np.equal, tau, horizon, rng)
+    states = np.zeros((2, trials), dtype=np.intp)  # X from pi, Y at start_y
+    _Sampler(pi.probs[None, :]).step(states[0], rng)
+    states[1] = start_y
+    tau = np.where(states[0] == states[1], 0, -1)
+    _walk_until(P, states, np.equal, tau, horizon, rng)
     tau[tau < 0] = horizon + 1  # censored beyond horizon
 
     point = np.zeros(P.n)

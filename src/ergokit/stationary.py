@@ -363,7 +363,7 @@ def monte_carlo_return(
     require_irreducible(P, "Monte Carlo return time")
     times = np.full(trials, -1, dtype=np.int64)
     _walk_until(
-        P, (np.full(trials, z),), lambda s: s == z, times, max_steps,
+        P, np.full((1, trials), z, dtype=np.intp), lambda s: s == z, times, max_steps,
         np.random.default_rng(seed),
     )
     if (times < 0).any():

@@ -137,6 +137,13 @@ class TestSimulateCoupling:
         tails = [trace.tail(i) for i in range(15)]
         assert all(b <= a for a, b in zip(tails, tails[1:]))
 
+    def test_tail_of_all_truncated_runs(self):
+        # antipodal on the 3-cube: no pair meets in one step
+        trace = ek.simulate_coupling(gen.lazy_hypercube(3), (0, 7), trials=5, max_steps=1)
+        assert trace.truncated == 5
+        with pytest.raises(NeverMetError, match="all 5 runs"):
+            trace.tail(0)
+
     def test_matches_exact_absorbing_tail(self, two_state_chain):
         trials = 100_000
         trace = ek.simulate_coupling(
@@ -265,17 +272,44 @@ class TestArgumentRanges:
             lambda P, pi: exact_meeting_tail(P, (0, 1), 3, mode=("meet_at_state", 9)),
             lambda P, pi: exact_meeting_tail(P, (0, 1), -2),
             lambda P, pi: exact_meeting_tail(P, (0, 9), 3),
+            lambda P, pi: ek.simulate_coupling(P, (0.5, 1)),
+            lambda P, pi: ek.monte_carlo_return(P, 1.5, trials=10, seed=0),
+            lambda P, pi: ek.verify_coupling_lemma(P, pi, start_y=1.5),
+            lambda P, pi: exact_meeting_tail(P, (0.5, 1), 3),
+            lambda P, pi: ek.simulate_coupling(P, (0, 1), mode=("meet_at_state", 0.5)),
+            lambda P, pi: ek.simulate_coupling(P, (0, 1), mode=("meet_at_state",)),
+            lambda P, pi: ek.simulate_coupling(P, (0, 1), mode="nope"),
+            lambda P, pi: exact_meeting_tail(P, (0, 1), 3, mode="nope"),
+            lambda P, pi: ek.stick([0, 1], [1, 1], mode="nope"),
+            lambda P, pi: ek.simulate_coupling(P, (0, 1, 1)),
         ],
         ids=[
             "start", "target", "trials", "lemma_start", "anchor", "return_trials",
             "lemma_horizon", "max_steps", "return_max_steps", "exact_start",
             "exact_negative_start", "exact_target", "exact_horizon", "exact_far_start",
+            "float_start", "float_anchor", "float_lemma_start", "exact_float_start",
+            "float_target", "short_mode", "unknown_mode", "exact_unknown_mode",
+            "stick_unknown_mode", "triple_start",
         ],
     )
-    def test_rejected_before_any_step(self, two_state_chain, call):
+    def test_rejected_before_any_step(self, two_state_chain, call, monkeypatch):
         pi = ek.stationary_linear(two_state_chain).pi
+
+        def no_walk(*args):
+            raise AssertionError("a walk started")
+
+        monkeypatch.setattr(ek.coupling, "_walk_until", no_walk)
+        monkeypatch.setattr(ek.stationary, "_walk_until", no_walk)
         with pytest.raises(ArgumentRangeError):
             call(two_state_chain, pi)
+
+    def test_numpy_integer_states_accepted(self, two_state_chain):
+        pi = ek.stationary_linear(two_state_chain).pi
+        one = np.int64(1)
+        assert ek.simulate_coupling(two_state_chain, (np.int64(0), one), trials=50).trials == 50
+        assert ek.monte_carlo_return(two_state_chain, one, trials=50, seed=0)[0] > 0
+        assert ek.verify_coupling_lemma(two_state_chain, pi, start_y=one, trials=50).trials == 50
+        assert exact_meeting_tail(two_state_chain, (0, one), 3, mode=("meet_at_state", one))[0] == 1.0
 
     @pytest.mark.parametrize(
         "P", [gen.uniform(7), gen.lazy_hypercube(7)], ids=["uniform7", "lazy_hypercube7"]
@@ -458,8 +492,63 @@ def sampler_cases(draw):
     return a, states, draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def dyadic_cases(draw):
+    """A table whose entries are multiples of 2^-k, k <= 6, so that every
+    cumulative sum is exact and sits on a guide bucket edge (where 2^k is at
+    most the bucket count), walker states and a seed."""
+    n = draw(st.integers(1, 9))
+    units = 1 << draw(st.integers(0, 6))
+    rows = []
+    for _ in range(n):
+        cuts = sorted(draw(st.lists(st.integers(0, units), min_size=n - 1, max_size=n - 1)))
+        rows.append(np.diff([0, *cuts, units]) / units)
+    states = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8))
+    return np.array(rows), np.array(states), draw(st.integers(0, 2**32 - 1))
+
+
+def _edge_uniforms(m: int) -> np.ndarray:
+    """Every guide bucket edge b / m and the float just below each."""
+    edges = np.arange(m) / m
+    return np.concatenate([edges, np.nextafter(edges[1:], 0.0), [np.nextafter(1.0, 0.0)]])
+
+
 class TestSampler:
-    @given(sampler_cases())
+    def test_crowded_bucket_searches_the_whole_row(self):
+        # 15 tiny entries share bucket 0 of row 0, so H = w = 16: the
+        # guide entry is 0 there and the halvings cover the whole row
+        row = np.full(16, 1e-12)
+        row[-1] = 1.0 - 15e-12
+        a = np.vstack([row, np.roll(np.eye(16)[0], 1)])
+        sampler = _Sampler(a)
+        assert sampler.cum.shape[1] == 16 and len(sampler._halvings) == 4
+        u = np.concatenate(
+            [np.cumsum(row)[:15], np.nextafter(np.cumsum(row)[:15], 0.0), [0.0, 0.5]]
+        )
+        states = np.zeros(u.size, dtype=np.intp)
+        got = _draw(a, states, u)
+        assert got.tolist() == _support_draw(a, states, u)
+        assert sorted(set(got.tolist())) == list(range(16))
+
+    def test_single_support_rows_need_no_halving(self):
+        P = gen.cycle(5)
+        sampler = _Sampler(P.entries)
+        assert sampler.cum.shape == (5, 1) and sampler._halvings == []
+        states = np.arange(5).repeat(3)
+        got = _draw(P.entries, states, [0.0, 0.5, np.nextafter(1.0, 0.0)] * 5)
+        assert got.tolist() == ((states + 1) % 5).tolist()
+        assert ek.monte_carlo_return(P, z=2, trials=100, seed=0) == (5.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "P, halvings",
+        [(gen.lazy_hypercube(7), 1), (gen.top_to_random(5), 1), (gen.uniform(64), 1)],
+        ids=["lazy_hypercube7", "top_to_random5", "uniform64"],
+    )
+    def test_halvings_after_the_guide(self, P, halvings):
+        # a search of the whole row takes log2(w) = 3, 3 and 6 halvings
+        assert len(_Sampler(P.entries)._halvings) == halvings
+
+    @given(st.one_of(sampler_cases(), dyadic_cases()))
     @settings(max_examples=200, deadline=None)
     def test_matches_support_count(self, case):
         a, states, seed = case
@@ -482,6 +571,13 @@ class TestSampler:
         interior = (u > 0) & (u <= cum[states, last[states]])
         old = _advance(states, cum, _Uniforms(u))
         assert got[interior].tolist() == old[interior].tolist()
+        # every guide bucket edge and the float just below it, from every state
+        u = _edge_uniforms(_Sampler(a).m)
+        grid = np.repeat(states, u.size)
+        u = np.tile(u, states.size)
+        got = _draw(a, grid, u)
+        assert got.tolist() == _support_draw(a, grid, u)
+        assert (a[grid, got] > 0).all()
 
     def test_zero_uniform_skips_a_leading_zero_column(self):
         a = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
@@ -552,8 +648,42 @@ class TestChunkBoundaries:
         assert ek.monte_carlo_return(self.P, z=2, trials=trials, seed=5) == (mean, se)
 
 
+class TestOneStepCall:
+    def test_one_sampler_call_per_step(self, monkeypatch):
+        # both copies start at 0 and meet only at 127, seven bits away
+        calls = []
+        step = _Sampler.step
+
+        def spy(self, states, rng):
+            calls.append(states.size)
+            step(self, states, rng)
+
+        monkeypatch.setattr(_Sampler, "step", spy)
+        trace = ek.simulate_coupling(
+            gen.lazy_hypercube(7), (0, 0), mode=("meet_at_state", 127), trials=50, max_steps=5
+        )
+        assert trace.truncated == 50
+        assert calls == [100] * 5
+
+
 class TestScratchSize:
     P = gen.lazy_hypercube(7)
+
+    def test_build_peak_is_one_guide_sized_temporary(self):
+        a = np.random.default_rng(0).random((80, 80)) + 0.05
+        a /= a.sum(axis=1, keepdims=True)
+        _Sampler(a)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            sampler = _Sampler(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = sum(x.nbytes for x in vars(sampler).values() if isinstance(x, np.ndarray))
+        n, m = 80, sampler.m
+        assert m == 256
+        assert peak - before <= own + n * m * np.dtype(np.intp).itemsize
 
     def test_step_allocates_nothing_per_walker(self):
         sampler = _Sampler(self.P.entries)
