@@ -355,7 +355,9 @@ class _Sampler:
     d_i - 1). Each entry is clamped to w - H, so the halvings never leave
     the row, and stored as a flat slot index of the table. The draw is the
     same slot as a search of the whole row, bit for bit: H = 2 on
-    ``lazy_hypercube(7)``, one halving where the row search takes three."""
+    ``lazy_hypercube(7)``, one halving where the row search takes three.
+    Where H = w the guide cannot narrow the search (every entry is the row's
+    first slot), so the sampler keeps none and starts each search there."""
 
     def __init__(self, rows: np.ndarray):
         n = rows.shape[0]
@@ -370,6 +372,8 @@ class _Sampler:
         self.cum[np.arange(n), d - 1] = 1.0
         self.cols = np.zeros(self.cum.shape, dtype=np.intp)
         self.cols[slots] = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)[support]
+        # each temporary goes once used, so the build's peak stays within
+        # the sampler's own arrays plus one n x m intp array
         del support, slots
         # every slot counted once, at 1 + its bucket (the last bucket and
         # beyond in one: those never lower a guide entry), in rows of m + 1
@@ -391,7 +395,10 @@ class _Sampler:
         np.maximum(span, d - 1 - (guide[:, m - 1] - base), out=span)
         H = 1 << int(span.max()).bit_length()
         np.minimum(guide, (base + w - H)[:, None], out=guide)
-        self.guide = guide
+        # with H = w every entry is clamped to its row's base, i * w, so the
+        # search starts there without the lookup (on every two-state chain)
+        self.guide = guide if H < w else None
+        self.w = w
         self.m = m
         # halving h reads flat slot pos + h - 1, as slot pos of a view that
         # starts h - 1 slots in
@@ -408,14 +415,15 @@ class _Sampler:
         intp array), with one uniform each, taken in walker order.
 
         ``_CHUNK`` walkers at a time, writing only into the sampler's
-        scratch: bucket b = floor(u * m), ``pos`` the guide entry (s, b),
-        the flat index of the first slot not known to be below u, and then
-        a branchless binary search: each halving h moves ``pos`` h further
-        where the slot h - 1 on is still below u. Draws come in walker order
+        scratch: bucket b = floor(u * m), ``pos`` the guide entry (s, b)
+        (without a guide, row s's first slot, s * w), the flat index of the
+        first slot not known to be below u, and then a branchless binary
+        search: each halving h moves ``pos`` h further where the slot h - 1
+        on is still below u. Draws come in walker order
         whatever the chunking, since ``rng.random(a)`` then
         ``rng.random(b)`` is the stream of ``rng.random(a + b)``."""
         cols = self.cols.reshape(-1)
-        guide = self.guide.reshape(-1)
+        guide = None if self.guide is None else self.guide.reshape(-1)
         # take() with an out array buffers it unless mode is "clip" or
         # "wrap"; every index here is in range, so clipping changes nothing
         for lo in range(0, states.size, _CHUNK):
@@ -425,11 +433,14 @@ class _Sampler:
                 a[:k] for a in (self._u, self._values, self._mask, self._jump, self._pos)
             )
             rng.random(out=u)
-            np.multiply(u, self.m, out=values)
-            np.copyto(pos, values, casting="unsafe")  # floor: u * m >= 0
-            np.multiply(s, self.m + 1, out=jump)
-            jump += pos
-            guide.take(jump, out=pos, mode="clip")
+            if guide is None:
+                np.multiply(s, self.w, out=pos)
+            else:
+                np.multiply(u, self.m, out=values)
+                np.copyto(pos, values, casting="unsafe")  # floor: u * m >= 0
+                np.multiply(s, self.m + 1, out=jump)
+                jump += pos
+                guide.take(jump, out=pos, mode="clip")
             for ahead, h in self._halvings:
                 ahead.take(pos, out=values, mode="clip")
                 np.less(values, u, out=mask)

@@ -515,13 +515,14 @@ def _edge_uniforms(m: int) -> np.ndarray:
 
 class TestSampler:
     def test_crowded_bucket_searches_the_whole_row(self):
-        # 15 tiny entries share bucket 0 of row 0, so H = w = 16: the
-        # guide entry is 0 there and the halvings cover the whole row
+        # 15 tiny entries share bucket 0 of row 0, so H = w = 16: the guide
+        # cannot narrow the search and the halvings cover the whole row
         row = np.full(16, 1e-12)
         row[-1] = 1.0 - 15e-12
         a = np.vstack([row, np.roll(np.eye(16)[0], 1)])
         sampler = _Sampler(a)
         assert sampler.cum.shape[1] == 16 and len(sampler._halvings) == 4
+        assert sampler.guide is None
         u = np.concatenate(
             [np.cumsum(row)[:15], np.nextafter(np.cumsum(row)[:15], 0.0), [0.0, 0.5]]
         )
