@@ -10,11 +10,13 @@ draw reads the guide entry of its uniform's bucket, the count of slots
 below the bucket's lower edge, and finishes with log2(H) halvings of a
 branchless binary search, H the power of two above the most slots one
 bucket holds: one halving on ``lazy_hypercube(7)`` where a search of the
-whole row takes three. The draw is the count of support slots below the
-uniform, bit for bit, so it never lands on a zero-probability state. The
-search runs ``_CHUNK`` walkers at a time in scratch arrays the sampler
-allocates once, and every chain copy of a walk moves in one sampler call
-per step, so no step allocates an array the size of the walker set.
+whole row takes three (where H = w the guide narrows nothing, and the
+search starts at the row's first slot). The draw is the count of support
+slots below the uniform, bit for bit, so it never lands on a
+zero-probability state. The search runs ``_CHUNK`` walkers at a time in
+scratch arrays the sampler allocates once, and every chain copy of a walk
+moves in one sampler call per step, so no step allocates an array the size
+of the walker set.
 
 All values are immutable after construction and all operations but the
 walker loop (which fills its caller's ``tau``, takes over its state buffer
@@ -451,18 +453,16 @@ class _Sampler:
             cols.take(pos, out=s, mode="clip")
 
 
-def _compact(flat: np.ndarray, copies: int, k: int, keep) -> int:
-    """Keep the walkers that ``keep`` (a mask, or increasing indices)
-    selects, in place: ``flat`` holds ``copies`` blocks of k states, and
-    each block's kept entries move, in order, to the front of its new
-    place. Returns the new block size k'. Block i moves to
-    [i k', (i + 1) k'), which ends at or before the old place of block
-    i + 1, so no block overwrites one not yet moved; one block's kept
-    entries are the only temporary."""
+def _compact(flat: np.ndarray, copies: int, k: int, keep: np.ndarray) -> int:
+    """Keep the walkers at the increasing indices ``keep``, in place:
+    ``flat`` holds ``copies`` blocks of k states, and each block's kept
+    entries move, in order, to the front of its new place. Returns the new
+    block size k'. Block i moves to [i k', (i + 1) k'), which ends at or
+    before the old place of block i + 1, so no block overwrites one not
+    yet moved; one block's kept entries are the only temporary."""
     for i in range(copies):
-        block = flat[i * k : (i + 1) * k][keep]
-        flat[i * block.size : (i + 1) * block.size] = block
-    return block.size
+        flat[i * keep.size : (i + 1) * keep.size] = flat[i * k : (i + 1) * k].take(keep)
+    return keep.size
 
 
 def _walk_until(P: StochasticMatrix, states: np.ndarray, hit, tau, max_steps: int, rng) -> None:
@@ -495,8 +495,10 @@ def _walk_until(P: StochasticMatrix, states: np.ndarray, hit, tau, max_steps: in
         if met.any():
             tau[idx[met]] = t
             np.logical_not(met, out=met)
-            idx = idx[met]
-            k = _compact(flat, copies, k, met)
+            keep = np.flatnonzero(met)
+            del met
+            idx = idx.take(keep)
+            k = _compact(flat, copies, k, keep)
 
 
 # ---------------------------------------------------------------------------
