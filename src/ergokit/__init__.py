@@ -10,14 +10,13 @@ from .chain import (
     Distribution,
     StateSpace,
     StochasticMatrix,
-    distance_from_stationary,
     evolve,
     load_chain,
     power,
     tv_distance,
     validate_stochastic,
 )
-from .structure import ErgodicityReport, analyze, build_graph, period_of, primitivity_exponent
+from .structure import ErgodicityReport, analyze, primitivity_exponent
 from .envelope import (
     EnvelopeTrace,
     MixingEstimate,
@@ -28,11 +27,9 @@ from .envelope import (
 )
 from .stationary import (
     Arborescence,
-    ReturnTimeTable,
     StationaryResult,
     enumerate_arborescences,
     monte_carlo_return,
-    return_time_table,
     stationary_by_power,
     stationary_by_return_time,
     stationary_by_trees,
@@ -67,16 +64,13 @@ __all__ = [
     "ErgodicityReport",
     "MixingEstimate",
     "ProductChain",
-    "ReturnTimeTable",
     "SpectralCheck",
     "StateSpace",
     "StationaryResult",
     "StochasticMatrix",
     "analyze",
-    "build_graph",
     "build_product_chain",
     "convergence_by_coupling",
-    "distance_from_stationary",
     "doeblin_split",
     "enumerate_arborescences",
     "envelope_iterate",
@@ -85,11 +79,9 @@ __all__ = [
     "load_chain",
     "mixing_estimate",
     "monte_carlo_return",
-    "period_of",
     "power",
     "primitivity_exponent",
     "product_ergodicity",
-    "return_time_table",
     "simulate_coupling",
     "spectral_check",
     "stationary_by_envelope",

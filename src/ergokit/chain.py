@@ -73,9 +73,6 @@ class StateSpace:
     def size(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     # a private copy: a caller's array (or a view of one) stays writable
@@ -111,11 +108,6 @@ class StochasticMatrix:
 
     def min_entry(self) -> float:
         return float(self.entries.min())
-
-    def __matmul__(self, other: "StochasticMatrix") -> "StochasticMatrix":
-        if self.space != other.space:
-            raise SpaceMismatchError("matrix product across different state spaces")
-        return StochasticMatrix(self.space, self.entries @ other.entries)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -284,14 +276,6 @@ def tv_curve(P: StochasticMatrix, pi: Distribution):
     return (_tv_rows(S, pi.probs) for S in orbit(np.eye(P.n), P.entries))
 
 
-def distance_from_stationary(P: StochasticMatrix, pi: Distribution, t: int) -> float:
-    """Worst-case (over starting states) TV distance of P^t rows from pi."""
-    check_stationary(P, pi)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return _tv_rows(power(P, t).entries, pi.probs)
-
-
 def check_stationary(
     P: StochasticMatrix, pi: Distribution, tol: float = STATIONARY_RESIDUAL_TOL
 ) -> None:
@@ -309,7 +293,16 @@ def stationary_residual(P: StochasticMatrix, pi: np.ndarray) -> float:
     return float(np.abs(pi @ P.entries - pi).max())
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a value that is not an integer (numpy integers pass)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ArgumentRangeError(f"{name} {value!r} is not an integer") from None
+
+
 def _check_at_least(name: str, value: int, least: int) -> None:
+    _check_integer(name, value)
     if value < least:
         raise ArgumentRangeError(f"{name} must be >= {least}, got {value}")
 
@@ -318,10 +311,7 @@ def _check_walk(P: StochasticMatrix, states, trials: int) -> None:
     """Reject start or target states that are not integers in 0..n-1, and
     fewer than one trial."""
     for x in states:
-        try:
-            operator.index(x)
-        except TypeError:
-            raise ArgumentRangeError(f"state {x!r} is not an integer") from None
+        _check_integer("state", x)
         if not 0 <= x < P.n:
             raise ArgumentRangeError(f"state {x} is not in 0..{P.n - 1}")
     _check_at_least("trials", trials, 1)
@@ -377,31 +367,35 @@ class _Sampler:
         # each temporary goes once used, so the build's peak stays within
         # the sampler's own arrays plus one n x m intp array
         del support, slots
-        # every slot counted once, at 1 + its bucket (the last bucket and
-        # beyond in one: those never lower a guide entry), in rows of m + 1
-        # counts; each row counts all w of its slots, so the flat running
-        # sum of the counts is row i's base i * w plus its guide entries
-        m = 2 * w
-        bucket = self.cum * m
-        np.minimum(bucket, m - 1, out=bucket)
-        keys = bucket.astype(np.intp)
-        del bucket
-        keys += 1 + (m + 1) * np.arange(n)[:, None]
-        guide = np.bincount(keys.reshape(-1), minlength=n * (m + 1)).reshape(n, m + 1)
-        del keys
-        # candidates past the guide entry: a bucket's own count, and in the
-        # last bucket the slots up to d_i - 1
-        span = guide[:, 1:m].max(axis=1)
-        np.cumsum(guide.reshape(-1), out=guide.reshape(-1))
-        base = w * np.arange(n)
-        np.maximum(span, d - 1 - (guide[:, m - 1] - base), out=span)
-        H = 1 << int(span.max()).bit_length()
-        np.minimum(guide, (base + w - H)[:, None], out=guide)
-        # with H = w every entry is clamped to its row's base, i * w, so the
-        # search starts there without the lookup (on every two-state chain)
-        self.guide = guide if H < w else None
         self.w = w
-        self.m = m
+        self.m = m = 2 * w
+        # a row of at most two slots always has H = w (every two-state
+        # chain), so the guide below would narrow nothing
+        H, self.guide = w, None
+        if w > 2:
+            # every slot counted once, at 1 + its bucket (the last bucket
+            # and beyond in one: those never lower a guide entry), in rows
+            # of m + 1 counts; each row counts all w of its slots, so the
+            # flat running sum of the counts is row i's base i * w plus its
+            # guide entries
+            bucket = self.cum * m
+            np.minimum(bucket, m - 1, out=bucket)
+            keys = bucket.astype(np.intp)
+            del bucket
+            keys += 1 + (m + 1) * np.arange(n)[:, None]
+            guide = np.bincount(keys.reshape(-1), minlength=n * (m + 1)).reshape(n, m + 1)
+            del keys
+            # candidates past the guide entry: a bucket's own count, and in
+            # the last bucket the slots up to d_i - 1
+            span = guide[:, 1:m].max(axis=1)
+            np.cumsum(guide.reshape(-1), out=guide.reshape(-1))
+            base = w * np.arange(n)
+            np.maximum(span, d - 1 - (guide[:, m - 1] - base), out=span)
+            H = 1 << int(span.max()).bit_length()
+            np.minimum(guide, (base + w - H)[:, None], out=guide)
+            # with H = w every entry is clamped to its row's base, i * w, so
+            # the search starts there without the lookup
+            self.guide = guide if H < w else None
         # halving h reads flat slot pos + h - 1, as slot pos of a view that
         # starts h - 1 slots in
         flat = self.cum.reshape(-1)

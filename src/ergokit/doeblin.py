@@ -44,12 +44,6 @@ class TVBoundCurve:
     rows: tuple[tuple[int, float, float], ...]  # (n, exact d(n), theta^n)
     passed: bool
 
-    def to_csv(self) -> str:
-        lines = ["n,d_exact,theta_pow"]
-        for n, d, b in self.rows:
-            lines.append(f"{n},{d:.17g},{b:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class SpectralCheck:

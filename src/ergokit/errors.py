@@ -49,10 +49,6 @@ class NotPositiveError(ErgokitError):
     """The matrix has a zero entry where strict positivity is required."""
 
 
-class NoClosedWalkError(ErgokitError):
-    """The state lies on no closed walk; its period is undefined."""
-
-
 class MonotonicityViolationError(ErgokitError):
     """Envelope sequences lost monotonicity; signals a numerical fault."""
 

@@ -65,13 +65,6 @@ class Arborescence:
     weight: float
 
 
-@dataclass(frozen=True)
-class ReturnTimeTable:
-    anchor: int
-    visit_counts: np.ndarray  # expected visits per state before first return
-    expected_return: float
-
-
 def stationary_linear(P: StochasticMatrix) -> StationaryResult:
     """Solve pi (P - I) = 0 with sum(pi) = 1 by a dense partial-pivot solve.
 
@@ -270,29 +263,6 @@ def stationary_by_trees(P: StochasticMatrix, mode: str = "determinant") -> Stati
         method=f"tree_{mode}",
         residual=stationary_residual(P, pi),
         evidence=evidence,
-    )
-
-
-def return_time_table(P: StochasticMatrix, z: int) -> ReturnTimeTable:
-    """Expected visits to each state before the first return to z.
-
-    The defining infinite sum collapses exactly: with Q the matrix P
-    restricted away from z and b the z-row off z, the visit vector is
-    v = b (I - Q)^{-1}, and the anchor itself is visited once.
-    """
-    require_irreducible(P, "return-time table")
-    others = [y for y in range(P.n) if y != z]
-    Q = P.entries[np.ix_(others, others)]
-    b = P.entries[z, others]
-    try:
-        v = np.linalg.solve((np.eye(len(others)) - Q).T, b)
-    except np.linalg.LinAlgError as e:
-        raise SingularSystemError(f"I - Q singular for anchor {z}: {e}") from e
-    visits = np.empty(P.n)
-    visits[z] = 1.0
-    visits[others] = v
-    return ReturnTimeTable(
-        anchor=z, visit_counts=visits, expected_return=float(visits.sum())
     )
 
 

@@ -3,11 +3,14 @@
 Irreducibility via strongly connected components, the period of each class
 via one BFS level-gcd, and the primitivity exponent (least m with P^m
 entrywise positive) via boolean matrix powering. Structure is read off the
-exact zero pattern of the matrix: a structural zero means exactly 0.0.
+exact zero pattern of the matrix: a structural zero means exactly 0.0, and
+the graph is P's out-neighbour lists, ``adj[i]`` the columns j with
+P(i, j) > 0 in ascending order.
 
-The structural report is computed once per matrix: :func:`analyze` does one
-O(n + E) pass over the transition graph (a single Tarjan run, then one BFS
-per class) and keeps the result in the per-matrix memo of the frozen
+The structural report is computed once per matrix: :func:`analyze` builds
+the out-neighbour lists and does one O(n + E) pass over them (a single
+Tarjan run, then one BFS per class) and keeps the result in the per-matrix
+memo of the frozen
 :class:`~ergokit.chain.StochasticMatrix` (:func:`~ergokit.chain._memoized`),
 next to the linear-solve pi and the lift P^m that other modules keep there.
 Every other module asks :func:`analyze` instead of recomputing.
@@ -23,20 +26,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .chain import StateSpace, StochasticMatrix, _first_power, _memoized
-from .errors import NoClosedWalkError, NotErgodicError, NotIrreducibleError
-
-
-@dataclass(frozen=True)
-class TransitionGraph:
-    """Directed graph with an edge (i, j) iff P(i, j) > 0."""
-
-    vertices: StateSpace
-    edges: tuple[tuple[int, ...], ...]  # out-neighbor indices per vertex
-
-    @property
-    def n(self) -> int:
-        return self.vertices.size
+from .chain import StochasticMatrix, _first_power, _memoized
+from .errors import NotErgodicError, NotIrreducibleError
 
 
 @dataclass(frozen=True)
@@ -68,17 +59,10 @@ class ErgodicityReport:
         )
 
 
-def build_graph(P: StochasticMatrix) -> TransitionGraph:
-    adj = tuple(
-        tuple(int(j) for j in np.flatnonzero(P.entries[i] > 0.0))
-        for i in range(P.n)
-    )
-    return TransitionGraph(P.space, adj)
-
-
-def strongly_connected_components(G: TransitionGraph) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
-    n = G.n
+def strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
+    """Tarjan's algorithm, iterative, over out-neighbour lists; components
+    in reverse topological order."""
+    n = len(adj)
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
@@ -98,8 +82,8 @@ def strongly_connected_components(G: TransitionGraph) -> list[list[int]]:
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            for k in range(ei, len(G.edges[v])):
-                w = G.edges[v][k]
+            for k in range(ei, len(adj[v])):
+                w = adj[v][k]
                 if index[w] == -1:
                     work[-1] = (v, k + 1)
                     work.append((w, 0))
@@ -125,12 +109,7 @@ def strongly_connected_components(G: TransitionGraph) -> list[list[int]]:
     return sccs
 
 
-def is_irreducible(G: TransitionGraph) -> tuple[bool, list[list[int]]]:
-    sccs = strongly_connected_components(G)
-    return len(sccs) == 1, sccs
-
-
-def _class_period(G: TransitionGraph, members: set[int], s: int) -> int:
+def _class_period(adj: list[list[int]], members: set[int], s: int) -> int:
     """gcd of level(u) + 1 - level(v) over the edges (u, v) inside the
     strongly connected class `members`, with levels from a BFS started at
     its member s.
@@ -144,27 +123,16 @@ def _class_period(G: TransitionGraph, members: set[int], s: int) -> int:
     while queue:
         nxt = []
         for u in queue:
-            for w in G.edges[u]:
+            for w in adj[u]:
                 if w in members and w not in level:
                     level[w] = level[u] + 1
                     nxt.append(w)
         queue = nxt
     g = 0
     for u in level:
-        for w in G.edges[u]:
+        for w in adj[u]:
             if w in members:
                 g = math.gcd(g, level[u] + 1 - level[w])
-    return g
-
-
-def period_of(G: TransitionGraph, s: int) -> int:
-    """gcd of the lengths of all closed walks through s."""
-    comp = next(c for c in strongly_connected_components(G) if s in c)
-    g = _class_period(G, set(comp), s)
-    if g == 0:
-        raise NoClosedWalkError(
-            f"state {G.vertices.labels[s]!r} lies on no closed walk"
-        )
     return g
 
 
@@ -195,11 +163,11 @@ def primitivity_exponent(P: StochasticMatrix) -> int:
 
 
 def _structural_report(P: StochasticMatrix) -> ErgodicityReport:
-    G = build_graph(P)
-    sccs = strongly_connected_components(G)
+    adj = [np.flatnonzero(row > 0.0).tolist() for row in P.entries]
+    sccs = strongly_connected_components(adj)
     period: list[int | None] = [None] * P.n
     for comp in sccs:
-        g = _class_period(G, set(comp), comp[0])
+        g = _class_period(adj, set(comp), comp[0])
         for v in comp:
             period[v] = g or None
     labels = P.space.labels

@@ -1,8 +1,12 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from ergokit import StochasticMatrix, validate_stochastic
 from ergokit import generators as gen
+from ergokit.errors import SingularSystemError
+from ergokit.structure import require_irreducible
 
 
 def labels(n):
@@ -42,6 +46,38 @@ def random_ergodic(rng, n) -> StochasticMatrix:
     i = int(rng.integers(0, n))
     a[i, i] += 0.5
     return from_array(a / a.sum(axis=1, keepdims=True))
+
+
+# One taboo solve per anchor: the oracle for the Woodbury return times of
+# ergokit.stationary_by_return_time.
+@dataclass(frozen=True)
+class ReturnTimeTable:
+    anchor: int
+    visit_counts: np.ndarray  # expected visits per state before first return
+    expected_return: float
+
+
+def return_time_table(P: StochasticMatrix, z: int) -> ReturnTimeTable:
+    """Expected visits to each state before the first return to z.
+
+    The defining infinite sum collapses exactly: with Q the matrix P
+    restricted away from z and b the z-row off z, the visit vector is
+    v = b (I - Q)^{-1}, and the anchor itself is visited once.
+    """
+    require_irreducible(P, "return-time table")
+    others = [y for y in range(P.n) if y != z]
+    Q = P.entries[np.ix_(others, others)]
+    b = P.entries[z, others]
+    try:
+        v = np.linalg.solve((np.eye(len(others)) - Q).T, b)
+    except np.linalg.LinAlgError as e:
+        raise SingularSystemError(f"I - Q singular for anchor {z}: {e}") from e
+    visits = np.empty(P.n)
+    visits[z] = 1.0
+    visits[others] = v
+    return ReturnTimeTable(
+        anchor=z, visit_counts=visits, expected_return=float(visits.sum())
+    )
 
 
 @pytest.fixture

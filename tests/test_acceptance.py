@@ -9,17 +9,19 @@ import io
 import json
 import time
 from contextlib import redirect_stdout
+from itertools import islice
 
 import numpy as np
 import pytest
 
 import ergokit as ek
 from ergokit import generators as gen
+from ergokit.chain import tv_curve
 from ergokit.cli import main as cli_main
 from ergokit.errors import NotIrreducibleError
 from ergokit.stationary import check_balance
 
-from conftest import random_irreducible, random_positive
+from conftest import random_irreducible, random_positive, return_time_table
 
 
 def _positive_corpus(include_n2=False):
@@ -149,13 +151,13 @@ def test_criterion_06_return_time_identity(irreducible_corpus, ergodic_subset):
     for P in irreducible_corpus:
         pi = ek.stationary_linear(P).pi.probs
         for x in range(P.n):
-            table = ek.return_time_table(P, x)
+            table = return_time_table(P, x)
             worst = max(worst, abs(pi[x] * table.expected_return - 1.0))
     assert worst <= 1e-8
 
     mc_checked = 0
     for P in ergodic_subset[:10]:
-        exact = ek.return_time_table(P, 0).expected_return
+        exact = return_time_table(P, 0).expected_return
         mean, se = ek.monte_carlo_return(P, z=0, trials=100_000, seed=20240813)
         assert abs(mean - exact) <= 3.0 * max(se, 1e-12), (mean, exact, se)
         mc_checked += 1
@@ -199,16 +201,15 @@ def test_criterion_09_structural_counterexamples():
     flip = gen.flip()
     pi = ek.stationary_linear(flip).pi
     assert np.allclose(pi.probs, [0.5, 0.5])
-    for t in range(0, 31):
-        assert ek.distance_from_stationary(flip, pi, t) == pytest.approx(0.5)
+    for d in islice(tv_curve(flip, pi), 31):
+        assert d == pytest.approx(0.5)
 
     identity = ek.validate_stochastic(np.eye(3), ["a", "b", "c"])
     with pytest.raises(NotIrreducibleError):
         ek.stationary_linear(identity)
 
     product = ek.build_product_chain(flip).product_matrix
-    ok, _ = ek.structure.is_irreducible(ek.build_graph(product))
-    assert not ok
+    assert not ek.analyze(product).irreducible
     _report(9, "flip d(t)=0.5 for t<=30, identity and flip-product reducible")
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.chain import tv_curve
+from ergokit.chain import check_stationary, tv_curve
 from ergokit.errors import (
     ErgokitError,
     NegativeEntryError,
@@ -222,20 +222,20 @@ class TestTVDistance:
 
 
 class TestDistanceFromStationary:
+    """d(t) = max_x TV(P^t(x, .), pi), read off :func:`tv_curve`."""
+
     def test_flip_d0(self, flip_chain):
         pi = _dist(flip_chain, [0.5, 0.5])
-        assert ek.distance_from_stationary(flip_chain, pi, 0) == pytest.approx(0.5)
+        assert next(tv_curve(flip_chain, pi)) == pytest.approx(0.5)
 
     def test_flip_never_converges(self, flip_chain):
         pi = _dist(flip_chain, [0.5, 0.5])
-        for t in range(12):
-            assert ek.distance_from_stationary(flip_chain, pi, t) == pytest.approx(0.5)
+        for d in itertools.islice(tv_curve(flip_chain, pi), 12):
+            assert d == pytest.approx(0.5)
 
     def test_monotone_bounded_decay(self, two_state_chain):
         pi = ek.stationary_linear(two_state_chain).pi
-        ds = [
-            ek.distance_from_stationary(two_state_chain, pi, t) for t in range(20)
-        ]
+        ds = list(itertools.islice(tv_curve(two_state_chain, pi), 20))
         assert all(b <= a + 1e-12 for a, b in zip(ds, ds[1:]))
         assert ds[-1] < 1e-4
 
@@ -243,14 +243,15 @@ class TestDistanceFromStationary:
         pi = ek.stationary_linear(two_state_chain).pi
         curve = tv_curve(two_state_chain, pi)
         for t in range(15):
-            assert next(curve) == pytest.approx(
-                ek.distance_from_stationary(two_state_chain, pi, t), abs=1e-14
-            )
+            Pt = np.linalg.matrix_power(two_state_chain.entries, t)
+            direct = 0.5 * np.abs(Pt - pi.probs).sum(axis=1).max()
+            assert next(curve) == pytest.approx(direct, abs=1e-14)
 
     def test_not_stationary_guard(self, two_state_chain):
+        # the guard of every route that takes a caller's pi
         bogus = _dist(two_state_chain, [0.5, 0.5])
         with pytest.raises(NotStationaryError):
-            ek.distance_from_stationary(two_state_chain, bogus, 1)
+            check_stationary(two_state_chain, bogus)
 
 
 class TestMinEntry:

@@ -36,9 +36,9 @@ class TestProductChain:
 
     def test_flip_product_reducible(self, flip_chain):
         pc = ek.build_product_chain(flip_chain)
-        ok, sccs = ek.structure.is_irreducible(ek.build_graph(pc.product_matrix))
-        assert not ok
-        assert len(sccs) == 2  # diagonal pairs never meet off-diagonal ones
+        rep = ek.analyze(pc.product_matrix)
+        assert not rep.irreducible
+        assert len(rep.scc_decomposition) == 2  # diagonal pairs never meet off-diagonal ones
 
     @pytest.mark.parametrize("seed", range(6))
     def test_faithfulness_marginals(self, seed):
@@ -254,6 +254,27 @@ class TestConvergenceByCoupling:
             assert curve.discrepancies[n - 1] <= tail + 4 * se
 
 
+#: A non-integer count for each routine that takes one, and the count's name.
+NON_INTEGER_COUNTS = {
+    "float_trials": (lambda P, pi: ek.simulate_coupling(P, (0, 1), trials=2.5), "trials"),
+    "float_max_steps": (
+        lambda P, pi: ek.simulate_coupling(P, (0, 1), max_steps=2.5), "max_steps"
+    ),
+    "float_return_trials": (
+        lambda P, pi: ek.monte_carlo_return(P, 0, trials=10.5, seed=0), "trials"
+    ),
+    "float_lemma_horizon": (
+        lambda P, pi: ek.verify_coupling_lemma(P, pi, start_y=0, horizon=2.5), "horizon"
+    ),
+    "float_exact_horizon": (lambda P, pi: exact_meeting_tail(P, (0, 1), 2.5), "horizon"),
+    "float_max_iter": (lambda P, pi: ek.envelope_iterate(P, 0, max_iter=2.5), "max_iter"),
+    "float_max_n": (
+        lambda P, pi: ek.tv_bound_doeblin(ek.doeblin_split(P, pi), P, pi, max_n=2.5),
+        "max_n",
+    ),
+}
+
+
 class TestArgumentRanges:
     @pytest.mark.parametrize(
         "call",
@@ -282,6 +303,7 @@ class TestArgumentRanges:
             lambda P, pi: exact_meeting_tail(P, (0, 1), 3, mode="nope"),
             lambda P, pi: ek.stick([0, 1], [1, 1], mode="nope"),
             lambda P, pi: ek.simulate_coupling(P, (0, 1, 1)),
+            *(call for call, _ in NON_INTEGER_COUNTS.values()),
         ],
         ids=[
             "start", "target", "trials", "lemma_start", "anchor", "return_trials",
@@ -289,7 +311,7 @@ class TestArgumentRanges:
             "exact_negative_start", "exact_target", "exact_horizon", "exact_far_start",
             "float_start", "float_anchor", "float_lemma_start", "exact_float_start",
             "float_target", "short_mode", "unknown_mode", "exact_unknown_mode",
-            "stick_unknown_mode", "triple_start",
+            "stick_unknown_mode", "triple_start", *NON_INTEGER_COUNTS,
         ],
     )
     def test_rejected_before_any_step(self, two_state_chain, call, monkeypatch):
@@ -302,6 +324,26 @@ class TestArgumentRanges:
         monkeypatch.setattr(ek.stationary, "_walk_until", no_walk)
         with pytest.raises(ArgumentRangeError):
             call(two_state_chain, pi)
+
+    @pytest.mark.parametrize("case", NON_INTEGER_COUNTS)
+    def test_non_integer_count_named(self, two_state_chain, case):
+        call, name = NON_INTEGER_COUNTS[case]
+        pi = ek.stationary_linear(two_state_chain).pi
+        with pytest.raises(ArgumentRangeError, match=f"^{name} [0-9.]+ is not an integer$"):
+            call(two_state_chain, pi)
+
+    def test_numpy_integer_counts_accepted(self, two_state_chain):
+        pi = ek.stationary_linear(two_state_chain).pi
+        six = np.int64(6)
+        assert ek.simulate_coupling(two_state_chain, (0, 1), trials=six, max_steps=six).trials == 6
+        assert ek.monte_carlo_return(two_state_chain, 0, trials=six, seed=0)[0] > 0
+        assert ek.verify_coupling_lemma(
+            two_state_chain, pi, start_y=0, horizon=six, trials=50
+        ).trials == 50
+        assert exact_meeting_tail(two_state_chain, (0, 1), six).shape == (7,)
+        assert len(ek.envelope_iterate(two_state_chain, 0, max_iter=six).iterations) <= 6
+        split = ek.doeblin_split(two_state_chain, pi)
+        assert len(ek.tv_bound_doeblin(split, two_state_chain, pi, max_n=six).rows) == 6
 
     def test_numpy_integer_states_accepted(self, two_state_chain):
         pi = ek.stationary_linear(two_state_chain).pi

@@ -118,13 +118,6 @@ class TestTVBound:
         with pytest.raises(ArgumentRangeError, match="max_n"):
             ek.tv_bound_doeblin(split, two_state_chain, pi, max_n=max_n)
 
-    def test_csv_shape(self, two_state_chain):
-        split, pi = split_of(two_state_chain)
-        curve = ek.tv_bound_doeblin(split, two_state_chain, pi, max_n=3)
-        lines = curve.to_csv().strip().split("\n")
-        assert lines[0] == "n,d_exact,theta_pow"
-        assert len(lines) == 4
-
 
 class TestSpectralCheck:
     def test_two_state_oracle(self, two_state_chain):

@@ -16,7 +16,7 @@ from ergokit.errors import (
 )
 from ergokit.stationary import Arborescence, check_balance
 
-from conftest import from_array, random_irreducible
+from conftest import from_array, random_irreducible, return_time_table
 
 
 def walk_arborescences(P, root):
@@ -69,7 +69,7 @@ def determinant_minors(P):
 
 def return_time_loop(P):
     """One taboo solve per anchor: the oracle for the Woodbury return times."""
-    return np.array([ek.return_time_table(P, x).expected_return for x in range(P.n)])
+    return np.array([return_time_table(P, x).expected_return for x in range(P.n)])
 
 
 def seeded_irreducible(seed):
@@ -280,7 +280,7 @@ class TestOneInversePerRoute:
         res = ek.stationary_by_return_time(P)
         ert = np.array(res.evidence["expected_returns_per_state"])
         assert np.abs(ert / ref - 1.0).max() <= 1e-10
-        table = ek.return_time_table(P, 0)
+        table = return_time_table(P, 0)
         visits = np.array(res.evidence["visit_counts"])
         assert np.abs(visits / table.visit_counts - 1.0).max() <= 1e-10
 
@@ -398,23 +398,26 @@ class TestTreeStationary:
 
 
 class TestReturnTimes:
+    """Anchor 0's visit counts and every E_x tau_x+ in the evidence of
+    :func:`ergokit.stationary_by_return_time`."""
+
     def test_two_state_closed_form(self, two_state_chain):
         # from state 0: visits to 1 per excursion p/q, return time (p+q)/q
-        table = ek.return_time_table(two_state_chain, z=0)
-        assert table.visit_counts[1] == pytest.approx(0.2 / 0.3)
-        assert table.expected_return == pytest.approx(0.5 / 0.3)
+        ev = ek.stationary_by_return_time(two_state_chain).evidence
+        assert ev["visit_counts"][1] == pytest.approx(0.2 / 0.3)
+        assert ev["expected_return"] == pytest.approx(0.5 / 0.3)
 
     def test_cycle_deterministic_tour(self):
-        table = ek.return_time_table(gen.cycle(3), z=1)
-        assert np.allclose(table.visit_counts, 1.0)
-        assert table.expected_return == pytest.approx(3.0)
+        ev = ek.stationary_by_return_time(gen.cycle(3)).evidence
+        assert np.allclose(ev["visit_counts"], 1.0)
+        assert ev["expected_returns_per_state"][1] == pytest.approx(3.0)
 
     def test_truncated_sum_oracle(self):
         # the defining sum: pi~_y = sum_t Pr_z(X_t = y, tau+ > t), truncated deep
         rng = np.random.default_rng(77)
         P = random_irreducible(rng, 4)
         z = 0
-        table = ek.return_time_table(P, z)
+        visits = ek.stationary_by_return_time(P).evidence["visit_counts"]
         alive = np.zeros(P.n)
         alive[z] = 1.0
         acc = alive.copy()
@@ -422,14 +425,14 @@ class TestReturnTimes:
             alive = alive @ P.entries
             alive[z] = 0.0  # returning kills the excursion
             acc += alive
-        assert np.abs(acc - table.visit_counts).max() < 1e-10
+        assert np.abs(acc - visits).max() < 1e-10
 
     @pytest.mark.parametrize("seed", range(8))
     def test_normalized_visits_match_linear(self, seed):
         rng = np.random.default_rng(1300 + seed)
         P = random_irreducible(rng, int(rng.integers(2, 8)))
-        table = ek.return_time_table(P, z=0)
-        pi = table.visit_counts / table.expected_return
+        ev = ek.stationary_by_return_time(P).evidence
+        pi = np.array(ev["visit_counts"]) / ev["expected_return"]
         ref = ek.stationary_linear(P).pi.probs
         assert np.abs(pi - ref).max() < 1e-10
 

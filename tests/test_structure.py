@@ -5,7 +5,7 @@ import pytest
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.errors import NoClosedWalkError, NotErgodicError, NotIrreducibleError
+from ergokit.errors import NotErgodicError, NotIrreducibleError
 from ergokit.structure import strongly_connected_components, wielandt_bound
 
 from conftest import from_array, random_ergodic, random_irreducible
@@ -19,45 +19,48 @@ def block_diag_two_flips():
 
 
 class TestBuildGraph:
+    """The edge pattern analyze reads: an edge (i, j) iff P(i, j) > 0."""
+
     def test_identity_self_loops(self):
-        G = ek.build_graph(from_array(np.eye(2)))
-        assert G.edges == ((0,), (1,))
+        rep = ek.analyze(from_array(np.eye(2)))
+        assert rep.scc_decomposition == (("s0",), ("s1",))
+        assert dict(rep.periods) == {"s0": 1, "s1": 1}
 
     def test_flip_two_cycle(self, flip_chain):
-        G = ek.build_graph(flip_chain)
-        assert G.edges == ((1,), (0,))
+        rep = ek.analyze(flip_chain)
+        assert rep.scc_decomposition == (("s0", "s1"),)
+        assert dict(rep.periods) == {"s0": 2, "s1": 2}
 
     def test_positive_matrix_complete(self):
-        G = ek.build_graph(gen.uniform(3))
-        assert all(edges == (0, 1, 2) for edges in G.edges)
+        rep = ek.analyze(gen.uniform(3))
+        assert rep.scc_decomposition == (("s0", "s1", "s2"),)
+        assert rep.primitivity_exponent == 1
 
     def test_zero_is_structural(self):
         # no epsilon thresholding: a tiny positive entry is an edge
         a = np.array([[1.0 - 1e-300, 1e-300], [0.5, 0.5]])
-        G = ek.build_graph(from_array(a))
-        assert G.edges[0] == (0, 1)
+        assert ek.analyze(from_array(a)).irreducible
 
 
 class TestIrreducibility:
     def test_identity_two_sccs(self):
-        ok, sccs = ek.structure.is_irreducible(ek.build_graph(from_array(np.eye(2))))
-        assert not ok
-        assert sorted(map(sorted, sccs)) == [[0], [1]]
+        rep = ek.analyze(from_array(np.eye(2)))
+        assert not rep.irreducible
+        assert sorted(map(sorted, rep.scc_decomposition)) == [["s0"], ["s1"]]
 
     def test_flip_irreducible(self, flip_chain):
-        ok, _ = ek.structure.is_irreducible(ek.build_graph(flip_chain))
-        assert ok
+        assert ek.analyze(flip_chain).irreducible
 
     def test_two_components(self):
-        ok, sccs = ek.structure.is_irreducible(ek.build_graph(block_diag_two_flips()))
-        assert not ok
-        assert len(sccs) == 2
+        rep = ek.analyze(block_diag_two_flips())
+        assert not rep.irreducible
+        assert len(rep.scc_decomposition) == 2
 
     def test_reverse_topological_order(self):
         # edge 0 -> 1 between two singleton SCCs: sink component first
         a = np.array([[0.0, 1.0], [0.0, 1.0]])
-        sccs = strongly_connected_components(ek.build_graph(from_array(a)))
-        assert sccs == [[1], [0]]
+        assert strongly_connected_components([[1], [1]]) == [[1], [0]]
+        assert ek.analyze(from_array(a)).scc_decomposition == (("s1",), ("s0",))
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_reachability_matrix_verdict(self, seed):
@@ -66,7 +69,7 @@ class TestIrreducibility:
         a = (rng.random((n, n)) < 0.3).astype(float)
         a[np.arange(n), rng.integers(0, n, n)] = 1.0  # no empty rows
         P = from_array(a / a.sum(axis=1, keepdims=True))
-        ok, _ = ek.structure.is_irreducible(ek.build_graph(P))
+        ok = ek.analyze(P).irreducible
         # (I + A)^(n-1) all-positive in boolean arithmetic iff strongly connected
         B = np.eye(n, dtype=bool) | (P.entries > 0)
         R = np.eye(n, dtype=bool)
@@ -89,38 +92,33 @@ def brute_force_period(P, s, max_len):
 class TestPeriod:
     def test_cycle_period(self):
         P = gen.cycle(3)
-        G = ek.build_graph(P)
-        assert all(ek.period_of(G, s) == 3 for s in range(3))
+        assert all(p == 3 for p in ek.analyze(P).periods.values())
 
     def test_flip_bipartite(self, flip_chain):
-        G = ek.build_graph(flip_chain)
-        assert ek.period_of(G, 0) == 2
+        assert ek.analyze(flip_chain).periods["s0"] == 2
 
     def test_self_loop_gives_one(self, two_state_chain):
-        G = ek.build_graph(two_state_chain)
-        assert ek.period_of(G, 0) == 1
+        assert ek.analyze(two_state_chain).periods["s0"] == 1
 
     def test_no_closed_walk(self):
+        # a state on no closed walk has no period
         a = np.array([[0.0, 1.0], [0.0, 1.0]])
-        G = ek.build_graph(from_array(a))
-        with pytest.raises(NoClosedWalkError):
-            ek.period_of(G, 0)
+        assert ek.analyze(from_array(a)).periods["s0"] is None
 
     @pytest.mark.parametrize("seed", range(10))
     def test_bfs_gcd_matches_brute_force(self, seed):
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(2, 7))
         P = random_irreducible(rng, n)
-        G = ek.build_graph(P)
+        periods = ek.analyze(P).periods
         for s in range(n):
-            assert ek.period_of(G, s) == brute_force_period(P, s, 2 * n)
+            assert periods[f"s{s}"] == brute_force_period(P, s, 2 * n)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_period_constant_on_scc(self, seed):
         rng = np.random.default_rng(200 + seed)
         P = random_irreducible(rng, int(rng.integers(3, 7)))
-        G = ek.build_graph(P)
-        periods = {ek.period_of(G, s) for s in range(P.n)}
+        periods = set(ek.analyze(P).periods.values())
         assert len(periods) == 1
 
 
@@ -327,13 +325,12 @@ class TestRequireIrreducible:
             (lambda P: ek.enumerate_arborescences(P, 0), "tree enumeration"),
             (lambda P: ek.stationary_by_trees(P, "enumeration"), "tree_enumeration"),
             (lambda P: ek.stationary_by_trees(P, "determinant"), "tree_determinant"),
-            (lambda P: ek.return_time_table(P, 0), "return-time table"),
             (lambda P: ek.stationary_by_return_time(P), "return-time table"),
             (lambda P: ek.monte_carlo_return(P, 0, trials=10, seed=0), "Monte Carlo return time"),
         ],
         ids=[
             "linear", "arborescences", "tree_enumeration", "tree_determinant",
-            "return_time_table", "return_time", "monte_carlo_return",
+            "return_time", "monte_carlo_return",
         ],
     )
     def test_every_irreducibility_precondition_goes_through_the_gate(self, routine, what):
