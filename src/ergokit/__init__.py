@@ -10,7 +10,6 @@ from .chain import (
     Distribution,
     StateSpace,
     StochasticMatrix,
-    evolve,
     load_chain,
     power,
     tv_distance,
@@ -23,7 +22,6 @@ from .envelope import (
     envelope_iterate,
     mixing_estimate,
     stationary_by_envelope,
-    verify_contraction,
 )
 from .stationary import (
     Arborescence,
@@ -39,10 +37,8 @@ from .coupling import (
     CouplingTrace,
     ProductChain,
     build_product_chain,
-    convergence_by_coupling,
     product_ergodicity,
     simulate_coupling,
-    stick,
     verify_coupling_lemma,
 )
 from .doeblin import (
@@ -70,11 +66,9 @@ __all__ = [
     "StochasticMatrix",
     "analyze",
     "build_product_chain",
-    "convergence_by_coupling",
     "doeblin_split",
     "enumerate_arborescences",
     "envelope_iterate",
-    "evolve",
     "generators",
     "load_chain",
     "mixing_estimate",
@@ -89,11 +83,9 @@ __all__ = [
     "stationary_by_return_time",
     "stationary_by_trees",
     "stationary_linear",
-    "stick",
     "tv_bound_doeblin",
     "tv_distance",
     "validate_stochastic",
-    "verify_contraction",
     "verify_coupling_lemma",
     "verify_error_recursion",
 ]

@@ -31,7 +31,6 @@ import io
 import json
 import operator
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -144,7 +143,7 @@ class Distribution:
             raise NegativeEntryError("negative probability entry")
         s = float(p.sum())
         if abs(s - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {s}, not 1")
+            raise ArgumentRangeError(f"probs sum to {s}, not 1")
         object.__setattr__(self, "probs", _freeze(np.clip(p, 0.0, None) / s))
 
     @classmethod
@@ -213,8 +212,7 @@ def validate_stochastic(raw_matrix, labels) -> StochasticMatrix:
 
 def power(P: StochasticMatrix, k: int) -> StochasticMatrix:
     """The k-step transition matrix P^k; power(P, 0) is the identity."""
-    if k < 0:
-        raise ValueError("exponent must be nonnegative")
+    _check_at_least("exponent", k, 0)
     return StochasticMatrix(P.space, np.linalg.matrix_power(P.entries, k))
 
 
@@ -247,15 +245,6 @@ def orbit(S: np.ndarray, M: np.ndarray):
     while True:
         yield S
         S = S @ M
-
-
-def evolve(sigma: Distribution, P: StochasticMatrix, steps: int = 1) -> Distribution:
-    """Push a distribution through `steps` transitions: sigma P^steps."""
-    if sigma.space != P.space:
-        raise SpaceMismatchError("distribution and matrix on different spaces")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    return Distribution(P.space, next(islice(orbit(sigma.probs, P.entries), steps, None)))
 
 
 def tv_distance(mu: Distribution, nu: Distribution) -> float:
@@ -307,13 +296,13 @@ def _check_at_least(name: str, value: int, least: int) -> None:
         raise ArgumentRangeError(f"{name} must be >= {least}, got {value}")
 
 
-def _check_walk(P: StochasticMatrix, states, trials: int) -> None:
+def _check_walk(P: StochasticMatrix, states, trials: int, name: str = "state") -> None:
     """Reject start or target states that are not integers in 0..n-1, and
-    fewer than one trial."""
+    fewer than one trial; ``name`` is what the messages call a state."""
     for x in states:
-        _check_integer("state", x)
+        _check_integer(name, x)
         if not 0 <= x < P.n:
-            raise ArgumentRangeError(f"state {x} is not in 0..{P.n - 1}")
+            raise ArgumentRangeError(f"{name} {x} is not in 0..{P.n - 1}")
     _check_at_least("trials", trials, 1)
 
 
@@ -527,10 +516,8 @@ def load_chain(path: str, fmt: str | None = None) -> StochasticMatrix:
     """Load a chain file; format inferred from the extension unless given."""
     if fmt is None:
         fmt = "csv" if path.lower().endswith(".csv") else "json"
+    loaders = {"csv": load_chain_csv, "json": load_chain_json}
+    if fmt not in loaders:
+        raise ArgumentRangeError(f"fmt {fmt!r} is not \"csv\" or \"json\"")
     with open(path) as f:
-        text = f.read()
-    if fmt == "csv":
-        return load_chain_csv(text)
-    if fmt == "json":
-        return load_chain_json(text)
-    raise ValueError(f"unknown chain format {fmt!r}")
+        return loaders[fmt](f.read())

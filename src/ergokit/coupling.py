@@ -1,24 +1,22 @@
 """Independent coupling of two copies of a chain, and what it proves.
 
-The product chain runs two independent copies side by side; once the pair
-meets, the sticking splice makes the second copy shadow the first, and the
-coupling lemma turns the meeting-time tail into a bound on the TV distance
-between the two marginal laws. Everything here keeps simulation and exact
-computation separate so each can check the other: the exact tail follows the
-n x n unmet pair mass, so it needs no product matrix and holds at any n.
+The product chain runs two independent copies side by side, and the
+coupling lemma turns the tail of their meeting time into a bound on the TV
+distance between the two marginal laws. Everything here keeps simulation
+and exact computation separate so each can check the other: the exact tail
+follows the n x n unmet pair mass, so it needs no product matrix and holds
+at any n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Sequence
 
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, StateSpace, check_stationary
 from .chain import _Sampler, _check_at_least, _check_walk, _walk_until, orbit
-from .envelope import delta_curve
 from .errors import ArgumentRangeError, MarginalMismatchError, NeverMetError
 from .structure import analyze, require_ergodic
 
@@ -157,26 +155,6 @@ def simulate_coupling(
     )
 
 
-def stick(
-    x_path: Sequence[int], y_path: Sequence[int], mode="meet_anywhere"
-) -> list[int]:
-    """Splice: follow y through the meeting time tau, then follow x.
-
-    The result satisfies now-equals-forever with respect to x: it equals
-    x from tau onward (at tau the two paths agree by definition).
-    """
-    _meeting_targets(mode)
-    if len(x_path) != len(y_path):
-        raise ValueError("paths must have equal length")
-    x = np.asarray(x_path)
-    y = np.asarray(y_path)
-    met = np.flatnonzero(_meeting_mask(x, y, mode))
-    if met.size == 0:
-        raise NeverMetError("meeting condition never holds in the given paths")
-    tau = int(met[0])
-    return list(y[: tau + 1]) + list(x[tau + 1 :])
-
-
 def exact_meeting_tail(
     P: StochasticMatrix, start: tuple[int, int], horizon: int, mode="meet_anywhere"
 ) -> np.ndarray:
@@ -269,25 +247,3 @@ def verify_coupling_lemma(
     )
     passed = not (exact > tail + 3.0 * se).any()
     return CouplingLemmaReport(rows=rows, passed=passed, trials=trials, seed=seed)
-
-
-@dataclass(frozen=True)
-class ConvergenceCurve:
-    discrepancies: tuple[float, ...]  # max_{i,j,k} |P^n(i,k) - P^n(j,k)|, n = 1..horizon
-    monotone: bool
-    vanishing: bool
-
-
-def convergence_by_coupling(
-    P: StochasticMatrix, horizon: int = 50, tol: float = 1e-12
-) -> ConvergenceCurve:
-    """Exact row-discrepancy diagnostics: the worst pairwise column gap of
-    P^n must shrink monotonically toward zero for an ergodic chain."""
-    require_ergodic(P, "vanishing row discrepancy")
-    disc = delta_curve(P, horizon)
-    monotone = all(b <= a + tol for a, b in zip(disc, disc[1:]))
-    return ConvergenceCurve(
-        discrepancies=tuple(disc),
-        monotone=monotone,
-        vanishing=disc[-1] < disc[0] or disc[-1] < tol,
-    )

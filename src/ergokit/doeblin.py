@@ -96,6 +96,7 @@ def verify_error_recursion(
     """Check P^n - Pi = theta^n (Q^n - Pi Q^(n-1)) entrywise for each n,
     computing both sides independently, plus the two absorption identities
     it leans on (M Pi = Pi for stochastic M; Pi M = Pi when pi M = pi)."""
+    _check_at_least("max_n", max_n, 1)
     Pi = split.Pi_matrix.entries
     Q = split.Q_matrix.entries
     th = split.theta

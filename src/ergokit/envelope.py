@@ -3,11 +3,11 @@
 For a positive stochastic matrix the per-column minimum m^(i) rises, the
 maximum M^(i) falls, and the gap Delta^(i) contracts by at least
 (1 - p_min) per step (and by (1 - 2 p_min) when that factor is positive).
-This module tracks those envelopes, verifies the contraction inequalities
-on actual traces, squeezes the stationary distribution out of the
-collapsing interval, and turns the contraction rate into a mixing-time
-bound that can be compared with the empirical mixing time. Both the
-mixing time and the squeeze are doubling searches over matrix powers.
+This module tracks those envelopes, squeezes the stationary distribution
+out of the collapsing interval, and turns the contraction rate into a
+mixing-time bound that can be compared with the empirical mixing time.
+Both the mixing time and the squeeze are doubling searches over matrix
+powers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, orbit, power, stationary_residual
-from .chain import _check_at_least, _first_power, _memoized, _tv_rows
+from .chain import _check_at_least, _check_walk, _first_power, _memoized, _tv_rows
 from .errors import (
     ArgumentRangeError,
     MaxIterExceededError,
@@ -50,27 +50,6 @@ class EnvelopeTrace:
 
 
 @dataclass(frozen=True)
-class ContractionVerdict:
-    """Per-inequality outcome of checking a trace; slack is the worst
-    (most negative) margin observed, so passing means slack >= -tolerance."""
-
-    min_entry_ok: bool
-    max_entry_ok: bool
-    two_pmin_ok: bool | None  # None when the (1 - 2 p_min) factor is <= 0
-    dahiya_ok: bool
-    worst_slack: float
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.min_entry_ok
-            and self.max_entry_ok
-            and self.dahiya_ok
-            and (self.two_pmin_ok is not False)
-        )
-
-
-@dataclass(frozen=True)
 class MixingEstimate:
     epsilon: float
     empirical_tmix: int
@@ -89,6 +68,7 @@ def envelope_iterate(
     """
     if (P.entries <= 0.0).any():
         raise NotPositiveError("envelope iteration needs an entrywise positive matrix")
+    _check_walk(P, (column,), 1, "column")
     _check_at_least("max_iter", max_iter, 1)
     p_min = P.min_entry()
     records = []
@@ -113,42 +93,6 @@ def envelope_iterate(
     )
 
 
-def verify_contraction(trace: EnvelopeTrace, tol: float = 1e-12) -> ContractionVerdict:
-    """Check every consecutive pair of a trace against the four contraction
-    inequalities. The (1 - 2 p_min) factor is only meaningful when positive
-    (guaranteed for three or more states); otherwise that check is skipped.
-    """
-    p = trace.p_min
-    two_factor = 1.0 - 2.0 * p
-    min_ok = max_ok = dahiya_ok = True
-    two_ok: bool | None = True if two_factor > 0 else None
-    worst = math.inf
-    for a, b in zip(trace.iterations, trace.iterations[1:]):
-        slacks = [
-            b.m - (a.m + p * (a.M - a.m)),        # lower envelope must rise enough
-            (a.M - p * (a.M - a.m)) - b.M,        # upper envelope must fall enough
-            (1.0 - p) * a.delta - b.delta,        # single-inequality gap bound
-        ]
-        if b.m < a.m + p * (a.M - a.m) - tol:
-            min_ok = False
-        if b.M > a.M - p * (a.M - a.m) + tol:
-            max_ok = False
-        if b.delta > (1.0 - p) * a.delta + tol:
-            dahiya_ok = False
-        if two_ok is not None:
-            slacks.append(two_factor * a.delta - b.delta)
-            if b.delta > two_factor * a.delta + tol:
-                two_ok = False
-        worst = min(worst, *slacks)
-    return ContractionVerdict(
-        min_entry_ok=min_ok,
-        max_entry_ok=max_ok,
-        two_pmin_ok=two_ok,
-        dahiya_ok=dahiya_ok,
-        worst_slack=worst if worst != math.inf else 0.0,
-    )
-
-
 #: The mixing search looks no further than t = 2^40 (about 1.1e12 steps),
 #: so it stores at most 41 squares of P; the squeeze's default cap too.
 _TMIX_LIMIT = 1 << 40
@@ -156,10 +100,11 @@ _TMIX_LIMIT = 1 << 40
 
 def _default_max_iter(p_min: float, tol: float) -> int:
     # 10x the iteration count implied by the geometric decay guarantee, at
-    # most _TMIX_LIMIT; log1p keeps the rate above 0 for p_min below 1e-16
+    # most _TMIX_LIMIT; log1p keeps the rate above 0 for p_min below 1e-16.
+    # tol > 0; one of 1 or more (inf too) holds at once, as no gap exceeds 1
     if p_min >= 1.0:
         return 10
-    need, rate = -math.log(max(tol, 1e-300)), -math.log1p(-p_min)
+    need, rate = -math.log(min(tol, 1.0)), -math.log1p(-p_min)
     if need >= rate * _TMIX_LIMIT:  # also where p_min underflowed to 0
         return _TMIX_LIMIT
     return min(_TMIX_LIMIT, max(10, 10 * math.ceil(need / rate)))
@@ -189,6 +134,8 @@ def stationary_by_envelope(
     Each pi_k is the midpoint of its final [m, M] interval, certified to
     half-width tol / 2.
     """
+    if not tol > 0.0:  # NaN fails too
+        raise ArgumentRangeError(f"tol must be > 0, got {tol}")
     require_ergodic(P, "envelope squeeze")
     m, lifted = _lift(P)
     B = lifted.entries
@@ -245,10 +192,3 @@ def mixing_estimate(P: StochasticMatrix, epsilon: float = 0.25) -> MixingEstimat
         primitivity_m=m,
         pmin_of_Pm=pmin_m,
     )
-
-
-def delta_curve(P: StochasticMatrix, horizon: int) -> list[float]:
-    """max-over-columns envelope gap Delta^(t) for t = 1..horizon; the
-    comparison curve for d(t) <= n * Delta^(t), and the row discrepancy of
-    :func:`ergokit.coupling.convergence_by_coupling`."""
-    return [_column_gap(S) for _, S in zip(range(horizon), orbit(P.entries, P.entries))]

@@ -27,6 +27,7 @@ import numpy as np
 from .chain import Distribution, StochasticMatrix, orbit, stationary_residual
 from .chain import _check_at_least, _check_walk, _memoized, _walk_until
 from .errors import (
+    ArgumentRangeError,
     BalanceViolationError,
     MaxIterExceededError,
     NoConvergenceError,
@@ -126,6 +127,7 @@ def _tree_table(P: StochasticMatrix, root: int) -> tuple[np.ndarray, np.ndarray]
 def enumerate_arborescences(P: StochasticMatrix, root: int) -> list[Arborescence]:
     """All upward spanning trees rooted at `root`, in itertools.product
     order over each state's structural out-edges (n-capped)."""
+    _check_walk(P, (root,), 1, "root")
     require_irreducible(P, "tree enumeration")
     F, weights = _tree_table(P, root)
     others = [y for y in range(P.n) if y != root]
@@ -238,14 +240,14 @@ def stationary_by_trees(P: StochasticMatrix, mode: str = "determinant") -> Stati
     mode 'enumeration' sums tree weights exhaustively (n-capped); mode
     'determinant' computes the same weights as principal minors of I - P.
     """
+    if mode not in ("enumeration", "determinant"):
+        raise ArgumentRangeError(f"mode {mode!r} is not \"enumeration\" or \"determinant\"")
     require_irreducible(P, f"tree_{mode}")
     counts = None
     if mode == "enumeration":
         gammas, counts = _gamma_enumeration(P)
-    elif mode == "determinant":
-        gammas = _gamma_determinant(P)
     else:
-        raise ValueError(f"unknown tree mode {mode!r}")
+        gammas = _gamma_determinant(P)
     total = gammas.sum()
     if not (np.isfinite(total) and total > 0.0):
         # 1 - p_xx rounds to 0, or products of tiny entries underflow
@@ -349,6 +351,7 @@ def _power_iterate(P: StochasticMatrix, tol: float, max_iter: int) -> tuple[np.n
     """Iterate mu <- mu P from the uniform vector until two successive
     iterates differ by less than tol in every entry. Returns the last
     iterate (not renormalized) and the number of products taken."""
+    _check_at_least("max_iter", max_iter, 1)
     steps = itertools.pairwise(orbit(np.full(P.n, 1.0 / P.n), P.entries))
     for it, (mu, nxt) in zip(range(1, max_iter + 1), steps):
         if np.abs(nxt - mu).max() < tol:

@@ -142,38 +142,6 @@ class TestPower:
             assert np.abs(sums - 1.0).max() < 1e-9
 
 
-class TestEvolve:
-    def test_point_mass_flip(self, flip_chain):
-        sigma = ek.Distribution.point_mass(flip_chain.space, 0)
-        out = ek.evolve(sigma, flip_chain, 1)
-        assert np.allclose(out.probs, [0.0, 1.0])
-
-    def test_flip_stationary_is_half_half(self, flip_chain):
-        sigma = _dist(flip_chain, [0.5, 0.5])
-        for steps in range(5):
-            out = ek.evolve(sigma, flip_chain, steps)
-            assert np.allclose(out.probs, [0.5, 0.5])
-
-    def test_one_step_is_row_extraction(self, two_state_chain):
-        sigma = ek.Distribution.point_mass(two_state_chain.space, 0)
-        out = ek.evolve(sigma, two_state_chain, 1)
-        assert np.allclose(out.probs, [0.8, 0.2])
-
-    def test_space_mismatch(self, flip_chain):
-        other = ek.Distribution.uniform(gen.uniform(3).space)
-        with pytest.raises(SpaceMismatchError):
-            ek.evolve(other, flip_chain)
-
-    @given(stochastic_arrays())
-    @settings(max_examples=30, deadline=None)
-    def test_simplex_preserved(self, a):
-        P = from_array(a)
-        sigma = ek.Distribution.uniform(P.space)
-        out = ek.evolve(sigma, P, 7)
-        assert out.probs.min() >= 0.0
-        assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 class TestTVDistance:
     def test_equal_distributions(self, flip_chain):
         mu = _dist(flip_chain, [0.3, 0.7])
@@ -188,6 +156,11 @@ class TestTVDistance:
         mu = _dist(flip_chain, [1.0, 0.0])
         nu = _dist(flip_chain, [0.5, 0.5])
         assert ek.tv_distance(mu, nu) == pytest.approx(0.5)
+
+    def test_space_mismatch(self, flip_chain):
+        other = ek.Distribution.uniform(gen.uniform(3).space)
+        with pytest.raises(SpaceMismatchError):
+            ek.tv_distance(other, ek.Distribution.uniform(flip_chain.space))
 
     @given(distribution_pairs())
     @settings(max_examples=60, deadline=None)

@@ -156,35 +156,6 @@ class TestSimulateCoupling:
             assert abs(t - exact[i]) <= 4 * se
 
 
-class TestStick:
-    def test_equal_paths(self):
-        z = ek.stick([0, 1, 0], [0, 1, 0])
-        assert z == [0, 1, 0]
-
-    def test_definitional_splice(self):
-        assert ek.stick([0, 1, 1, 0], [1, 1, 0, 1]) == [1, 1, 1, 0]
-
-    def test_never_met(self):
-        with pytest.raises(NeverMetError):
-            ek.stick([0, 0], [1, 1])
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_now_equals_forever(self, data):
-        length = data.draw(st.integers(2, 12))
-        x = data.draw(st.lists(st.integers(0, 2), min_size=length, max_size=length))
-        y = data.draw(st.lists(st.integers(0, 2), min_size=length, max_size=length))
-        met = [i for i in range(length) if x[i] == y[i]]
-        if not met:
-            with pytest.raises(NeverMetError):
-                ek.stick(x, y)
-            return
-        tau = met[0]
-        z = ek.stick(x, y)
-        assert z[: tau + 1] == y[: tau + 1]
-        assert z[tau:] == x[tau:]
-
-
 class TestCouplingLemma:
     def test_step_zero_equality_structure(self, two_state_chain):
         pi = ek.stationary_linear(two_state_chain).pi
@@ -223,35 +194,6 @@ class TestCouplingLemma:
         slacks = [r.tail + 3.0 * r.tail_se - r.exact_tv for r in rep.rows]
         assert rep.worst_slack == min(slacks)
         assert rep.passed == (rep.worst_slack >= 0.0)
-
-
-class TestConvergenceByCoupling:
-    def test_uniform_immediate(self):
-        curve = ek.convergence_by_coupling(gen.uniform(3), horizon=3)
-        assert curve.discrepancies[0] == 0.0
-
-    def test_two_state_geometric(self, two_state_chain):
-        curve = ek.convergence_by_coupling(two_state_chain, horizon=20)
-        # discrepancy at n is exactly 0.5^n for this chain (eigenvalue 0.5)
-        for n, d in enumerate(curve.discrepancies, start=1):
-            assert d == pytest.approx(0.5**n, rel=1e-9)
-        assert curve.monotone and curve.vanishing
-
-    def test_flip_not_ergodic(self, flip_chain):
-        with pytest.raises(NotErgodicError):
-            ek.convergence_by_coupling(flip_chain)
-
-    def test_dominated_by_simulated_tail(self, two_state_chain):
-        curve = ek.convergence_by_coupling(two_state_chain, horizon=10)
-        trials = 50_000
-        worst = (0, 1)
-        trace = ek.simulate_coupling(
-            two_state_chain, start=worst, trials=trials, max_steps=400, seed=11
-        )
-        for n in range(1, 11):
-            tail = trace.tail(n)
-            se = np.sqrt((tail * (1 - tail) + 1e-9) / trials)
-            assert curve.discrepancies[n - 1] <= tail + 4 * se
 
 
 #: A non-integer count for each routine that takes one, and the count's name.
@@ -301,7 +243,6 @@ class TestArgumentRanges:
             lambda P, pi: ek.simulate_coupling(P, (0, 1), mode=("meet_at_state",)),
             lambda P, pi: ek.simulate_coupling(P, (0, 1), mode="nope"),
             lambda P, pi: exact_meeting_tail(P, (0, 1), 3, mode="nope"),
-            lambda P, pi: ek.stick([0, 1], [1, 1], mode="nope"),
             lambda P, pi: ek.simulate_coupling(P, (0, 1, 1)),
             *(call for call, _ in NON_INTEGER_COUNTS.values()),
         ],
@@ -311,7 +252,7 @@ class TestArgumentRanges:
             "exact_negative_start", "exact_target", "exact_horizon", "exact_far_start",
             "float_start", "float_anchor", "float_lemma_start", "exact_float_start",
             "float_target", "short_mode", "unknown_mode", "exact_unknown_mode",
-            "stick_unknown_mode", "triple_start", *NON_INTEGER_COUNTS,
+            "triple_start", *NON_INTEGER_COUNTS,
         ],
     )
     def test_rejected_before_any_step(self, two_state_chain, call, monkeypatch):

@@ -5,8 +5,8 @@ import pytest
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.chain import tv_curve
-from ergokit.envelope import _lift, delta_curve
+from ergokit.chain import orbit, tv_curve
+from ergokit.envelope import _column_gap, _lift
 from ergokit.errors import ArgumentRangeError, NotErgodicError, NotPositiveError
 
 from conftest import random_positive
@@ -64,30 +64,33 @@ class TestEnvelopeIterate:
             assert rec.M >= column.max() - 1e-15
 
 
+def assert_contraction(trace, tol=1e-12):
+    """The four contraction inequalities on every consecutive pair of a
+    trace: m rises and M falls by at least p Delta, Delta' <= (1 - p) Delta,
+    and Delta' <= (1 - 2p) Delta where 1 - 2p > 0."""
+    p = trace.p_min
+    for a, b in zip(trace.iterations, trace.iterations[1:]):
+        assert b.m >= a.m + p * a.delta - tol
+        assert b.M <= a.M - p * a.delta + tol
+        assert b.delta <= (1.0 - p) * a.delta + tol
+        if 1.0 - 2.0 * p > 0.0:
+            assert b.delta <= (1.0 - 2.0 * p) * a.delta + tol
+
+
 class TestVerifyContraction:
     def test_two_state_second_step(self, two_state_chain):
         trace = ek.envelope_iterate(two_state_chain, column=0, max_iter=2)
-        verdict = ek.verify_contraction(trace)
         # Delta2 = 0.25 <= (1 - 2 * 0.2) * 0.5 = 0.30
-        assert verdict.two_pmin_ok
-        assert verdict.all_ok
-
-    def test_uniform_trace(self):
-        trace = ek.envelope_iterate(gen.uniform(3), column=0)
-        assert ek.verify_contraction(trace).all_ok
-
-    def test_two_pmin_skipped_when_factor_nonpositive(self):
-        trace = ek.envelope_iterate(gen.uniform(2), column=0)
-        verdict = ek.verify_contraction(trace)
-        assert verdict.two_pmin_ok is None  # 1 - 2 * 0.5 = 0
-        assert verdict.dahiya_ok
+        assert len(trace.iterations) == 2
+        assert_contraction(trace)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_all_inequalities_on_random_positive(self, seed):
         rng = np.random.default_rng(600 + seed)
         P = random_positive(rng, 4)
         trace = ek.envelope_iterate(P, column=int(rng.integers(0, 4)), max_iter=50)
-        assert ek.verify_contraction(trace).all_ok
+        assert len(trace.iterations) > 1
+        assert_contraction(trace)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_geometric_decay_bounds(self, seed):
@@ -122,6 +125,12 @@ class TestStationaryByEnvelope:
         res = ek.stationary_by_envelope(P)
         assert res.evidence["lift_exponent"] == 3
         assert np.abs(res.pi.probs - 1.0 / 8).max() < 1e-10
+
+    def test_infinite_tol_takes_one_power(self, two_state_chain):
+        # no column gap exceeds 1, so any tol >= 1 holds at B^1
+        res = ek.stationary_by_envelope(two_state_chain, tol=np.inf)
+        assert res.evidence["iterations"] == 1
+        assert res.evidence["max_half_width"] == 0.25
 
     @pytest.mark.parametrize("seed", range(6))
     def test_agrees_with_linear_solver(self, seed):
@@ -190,6 +199,12 @@ class TestMixingEstimate:
         assert est.empirical_tmix <= est.bound_tmix
 
 
+def delta_curve(P, horizon):
+    """Delta(t) = max over columns of max - min of P^t, t = 1..horizon, read
+    as ``mix --csv`` reads it: the column gap over the orbit of P."""
+    return [_column_gap(S) for S in islice(orbit(P.entries, P.entries), horizon)]
+
+
 class TestDeltaRelations:
     @pytest.mark.parametrize("seed", range(6))
     def test_d_bounded_by_n_delta(self, seed):
@@ -200,3 +215,20 @@ class TestDeltaRelations:
         deltas = delta_curve(P, 15)
         for t, d in enumerate(islice(tv_curve(P, pi), 1, 16), start=1):
             assert d <= n * deltas[t - 1] + 1e-12
+
+    def test_two_state_geometric(self, two_state_chain):
+        # Delta(n) is exactly 0.5^n for this chain (eigenvalue 0.5)
+        deltas = delta_curve(two_state_chain, 20)
+        for n, d in enumerate(deltas, start=1):
+            assert d == pytest.approx(0.5**n, rel=1e-9)
+
+    def test_dominated_by_simulated_tail(self, two_state_chain):
+        deltas = delta_curve(two_state_chain, 10)
+        trials = 50_000
+        trace = ek.simulate_coupling(
+            two_state_chain, start=(0, 1), trials=trials, max_steps=400, seed=11
+        )
+        for n in range(1, 11):
+            tail = trace.tail(n)
+            se = np.sqrt((tail * (1 - tail) + 1e-9) / trials)
+            assert deltas[n - 1] <= tail + 4 * se

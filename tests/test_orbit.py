@@ -76,10 +76,6 @@ def recursion_errors(tmp_path, P):
     return digest(ek.verify_error_recursion(ek.doeblin_split(P, pi), P, max_n=25).per_n_error)
 
 
-def evolved(tmp_path, P):
-    return digest(ek.evolve(ek.Distribution.point_mass(P.space, 0), P, 17).probs)
-
-
 def power_iterations(tmp_path, P):
     return ek.stationary_by_power(P).evidence["iterations"]
 
@@ -95,7 +91,6 @@ OUTPUTS = {
     "stationary_csv": stationary_csv,
     "meeting_tails": meeting_tails,
     "recursion_errors": recursion_errors,
-    "evolve": evolved,
     "power_iterations": power_iterations,
     "lemma_exact_tv": lemma_exact_tv,
 }
@@ -118,10 +113,6 @@ PINNED = {
     ('meeting_tails', 'ergodic6'): 'af6c6df152402453a1a0ea73862cefc7769018ef0b89c7ac978b6d69305ffd3c',
     ('recursion_errors', 'two_state'): '206bea3bc9eaa0d38ef80fbe18980e6320f1576ac112dbf776a9cd5182245b82',
     ('recursion_errors', 'positive5'): '5c49db06d135230e5a5add347878ef2cc85c79846239432009715134385bcfd2',
-    ('evolve', 'two_state'): 'c79b8a46f593d0ee99fa6def42bda92f0ef7dda3d976021b515ff926eda933b4',
-    ('evolve', 'lazy_hypercube_3'): '9d7fe02ce0f404ed5888b63675f9763235761da2458eb9b819406bc5c1c5e04f',
-    ('evolve', 'positive5'): '1578af4f4ebd91319cced83007742e69475fc4c6dd179cf5571973b1a393d567',
-    ('evolve', 'ergodic6'): '5932ff2e8f3a8cba13a05bfc55aaf461fb3dd624befcf0c30eaf926d7738134c',
     ('power_iterations', 'two_state'): 37,
     ('power_iterations', 'lazy_hypercube_3'): 1,
     ('power_iterations', 'positive5'): 18,

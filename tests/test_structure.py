@@ -277,13 +277,12 @@ class TestRequireErgodic:
             lambda P: ek.mixing_estimate(P),
             lambda P: ek.simulate_coupling(P, (0, 1), trials=10),
             lambda P: ek.verify_coupling_lemma(P, ek.stationary_linear(P).pi, 0, trials=10),
-            lambda P: ek.convergence_by_coupling(P),
             lambda P: ek.spectral_check(P),
             lambda P: ek.primitivity_exponent(P),
         ],
         ids=[
             "power", "envelope", "mixing", "simulate_coupling", "coupling_lemma",
-            "convergence_by_coupling", "spectral", "primitivity",
+            "spectral", "primitivity",
         ],
     )
     def test_every_ergodic_precondition_goes_through_the_gate(self, routine):
