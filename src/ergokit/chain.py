@@ -147,12 +147,6 @@ class Distribution:
         object.__setattr__(self, "probs", _freeze(np.clip(p, 0.0, None) / s))
 
     @classmethod
-    def point_mass(cls, space: StateSpace, x: int) -> "Distribution":
-        p = np.zeros(space.size)
-        p[x] = 1.0
-        return cls(space, p)
-
-    @classmethod
     def uniform(cls, space: StateSpace) -> "Distribution":
         return cls(space, np.full(space.size, 1.0 / space.size))
 
@@ -294,6 +288,12 @@ def _check_at_least(name: str, value: int, least: int) -> None:
     _check_integer(name, value)
     if value < least:
         raise ArgumentRangeError(f"{name} must be >= {least}, got {value}")
+
+
+def _check_tol(name: str, tol: float, zero_ok: bool = False) -> None:
+    """Reject a tolerance that is NaN, negative, or 0 unless ``zero_ok``."""
+    if not (tol >= 0.0 if zero_ok else tol > 0.0):  # NaN fails both
+        raise ArgumentRangeError(f"{name} must be {'>=' if zero_ok else '>'} 0, got {tol}")
 
 
 def _check_walk(P: StochasticMatrix, states, trials: int, name: str = "state") -> None:

@@ -79,11 +79,6 @@ def _resolve_chain(args) -> chain_mod.StochasticMatrix:
     raise InvalidGeneratorParamsError("provide --chain <path> or --gen <name>")
 
 
-def _check_tol(tol: float) -> None:
-    if not tol > 0.0:  # NaN fails too
-        raise ArgumentRangeError(f"--tol must be > 0, got {tol}")
-
-
 def _write_csv(path: str | None, text: str) -> None:
     if path:
         with open(path, "w") as f:
@@ -131,7 +126,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    _check_tol(args.tol)
+    chain_mod._check_tol("--tol", args.tol)
     P = _resolve_chain(args)
     methods = args.methods.split(",") if args.methods else list(METHODS)
     for m in methods:
@@ -260,7 +255,7 @@ def cmd_generate(args) -> int:
 
 def cmd_report(args) -> int:
     # flags first, so no route runs before a bad one is named
-    _check_tol(args.tol)
+    chain_mod._check_tol("--tol", args.tol)
     chain_mod._check_at_least("--horizon", args.horizon, 1)
     chain_mod._check_at_least("--trials", args.trials, 1)
     if not 0.0 < args.epsilon < 1.0:
@@ -383,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
+    except OSError as e:  # a missing, unreadable or directory path
         print(f"error: {e}", file=sys.stderr)
         return 1
     except ErgokitError as e:

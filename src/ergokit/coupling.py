@@ -37,7 +37,6 @@ class ProductChain:
 @dataclass(frozen=True)
 class CouplingTrace:
     tau_samples: np.ndarray  # meeting times of the non-truncated runs
-    mode: str | tuple[str, int]  # "meet_anywhere" or ("meet_at_state", t)
     trials: int
     seed: int
     truncated: int  # runs that hit max_steps without meeting (excluded)
@@ -92,33 +91,12 @@ def product_ergodicity(P: StochasticMatrix) -> bool:
     return verdict
 
 
-def _meeting_targets(mode) -> tuple:
-    """The states a meeting mode names: none for "meet_anywhere", (t,) for
-    ("meet_at_state", t). Any other mode is an ArgumentRangeError."""
-    if isinstance(mode, str) and mode == "meet_anywhere":
-        return ()
-    if isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "meet_at_state":
-        return (mode[1],)
-    raise ArgumentRangeError(
-        f"unknown meeting mode {mode!r}: not \"meet_anywhere\" or (\"meet_at_state\", t)"
-    )
-
-
-def _check_coupling(P: StochasticMatrix, start, mode, trials: int) -> None:
-    """Reject a malformed mode, a start that is not a pair of states of P, a
-    target that is not a state of P and fewer than one trial."""
-    targets = _meeting_targets(mode)
+def _check_coupling(P: StochasticMatrix, start, trials: int) -> None:
+    """Reject a start that is not a pair of states of P and fewer than one
+    trial."""
     if len(start) != 2:
         raise ArgumentRangeError(f"start {start!r} is not a pair of states")
-    _check_walk(P, tuple(start) + targets, trials)
-
-
-def _meeting_mask(x: np.ndarray, y: np.ndarray, mode) -> np.ndarray:
-    """Where the pair meets, for a mode :func:`_meeting_targets` accepts."""
-    if mode == "meet_anywhere":
-        return x == y
-    t = mode[1]
-    return (x == t) & (y == t)
+    _check_walk(P, tuple(start), trials)
 
 
 def simulate_coupling(
@@ -129,50 +107,47 @@ def simulate_coupling(
     max_steps: int = 10_000,
     seed: int = 0,
 ) -> CouplingTrace:
-    """Run two independent copies from `start` and record meeting times.
+    """Run two independent copies from `start` and record the first time
+    they occupy the same state.
 
     Runs that hit max_steps without meeting are excluded from the samples
     and reported in `truncated`. Deterministic for a fixed seed: all trials
-    advance in lockstep from a single generator.
+    advance in lockstep from a single generator. `mode` accepts only
+    "meet_anywhere", the one meeting rule.
     """
-    _check_coupling(P, start, mode, trials)
+    if not (isinstance(mode, str) and mode == "meet_anywhere"):
+        raise ArgumentRangeError(f"mode {mode!r} is not \"meet_anywhere\"")
+    _check_coupling(P, start, trials)
     _check_at_least("max_steps", max_steps, 1)
     require_ergodic(P, "meeting of two independent copies")
     states = np.empty((2, trials), dtype=np.intp)
     states[0], states[1] = start
-    tau = np.where(_meeting_mask(*states, mode), 0, -1)
-    _walk_until(
-        P, states, lambda a, b: _meeting_mask(a, b, mode), tau, max_steps,
-        np.random.default_rng(seed),
-    )
+    tau = np.where(states[0] == states[1], 0, -1)
+    _walk_until(P, states, np.equal, tau, max_steps, np.random.default_rng(seed))
     truncated = int((tau < 0).sum())
     return CouplingTrace(
         tau_samples=tau[tau >= 0],
-        mode=mode,
         trials=trials,
         seed=seed,
         truncated=truncated,
     )
 
 
-def exact_meeting_tail(
-    P: StochasticMatrix, start: tuple[int, int], horizon: int, mode="meet_anywhere"
-) -> np.ndarray:
+def exact_meeting_tail(P: StochasticMatrix, start: tuple[int, int], horizon: int) -> np.ndarray:
     """Exact Pr(tau > i) for i = 0..horizon from the unmet pair mass: M(x, y)
     is the chance that the pair is at (x, y) and has not met, so M_0 is the
-    point mass at `start`, each step is M <- P^T M P with the meeting set
+    point mass at `start`, each step is M <- P^T M P with the diagonal
     zeroed, and the tail is M's sum. Serves as the oracle for the simulation;
     O(n^2) memory and O(n^3) per step, at any n."""
-    _check_coupling(P, start, mode, 1)
+    _check_coupling(P, start, 1)
     _check_at_least("horizon", horizon, 0)
-    met = _meeting_mask(*np.indices((P.n, P.n)), mode)
     M = np.zeros((P.n, P.n))
     M[tuple(start)] = 1.0
     tail = np.empty(horizon + 1)
     for i in range(horizon + 1):
         if i:
             M = P.entries.T @ M @ P.entries
-        M[met] = 0.0
+        np.fill_diagonal(M, 0.0)
         tail[i] = M.sum()
     return tail
 

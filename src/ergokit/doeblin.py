@@ -4,8 +4,10 @@ A positive P admits P = (1 - theta) Pi + theta Q with Pi the rank-1 matrix
 of stationary rows; the residual error P^n - Pi then shrinks like theta^n,
 giving the TV bound d(n) <= theta^n. The spectral side verifies the facts
 that proof rests on (dominant eigenvalue 1 with stationary left vector,
-subdominant modulus below 1, rank-1 limit) by power iteration and direct
-powering, never by computing a canonical form.
+subdominant modulus below 1, rank-1 limit): the dominant pair by power
+iteration, the subdominant modulus from the computed eigenvalues of the
+deflated operator P - Pi (Brauer's theorem: deflation swaps the eigenvalue
+1 for 0 and keeps the rest), and the limit by direct powering.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from itertools import islice, pairwise
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, check_stationary, orbit, power, tv_curve
-from .chain import _check_at_least
-from .errors import NoConvergenceError, NotPositiveError
+from .chain import _check_at_least, _check_tol
+from .errors import NotPositiveError
 from .stationary import _power_iterate
 from .structure import require_ergodic
 
@@ -97,6 +99,7 @@ def verify_error_recursion(
     computing both sides independently, plus the two absorption identities
     it leans on (M Pi = Pi for stochastic M; Pi M = Pi when pi M = pi)."""
     _check_at_least("max_n", max_n, 1)
+    _check_tol("tol", tol, zero_ok=True)
     Pi = split.Pi_matrix.entries
     Q = split.Q_matrix.entries
     th = split.theta
@@ -129,6 +132,7 @@ def tv_bound_doeblin(
 ) -> TVBoundCurve:
     """Exact d(n) against the geometric bound theta^n for n = 1..max_n."""
     _check_at_least("max_n", max_n, 1)
+    _check_tol("tol", tol, zero_ok=True)
     rows = []
     passed = True
     for n, d in enumerate(islice(tv_curve(P, pi), 1, max_n + 1), start=1):
@@ -139,45 +143,22 @@ def tv_bound_doeblin(
     return TVBoundCurve(rows=tuple(rows), passed=passed)
 
 
-def spectral_check(
-    P: StochasticMatrix, tol: float = 1e-8, max_iter: int = 100_000
-) -> SpectralCheck:
+def spectral_check(P: StochasticMatrix, max_iter: int = 100_000) -> SpectralCheck:
     """Dominant pair by power iteration on the transpose (converges to the
-    stationary row vector), subdominant modulus from norms of powers of the
-    deflated operator P - Pi, and the rank-1 limit gap ||P^k - Pi||_inf at
-    the k that pushes the estimated subdominant part below ~1e-10."""
+    stationary row vector), subdominant modulus as the spectral radius of
+    the deflated operator A = P - Pi, and the rank-1 limit gap
+    ||P^k - Pi||_inf at the k that pushes the subdominant part below ~1e-10.
+
+    By Brauer's theorem, A = P - 1 pi^T has the eigenvalues of P with the
+    eigenvalue 1 replaced by 1 - sum(pi) = 0, so rho(A) is |lambda_2|
+    however far the power-iteration pi is from the true one."""
     require_ergodic(P, "spectral check")
     mu, _ = _power_iterate(P, 1e-14, max_iter)
     dominant_value = float((mu @ P.entries).sum() / mu.sum())  # = 1 for stochastic P
     pi = mu / mu.sum()
     Pi = _pi_rows(P, pi)
-    A = P.entries - Pi
-
-    # Gelfand formula on the deflated operator: ||A^k||^(1/k) -> rho(A).
-    # Repeated squaring makes k = 2^j, so the constant-factor error C^(1/k)
-    # dies off doubly fast; normalizing each square avoids underflow. This
-    # stays stable when the subdominant eigenvalues are a complex pair,
-    # where plain power-iteration ratios oscillate forever.
-    est = 0.0
-    B = A.copy()
-    log_norm = 0.0
-    for j in range(1, 61):
-        s = float(np.abs(B).sum(axis=1).max())
-        if s == 0.0 or not np.isfinite(s):
-            est = 0.0 if s == 0.0 else float("nan")
-            break
-        log_norm += np.log(s)
-        new_est = float(np.exp(log_norm / 2 ** (j - 1)))
-        if j > 1 and abs(new_est - est) < tol:
-            est = new_est
-            break
-        est = new_est
-        B = (B / s) @ (B / s)
-        log_norm *= 2.0
-    if not np.isfinite(est):
-        raise NoConvergenceError("subdominant estimate diverged")
-
-    gap = float(np.abs(power(P, _default_probe(P, est)).entries - Pi).sum(axis=1).max())
+    est = float(np.abs(np.linalg.eigvals(P.entries - Pi)).max())
+    gap = float(np.abs(power(P, _default_probe(est)).entries - Pi).sum(axis=1).max())
     return SpectralCheck(
         dominant_value=dominant_value,
         dominant_vector=Distribution(P.space, pi),
@@ -186,7 +167,7 @@ def spectral_check(
     )
 
 
-def _default_probe(P: StochasticMatrix, subdominant: float) -> int:
+def _default_probe(subdominant: float) -> int:
     # enough powering to push the rank-1 gap below ~1e-10
     if subdominant <= 0.0:
         return 1

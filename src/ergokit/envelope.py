@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, orbit, power, stationary_residual
-from .chain import _check_at_least, _check_walk, _first_power, _memoized, _tv_rows
+from .chain import _check_at_least, _check_tol, _check_walk, _first_power, _memoized, _tv_rows
 from .errors import (
     ArgumentRangeError,
     MaxIterExceededError,
@@ -70,6 +70,7 @@ def envelope_iterate(
         raise NotPositiveError("envelope iteration needs an entrywise positive matrix")
     _check_walk(P, (column,), 1, "column")
     _check_at_least("max_iter", max_iter, 1)
+    _check_tol("tol", tol, zero_ok=True)
     p_min = P.min_entry()
     records = []
     prev_m, prev_M = -np.inf, np.inf
@@ -134,8 +135,7 @@ def stationary_by_envelope(
     Each pi_k is the midpoint of its final [m, M] interval, certified to
     half-width tol / 2.
     """
-    if not tol > 0.0:  # NaN fails too
-        raise ArgumentRangeError(f"tol must be > 0, got {tol}")
+    _check_tol("tol", tol)
     require_ergodic(P, "envelope squeeze")
     m, lifted = _lift(P)
     B = lifted.entries

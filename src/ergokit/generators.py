@@ -128,7 +128,11 @@ def generate(name: str, **params) -> StochasticMatrix:
     """Dispatch by generator name; pagerank takes path= and alpha=."""
     if name == "pagerank":
         path = params.pop("path", None)
-        alpha = float(params.pop("alpha", 0.85))
+        alpha = params.pop("alpha", 0.85)
+        try:
+            alpha = float(alpha)
+        except (TypeError, ValueError):
+            raise InvalidGeneratorParamsError(f"pagerank alpha {alpha!r} is not a number") from None
         if path is None:
             raise InvalidGeneratorParamsError("pagerank needs path=<edge list file>")
         if params:

@@ -25,7 +25,7 @@ from typing import Any, Mapping, NamedTuple
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, orbit, stationary_residual
-from .chain import _check_at_least, _check_walk, _memoized, _walk_until
+from .chain import _check_at_least, _check_tol, _check_walk, _memoized, _walk_until
 from .errors import (
     ArgumentRangeError,
     BalanceViolationError,
@@ -352,6 +352,7 @@ def _power_iterate(P: StochasticMatrix, tol: float, max_iter: int) -> tuple[np.n
     iterates differ by less than tol in every entry. Returns the last
     iterate (not renormalized) and the number of products taken."""
     _check_at_least("max_iter", max_iter, 1)
+    _check_tol("tol", tol)
     steps = itertools.pairwise(orbit(np.full(P.n, 1.0 / P.n), P.entries))
     for it, (mu, nxt) in zip(range(1, max_iter + 1), steps):
         if np.abs(nxt - mu).max() < tol:

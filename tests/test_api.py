@@ -2,6 +2,7 @@
 to this file."""
 
 import importlib
+import inspect
 import math
 from types import SimpleNamespace
 
@@ -88,6 +89,15 @@ REMOVED_METHODS = [
     ("chain", "StochasticMatrix", "__matmul__"),
     ("chain", "StateSpace", "index"),
     ("doeblin", "TVBoundCurve", "to_csv"),
+    ("chain", "Distribution", "point_mass"),
+]
+
+#: Parameters that are gone: spectral_check's tol steered the Gelfand
+#: iteration that the computed spectrum replaced, and exact_meeting_tail
+#: zeroes the diagonal, the one meeting rule.
+REMOVED_PARAMETERS = [
+    ("spectral_check", "tol"),
+    ("coupling.exact_meeting_tail", "mode"),
 ]
 
 
@@ -112,6 +122,13 @@ def test_removed_method_is_gone(mod, cls, attr):
     assert not hasattr(getattr(importlib.import_module(f"ergokit.{mod}"), cls), attr)
 
 
+@pytest.mark.parametrize("path, param", REMOVED_PARAMETERS)
+def test_removed_parameter_is_gone(path, param):
+    *mod, name = path.split(".")
+    owner = importlib.import_module(f"ergokit.{mod[0]}") if mod else ek
+    assert param not in inspect.signature(getattr(owner, name)).parameters
+
+
 #: A public argument out of its range, for each routine that takes one, and
 #: the argument's name. Each must raise ArgumentRangeError, naming the
 #: argument, before any matrix power, solve or orbit.
@@ -132,6 +149,19 @@ BAD_ARGUMENTS = {
     "probs_sum": (lambda c: ek.Distribution(c.P.space, [0.5, 0.6]), "probs"),
     "tol_nan": (lambda c: ek.stationary_by_envelope(c.P, tol=math.nan), "tol"),
     "tol_negative": (lambda c: ek.stationary_by_envelope(c.P, tol=-1.0), "tol"),
+    "power_tol_nan": (lambda c: ek.stationary_by_power(c.P, tol=math.nan), "tol"),
+    "power_tol_negative": (lambda c: ek.stationary_by_power(c.P, tol=-1.0), "tol"),
+    "power_tol_zero": (lambda c: ek.stationary_by_power(c.P, tol=0.0), "tol"),
+    "trace_tol_nan": (lambda c: ek.envelope_iterate(c.P, 0, tol=math.nan), "tol"),
+    "trace_tol_negative": (lambda c: ek.envelope_iterate(c.P, 0, tol=-1.0), "tol"),
+    "tv_bound_tol_nan": (
+        lambda c: ek.tv_bound_doeblin(c.split, c.P, c.pi, tol=math.nan), "tol"
+    ),
+    "tv_bound_tol_negative": (
+        lambda c: ek.tv_bound_doeblin(c.split, c.P, c.pi, tol=-1.0), "tol"
+    ),
+    "recursion_tol_nan": (lambda c: ek.verify_error_recursion(c.split, c.P, tol=math.nan), "tol"),
+    "recursion_tol_negative": (lambda c: ek.verify_error_recursion(c.split, c.P, tol=-1.0), "tol"),
 }
 
 
@@ -143,7 +173,7 @@ def test_bad_argument_rejected_before_any_work(case, tmp_path, monkeypatch):
     path = tmp_path / "chain.json"
     path.write_text(P.to_json())
     ctx = SimpleNamespace(
-        P=P, cube=gen.lazy_hypercube(2), split=ek.doeblin_split(P, pi), path=str(path)
+        P=P, pi=pi, cube=gen.lazy_hypercube(2), split=ek.doeblin_split(P, pi), path=str(path)
     )
 
     def no_work(*args, **kwargs):

@@ -69,7 +69,17 @@ MALFORMED = [
     ("text.json", '{"states": ["a", "b"], "matrix": [["x", 0.5], [0.5, 0.5]]}',
      "ChainParseError", "'x'"),
     ("no_matrix.json", '{"states": ["a", "b"]}', "ChainParseError", "'matrix'"),
+    ("chain_dir", None, "Is a directory", "chain_dir"),
+    ("edges_dir", None, "Is a directory", "edges_dir"),
+    ("edges.txt", "a b\nb a\n", "InvalidGeneratorParamsError", "'abc'"),
 ]
+
+#: The command a malformed input goes to, "{}" standing for its path, where
+#: that is not ``analyze --chain``; a text of None above makes a directory.
+MALFORMED_ARGV = {
+    "edges_dir": ("analyze", "--gen", "pagerank", "--params", "path={}"),
+    "edges.txt": ("report", "--gen", "pagerank", "--params", "path={},alpha=abc"),
+}
 
 
 class TestAnalyze:
@@ -132,8 +142,12 @@ class TestAnalyze:
     )
     def test_malformed_chain_exit_one(self, capsys, tmp_path, name, text, error, detail):
         f = tmp_path / name
-        f.write_text(text)
-        code, out, err = run(capsys, "analyze", "--chain", str(f))
+        if text is None:
+            f.mkdir()
+        else:
+            f.write_text(text)
+        argv = MALFORMED_ARGV.get(name, ("analyze", "--chain", "{}"))
+        code, out, err = run(capsys, *(a.format(f) for a in argv))
         assert code == 1
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err

@@ -119,17 +119,6 @@ class TestSimulateCoupling:
         with pytest.raises(NotErgodicError):
             ek.simulate_coupling(flip_chain, start=(0, 1))
 
-    def test_meet_at_state_mode(self, two_state_chain):
-        trace = ek.simulate_coupling(
-            two_state_chain,
-            start=(0, 1),
-            mode=("meet_at_state", 0),
-            trials=2000,
-            seed=5,
-        )
-        assert trace.truncated == 0
-        assert (trace.tau_samples >= 1).all()
-
     def test_tail_non_increasing(self, two_state_chain):
         trace = ek.simulate_coupling(
             two_state_chain, start=(0, 1), trials=20_000, seed=6
@@ -232,27 +221,23 @@ class TestArgumentRanges:
             lambda P, pi: ek.monte_carlo_return(P, z=0, trials=10, seed=0, max_steps=0),
             lambda P, pi: exact_meeting_tail(P, (0, 5), 3),
             lambda P, pi: exact_meeting_tail(P, (-1, 0), 3),
-            lambda P, pi: exact_meeting_tail(P, (0, 1), 3, mode=("meet_at_state", 9)),
             lambda P, pi: exact_meeting_tail(P, (0, 1), -2),
             lambda P, pi: exact_meeting_tail(P, (0, 9), 3),
             lambda P, pi: ek.simulate_coupling(P, (0.5, 1)),
             lambda P, pi: ek.monte_carlo_return(P, 1.5, trials=10, seed=0),
             lambda P, pi: ek.verify_coupling_lemma(P, pi, start_y=1.5),
             lambda P, pi: exact_meeting_tail(P, (0.5, 1), 3),
-            lambda P, pi: ek.simulate_coupling(P, (0, 1), mode=("meet_at_state", 0.5)),
-            lambda P, pi: ek.simulate_coupling(P, (0, 1), mode=("meet_at_state",)),
             lambda P, pi: ek.simulate_coupling(P, (0, 1), mode="nope"),
-            lambda P, pi: exact_meeting_tail(P, (0, 1), 3, mode="nope"),
+            lambda P, pi: ek.simulate_coupling(P, (0, 1), mode=("meet_at_state", 0)),
             lambda P, pi: ek.simulate_coupling(P, (0, 1, 1)),
             *(call for call, _ in NON_INTEGER_COUNTS.values()),
         ],
         ids=[
             "start", "target", "trials", "lemma_start", "anchor", "return_trials",
             "lemma_horizon", "max_steps", "return_max_steps", "exact_start",
-            "exact_negative_start", "exact_target", "exact_horizon", "exact_far_start",
+            "exact_negative_start", "exact_horizon", "exact_far_start",
             "float_start", "float_anchor", "float_lemma_start", "exact_float_start",
-            "float_target", "short_mode", "unknown_mode", "exact_unknown_mode",
-            "triple_start", *NON_INTEGER_COUNTS,
+            "unknown_mode", "meet_at_state_mode", "triple_start", *NON_INTEGER_COUNTS,
         ],
     )
     def test_rejected_before_any_step(self, two_state_chain, call, monkeypatch):
@@ -292,7 +277,7 @@ class TestArgumentRanges:
         assert ek.simulate_coupling(two_state_chain, (np.int64(0), one), trials=50).trials == 50
         assert ek.monte_carlo_return(two_state_chain, one, trials=50, seed=0)[0] > 0
         assert ek.verify_coupling_lemma(two_state_chain, pi, start_y=one, trials=50).trials == 50
-        assert exact_meeting_tail(two_state_chain, (0, one), 3, mode=("meet_at_state", one))[0] == 1.0
+        assert exact_meeting_tail(two_state_chain, (np.int64(0), one), 3)[0] == 1.0
 
     @pytest.mark.parametrize(
         "P", [gen.uniform(7), gen.lazy_hypercube(7)], ids=["uniform7", "lazy_hypercube7"]
@@ -634,7 +619,8 @@ class TestChunkBoundaries:
 
 class TestOneStepCall:
     def test_one_sampler_call_per_step(self, monkeypatch):
-        # both copies start at 0 and meet only at 127, seven bits away
+        # antipodal on the 7-cube: each copy flips at most one bit a step, so
+        # the seven differing bits cannot all clear in under 4 steps
         calls = []
         step = _Sampler.step
 
@@ -644,10 +630,10 @@ class TestOneStepCall:
 
         monkeypatch.setattr(_Sampler, "step", spy)
         trace = ek.simulate_coupling(
-            gen.lazy_hypercube(7), (0, 0), mode=("meet_at_state", 127), trials=50, max_steps=5
+            gen.lazy_hypercube(7), (0, 127), trials=50, max_steps=3
         )
         assert trace.truncated == 50
-        assert calls == [100] * 5
+        assert calls == [100] * 3
 
 
 class TestScratchSize:

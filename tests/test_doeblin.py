@@ -148,7 +148,7 @@ class TestSpectralCheck:
         check = ek.spectral_check(P)
         lam = np.abs(np.linalg.eigvals(P.entries))
         lam.sort()
-        assert check.subdominant_modulus_estimate == pytest.approx(lam[-2], abs=1e-5)
+        assert check.subdominant_modulus_estimate == pytest.approx(lam[-2], abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_dominant_vector_matches_linear(self, seed):
@@ -166,4 +166,13 @@ class TestSpectralCheck:
         check = ek.spectral_check(P)
         lam = np.abs(np.linalg.eigvals(P.entries))
         lam.sort()
-        assert check.subdominant_modulus_estimate == pytest.approx(lam[-2], abs=1e-4)
+        assert check.subdominant_modulus_estimate == pytest.approx(lam[-2], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "P", [gen.lazy_hypercube(7), gen.top_to_random(5)], ids=["lazy_hypercube7", "top_to_random5"]
+    )
+    def test_subdominant_matches_eig_with_zero_entries(self, P):
+        check = ek.spectral_check(P)
+        lam = np.abs(np.linalg.eigvals(P.entries))
+        lam.sort()
+        assert check.subdominant_modulus_estimate == pytest.approx(lam[-2], abs=1e-12)

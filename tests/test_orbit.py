@@ -15,7 +15,7 @@ import ergokit as ek
 from ergokit import generators as gen
 from ergokit.chain import orbit
 from ergokit.cli import main
-from ergokit.coupling import _meeting_mask, exact_meeting_tail
+from ergokit.coupling import exact_meeting_tail
 
 from conftest import random_ergodic, random_positive
 
@@ -62,13 +62,7 @@ def stationary_csv(tmp_path, P):
 
 
 def meeting_tails(tmp_path, P):
-    start = (0, P.n - 1)
-    return digest(
-        np.concatenate([
-            exact_meeting_tail(P, start, 25),
-            exact_meeting_tail(P, start, 25, mode=("meet_at_state", 0)),
-        ])
-    )
+    return digest(exact_meeting_tail(P, (0, P.n - 1), 25))
 
 
 def recursion_errors(tmp_path, P):
@@ -98,7 +92,9 @@ OUTPUTS = {
 #: (output, chain) -> value recorded before the curves shared one orbit; the
 #: meeting_tails digests were recorded again when the exact tail moved from
 #: the absorbing product chain to the pair-mass recursion, which
-#: TestPairMassTail checks against the product chain.
+#: TestPairMassTail checks against the product chain, and again over the
+#: meet-anywhere tail alone (computed before the meet-at-state rule went)
+#: when that rule was retired.
 PINNED = {
     ('mix_csv', 'two_state'): 'eddb5763504859997e6e1f2a1f877e7648beee243c11a0abebd52871e312f943',
     ('mix_csv', 'lazy_hypercube_3'): '650d658672277c36b0223351003e4d7144f092b9d28c5fee7c8a4861738c2809',
@@ -108,9 +104,9 @@ PINNED = {
     ('stationary_csv', 'lazy_hypercube_3'): 'e90ae5721ee24ed1b85cd3ef1d9cc1f4e2040a219ac0a5ab8f2a4a828c13c6e8',
     ('stationary_csv', 'positive5'): 'ebe6b2c2f5562bd2b0e67b14e8da697376129c194767e7ea9bb84708a9321cde',
     ('stationary_csv', 'ergodic6'): 'f0773e76a8db2bf4cf3889816fea3e74c0e948076a71bbef4219034a2a12eb6c',
-    ('meeting_tails', 'two_state'): 'eac97f146178d25d4803b8dc67f8de0da34dee37b6d31a91d56cf3cea7589229',
-    ('meeting_tails', 'positive5'): '6cf09f888e697af1208380994d3f8300015f727c5f941fff72a9c2a142d2a465',
-    ('meeting_tails', 'ergodic6'): 'af6c6df152402453a1a0ea73862cefc7769018ef0b89c7ac978b6d69305ffd3c',
+    ('meeting_tails', 'two_state'): '8eb85940bea48e44430ec2334715d9b6bd62a78ecbd66030336701a4a1617722',
+    ('meeting_tails', 'positive5'): '93e82e710ea66cb346ad64e61bf651967aea4408b9235bd800b7d09a930a893a',
+    ('meeting_tails', 'ergodic6'): '19e067602cd61e68182a0f8565d6bca945837a066a11781bcb1f3cab76222b81',
     ('recursion_errors', 'two_state'): '206bea3bc9eaa0d38ef80fbe18980e6320f1576ac112dbf776a9cd5182245b82',
     ('recursion_errors', 'positive5'): '5c49db06d135230e5a5add347878ef2cc85c79846239432009715134385bcfd2',
     ('power_iterations', 'two_state'): 37,
@@ -148,16 +144,16 @@ class TestOrbit:
         assert Counted.products == 1
 
 
-def absorbing_tail(P, start, horizon, mode="meet_anywhere"):
+def absorbing_tail(P, start, horizon):
     """The exact meeting tail as the n^2 x n^2 product chain gives it, with
-    every meeting pair made absorbing and the surviving mass read off: the
+    every diagonal pair made absorbing and the surviving mass read off: the
     oracle that the pair-mass recursion replaced."""
     n = P.n
     pc = ek.build_product_chain(P)
     Q = pc.product_matrix.entries.copy()
     pairs = np.arange(n * n)
     xs, ys = np.divmod(pairs, n)
-    absorbing = _meeting_mask(xs, ys, mode)
+    absorbing = xs == ys
     Q[absorbing] = 0.0
     Q[absorbing, pairs[absorbing]] = 1.0
     point = np.zeros(n * n)
@@ -172,11 +168,10 @@ class TestPairMassTail:
         for seed in range(20):
             rng = np.random.default_rng(1000 * n + seed)
             P = (random_positive if seed % 2 else random_ergodic)(rng, n)
-            for mode in ("meet_anywhere", ("meet_at_state", seed % n)):
-                for start in np.ndindex(n, n):
-                    got = exact_meeting_tail(P, start, 30, mode=mode)
-                    want = absorbing_tail(P, start, 30, mode=mode)
-                    assert np.abs(got - want).max() <= 1e-14
+            for start in np.ndindex(n, n):
+                got = exact_meeting_tail(P, start, 30)
+                want = absorbing_tail(P, start, 30)
+                assert np.abs(got - want).max() <= 1e-14
 
 
 class TestCurveParity:
