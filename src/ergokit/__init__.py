@@ -46,8 +46,7 @@ from .doeblin import (
     SpectralCheck,
     doeblin_split,
     spectral_check,
-    tv_bound_doeblin,
-    verify_error_recursion,
+    verify_doeblin,
 )
 from . import generators
 
@@ -83,9 +82,8 @@ __all__ = [
     "stationary_by_return_time",
     "stationary_by_trees",
     "stationary_linear",
-    "tv_bound_doeblin",
     "tv_distance",
     "validate_stochastic",
     "verify_coupling_lemma",
-    "verify_error_recursion",
+    "verify_doeblin",
 ]

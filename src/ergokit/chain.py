@@ -255,7 +255,7 @@ def _tv_rows(rows: np.ndarray, pi: np.ndarray) -> float:
 
 def tv_curve(P: StochasticMatrix, pi: Distribution):
     """Yield d(0), d(1), ... without end: d(t) = max_x TV(P^t(x, .), pi), over
-    the :func:`orbit` of the identity. The Doeblin bound reads this curve."""
+    the :func:`orbit` of the identity."""
     return (_tv_rows(S, pi.probs) for S in orbit(np.eye(P.n), P.entries))
 
 

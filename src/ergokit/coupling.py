@@ -119,6 +119,7 @@ def simulate_coupling(
         raise ArgumentRangeError(f"mode {mode!r} is not \"meet_anywhere\"")
     _check_coupling(P, start, trials)
     _check_at_least("max_steps", max_steps, 1)
+    _check_at_least("seed", seed, 0)
     require_ergodic(P, "meeting of two independent copies")
     states = np.empty((2, trials), dtype=np.intp)
     states[0], states[1] = start
@@ -194,6 +195,7 @@ def verify_coupling_lemma(
     3-standard-error band on the simulated side."""
     _check_walk(P, (start_y,), trials)
     _check_at_least("horizon", horizon, 0)
+    _check_at_least("seed", seed, 0)
     require_ergodic(P, "coupling lemma check")
     check_stationary(P, pi)
     rng = np.random.default_rng(seed)

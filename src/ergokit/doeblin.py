@@ -1,13 +1,15 @@
 """Minorization split and spectral sanity checks for convergence rates.
 
 A positive P admits P = (1 - theta) Pi + theta Q with Pi the rank-1 matrix
-of stationary rows; the residual error P^n - Pi then shrinks like theta^n,
-giving the TV bound d(n) <= theta^n. The spectral side verifies the facts
-that proof rests on (dominant eigenvalue 1 with stationary left vector,
-subdominant modulus below 1, rank-1 limit): the dominant pair by power
-iteration, the subdominant modulus from the computed eigenvalues of the
-deflated operator P - Pi (Brauer's theorem: deflation swaps the eigenvalue
-1 for 0 and keeps the rest), and the limit by direct powering.
+of stationary rows; the residual error P^n - Pi then equals
+theta^n (Q^n - Pi Q^(n-1)), giving the TV bound d(n) <= theta^n. One pass
+over the orbits of P and Q checks both. The spectral side verifies the
+facts that proof rests on (dominant eigenvalue 1 with stationary left
+vector, subdominant modulus below 1, rank-1 limit): the dominant pair from
+the memoized linear solve, the subdominant modulus from the computed
+eigenvalues of the deflated operator P - Pi (Brauer's theorem: deflation
+swaps the eigenvalue 1 for 0 and keeps the rest), and the limit by direct
+powering.
 """
 
 from __future__ import annotations
@@ -18,11 +20,17 @@ from itertools import islice, pairwise
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix, check_stationary, orbit, power, tv_curve
-from .chain import _check_at_least, _check_tol
+from .chain import Distribution, StochasticMatrix, check_stationary, orbit, power
+from .chain import _check_at_least, _tv_rows
 from .errors import NotPositiveError
-from .stationary import _power_iterate
+from .stationary import stationary_linear
 from .structure import require_ergodic
+
+#: d(n) may exceed theta^n by this much, the rounding of the exact curve.
+TV_SLACK = 1e-12
+#: The largest entrywise error the error recursion and the two absorption
+#: identities it leans on may show.
+RECURSION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -34,17 +42,14 @@ class DoeblinSplit:
 
 
 @dataclass(frozen=True)
-class RecursionVerdict:
-    per_n_error: tuple[float, ...]  # worst entrywise error of the identity at each n
-    passed: bool
+class DoeblinVerdict:
+    split: DoeblinSplit
+    # (n, exact d(n), theta^n, worst entrywise error of the recursion at n)
+    rows: tuple[tuple[int, float, float, float], ...]
     fact_a_error: float  # M Pi = Pi over probe stochastic matrices
     fact_b_error: float  # Pi M = Pi when pi is stationary for M
-
-
-@dataclass(frozen=True)
-class TVBoundCurve:
-    rows: tuple[tuple[int, float, float], ...]  # (n, exact d(n), theta^n)
-    passed: bool
+    tv_bound_passed: bool  # d(n) <= theta^n + TV_SLACK for every n
+    recursion_passed: bool  # every error, and both facts, within RECURSION_TOL
 
 
 @dataclass(frozen=True)
@@ -92,83 +97,67 @@ def _random_stochastic(n: int, rng) -> np.ndarray:
     return a / a.sum(axis=1, keepdims=True)
 
 
-def verify_error_recursion(
-    split: DoeblinSplit, P: StochasticMatrix, max_n: int = 20, tol: float = 1e-10
-) -> RecursionVerdict:
-    """Check P^n - Pi = theta^n (Q^n - Pi Q^(n-1)) entrywise for each n,
-    computing both sides independently, plus the two absorption identities
-    it leans on (M Pi = Pi for stochastic M; Pi M = Pi when pi M = pi)."""
+def verify_doeblin(P: StochasticMatrix, pi: Distribution, max_n: int = 50) -> DoeblinVerdict:
+    """Split P, then for n = 1..max_n compare the exact d(n) with theta^n and
+    check P^n - Pi = theta^n (Q^n - Pi Q^(n-1)) entrywise, both sides formed
+    independently, over one orbit of P and one of Q. Also checks the two
+    absorption identities the recursion leans on (M Pi = Pi for stochastic
+    M; Pi M = Pi when pi M = pi)."""
     _check_at_least("max_n", max_n, 1)
-    _check_tol("tol", tol, zero_ok=True)
+    split = doeblin_split(P, pi)
     Pi = split.Pi_matrix.entries
     Q = split.Q_matrix.entries
     th = split.theta
-    errors = []
+    rows = []
     eye = np.eye(P.n)
     steps = zip(islice(orbit(eye, P.entries), 1, None), pairwise(orbit(eye, Q)))
     for n, (Pn, (Qprev, Qn)) in zip(range(1, max_n + 1), steps):
-        rhs = th**n * (Qn - Pi @ Qprev)
-        errors.append(float(np.abs((Pn - Pi) - rhs).max()))
+        bound = th**n
+        error = float(np.abs((Pn - Pi) - bound * (Qn - Pi @ Qprev)).max())
+        rows.append((n, _tv_rows(Pn, pi.probs), bound, error))
     rng = np.random.default_rng(7)
     probes = [P.entries, Q, _random_stochastic(P.n, rng)]
     fact_a = max(float(np.abs(M @ Pi - Pi).max()) for M in probes)
-    fact_b = max(
-        float(np.abs(Pi @ M - Pi).max()) for M in (P.entries, Pi)
-    )
-    return RecursionVerdict(
-        per_n_error=tuple(errors),
-        passed=max(errors) <= tol and fact_a <= tol and fact_b <= tol,
+    fact_b = max(float(np.abs(Pi @ M - Pi).max()) for M in (P.entries, Pi))
+    return DoeblinVerdict(
+        split=split,
+        rows=tuple(rows),
         fact_a_error=fact_a,
         fact_b_error=fact_b,
+        tv_bound_passed=all(d <= bound + TV_SLACK for _, d, bound, _ in rows),
+        recursion_passed=all(
+            e <= RECURSION_TOL for e in (*(row[3] for row in rows), fact_a, fact_b)
+        ),
     )
 
 
-def tv_bound_doeblin(
-    split: DoeblinSplit,
-    P: StochasticMatrix,
-    pi: Distribution,
-    max_n: int = 50,
-    tol: float = 1e-12,
-) -> TVBoundCurve:
-    """Exact d(n) against the geometric bound theta^n for n = 1..max_n."""
-    _check_at_least("max_n", max_n, 1)
-    _check_tol("tol", tol, zero_ok=True)
-    rows = []
-    passed = True
-    for n, d in enumerate(islice(tv_curve(P, pi), 1, max_n + 1), start=1):
-        bound = split.theta**n
-        if d > bound + tol:
-            passed = False
-        rows.append((n, d, bound))
-    return TVBoundCurve(rows=tuple(rows), passed=passed)
-
-
-def spectral_check(P: StochasticMatrix, max_iter: int = 100_000) -> SpectralCheck:
-    """Dominant pair by power iteration on the transpose (converges to the
-    stationary row vector), subdominant modulus as the spectral radius of
-    the deflated operator A = P - Pi, and the rank-1 limit gap
-    ||P^k - Pi||_inf at the k that pushes the subdominant part below ~1e-10.
+def spectral_check(P: StochasticMatrix) -> SpectralCheck:
+    """Dominant pair from the memoized linear-solve pi, subdominant modulus
+    as the spectral radius of the deflated operator A = P - Pi, and the
+    rank-1 limit gap ||P^k - Pi||_inf at the k that pushes the subdominant
+    part below ~1e-10.
 
     By Brauer's theorem, A = P - 1 pi^T has the eigenvalues of P with the
     eigenvalue 1 replaced by 1 - sum(pi) = 0, so rho(A) is |lambda_2|
-    however far the power-iteration pi is from the true one."""
+    however far the computed pi is from the true one."""
     require_ergodic(P, "spectral check")
-    mu, _ = _power_iterate(P, 1e-14, max_iter)
+    pi = stationary_linear(P).pi
+    mu = pi.probs
     dominant_value = float((mu @ P.entries).sum() / mu.sum())  # = 1 for stochastic P
-    pi = mu / mu.sum()
-    Pi = _pi_rows(P, pi)
+    Pi = _pi_rows(P, mu)
     est = float(np.abs(np.linalg.eigvals(P.entries - Pi)).max())
     gap = float(np.abs(power(P, _default_probe(est)).entries - Pi).sum(axis=1).max())
     return SpectralCheck(
         dominant_value=dominant_value,
-        dominant_vector=Distribution(P.space, pi),
+        dominant_vector=pi,
         subdominant_modulus_estimate=est,
         rank1_gap=gap,
     )
 
 
 def _default_probe(subdominant: float) -> int:
-    # enough powering to push the rank-1 gap below ~1e-10
+    # enough powering to push the rank-1 gap below ~1e-10; power takes
+    # O(log k) products, so k needs no cap
     if subdominant <= 0.0:
         return 1
-    return min(100_000, max(1, int(math.ceil(math.log(1e-10) / math.log(subdominant)))))
+    return max(1, int(math.ceil(math.log(1e-10) / math.log(subdominant))))

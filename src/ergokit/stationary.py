@@ -332,6 +332,7 @@ def monte_carlo_return(
     """
     _check_walk(P, (z,), trials)
     _check_at_least("max_steps", max_steps, 1)
+    _check_at_least("seed", seed, 0)
     require_irreducible(P, "Monte Carlo return time")
     times = np.full(trials, -1, dtype=np.int64)
     _walk_until(
@@ -347,26 +348,22 @@ def monte_carlo_return(
     return mean, se
 
 
-def _power_iterate(P: StochasticMatrix, tol: float, max_iter: int) -> tuple[np.ndarray, int]:
-    """Iterate mu <- mu P from the uniform vector until two successive
-    iterates differ by less than tol in every entry. Returns the last
-    iterate (not renormalized) and the number of products taken."""
-    _check_at_least("max_iter", max_iter, 1)
-    _check_tol("tol", tol)
-    steps = itertools.pairwise(orbit(np.full(P.n, 1.0 / P.n), P.entries))
-    for it, (mu, nxt) in zip(range(1, max_iter + 1), steps):
-        if np.abs(nxt - mu).max() < tol:
-            return nxt, it
-    raise NoConvergenceError(f"power iteration did not settle in {max_iter} steps")
-
-
 def stationary_by_power(
     P: StochasticMatrix, tol: float = 1e-12, max_iter: int = 100_000
 ) -> StationaryResult:
-    """Power iteration mu <- mu P from uniform; requires ergodicity."""
+    """Power iteration mu <- mu P from the uniform vector until two
+    successive iterates differ by less than tol in every entry; requires
+    ergodicity."""
+    _check_at_least("max_iter", max_iter, 1)
+    _check_tol("tol", tol)
     require_ergodic(P, "power iteration")
-    mu, it = _power_iterate(P, tol, max_iter)
-    mu = mu / mu.sum()
+    steps = itertools.pairwise(orbit(np.full(P.n, 1.0 / P.n), P.entries))
+    for it, (mu, nxt) in zip(range(1, max_iter + 1), steps):
+        if np.abs(nxt - mu).max() < tol:
+            break
+    else:
+        raise NoConvergenceError(f"power iteration did not settle in {max_iter} steps")
+    mu = nxt / nxt.sum()
     return StationaryResult(
         pi=Distribution(P.space, mu),
         method="power_iteration",

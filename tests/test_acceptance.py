@@ -182,16 +182,15 @@ def test_criterion_07_coupling_lemma(ergodic_subset):
 
 
 def test_criterion_08_doeblin_bound(positive_corpus):
-    """d(n) <= theta^n for n <= 50; error recursion entrywise 1e-10 for n <= 20."""
+    """d(n) <= theta^n + 1e-12 and error recursion entrywise 1e-10, n <= 50."""
     worst_rec = 0.0
     for P in positive_corpus:
         pi = ek.stationary_linear(P).pi
-        split = ek.doeblin_split(P, pi)
-        curve = ek.tv_bound_doeblin(split, P, pi, max_n=50)
-        assert curve.passed
-        verdict = ek.verify_error_recursion(split, P, max_n=20, tol=1e-10)
-        assert verdict.passed
-        worst_rec = max(worst_rec, max(verdict.per_n_error))
+        verdict = ek.verify_doeblin(P, pi, max_n=50)
+        assert len(verdict.rows) == 50
+        assert all(d <= bound + 1e-12 for _, d, bound, _ in verdict.rows)
+        assert verdict.tv_bound_passed and verdict.recursion_passed
+        worst_rec = max(worst_rec, *(error for _, _, _, error in verdict.rows))
     assert worst_rec <= 1e-10
     _report(8, f"200/200 bounds hold, worst recursion error {worst_rec:.2e}")
 

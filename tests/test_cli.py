@@ -197,10 +197,12 @@ class TestBadArguments:
             (("report", "--tol", "0"), "--tol must be > 0, got 0.0"),
             (("report", "--tol", "nan"), "--tol must be > 0, got nan"),
             (("stationary", "--tol", "-1"), "--tol must be > 0, got -1.0"),
+            (("report", "--seed", "-1"), "--seed must be >= 0, got -1"),
+            (("mix", "--horizon", "-5"), "--horizon must be >= 1, got -5"),
         ],
         ids=[
             "report_horizon", "report_trials", "report_epsilon", "report_tol",
-            "report_tol_nan", "stationary_tol",
+            "report_tol_nan", "stationary_tol", "report_seed", "mix_horizon",
         ],
     )
     def test_flags_checked_before_any_work(self, capsys, monkeypatch, argv, message, gen_args):
@@ -228,9 +230,11 @@ class TestBadArguments:
              "trials must be >= 1, got 0"),
             (("couple", "--gen", "two_state", "--params", "p=0.2,q=0.3", "--horizon", "-3"),
              "horizon must be >= 0, got -3"),
+            (("couple", "--gen", "two_state", "--params", "p=0.2,q=0.3", "--seed", "-1"),
+             "seed must be >= 0, got -1"),
         ],
         ids=["report_start", "report_periodic_start", "couple_start", "couple_trials",
-             "couple_horizon"],
+             "couple_horizon", "couple_seed"],
     )
     def test_walk_flags_checked_before_any_route(self, capsys, monkeypatch, argv, message):
         def never(*args, **kwargs):
@@ -506,6 +510,19 @@ class TestMix:
         assert err.count("\n") == 1
         assert not out_csv.exists()
 
+    def test_csv_refuses_a_horizon_past_the_row_limit(self, capsys, tmp_path):
+        # t_mix is 2, but --horizon alone would ask for 10^8 rows
+        out_csv = tmp_path / "curve.csv"
+        code, out, err = run(
+            capsys, "mix", "--gen", "two_state", "--params", "p=0.2,q=0.3",
+            "--horizon", "100000000", "--csv", str(out_csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: TooLargeError: --csv would need 100000000 rows")
+        assert err.count("\n") == 1
+        assert not out_csv.exists()
+
 
 class TestCouple:
     def test_two_state_passes(self, capsys, tmp_path):
@@ -666,6 +683,28 @@ class TestReport:
             gc.enable()
         assert code == 0
         assert freed == 0
+
+    def test_doeblin_walks_each_orbit_once(self, capsys, monkeypatch, tmp_path):
+        # the d(n) curve and the error recursion share one orbit of P from
+        # the identity, and the recursion walks one orbit of Q
+        from ergokit import chain, coupling, doeblin, envelope, stationary
+
+        args = memo_chain_args(tmp_path, "random_positive")
+        P = ek.load_chain(args[1])
+        walks = []
+        orbit = chain.orbit
+
+        def counted(S, M):
+            if np.ndim(S) == 2 and np.array_equal(S, np.eye(len(S))):
+                walks.append("P" if np.array_equal(M, P.entries) else "Q")
+            return orbit(S, M)
+
+        for mod in (chain, envelope, stationary, coupling, doeblin):
+            monkeypatch.setattr(mod, "orbit", counted)
+        code, out, _ = run(capsys, "report", *args, "--trials", "2000")
+        assert code == 0
+        assert "doeblin_recursion" in json.loads(out)["verdicts"]
+        assert sorted(walks) == ["P", "Q"]
 
     def test_violated_bound_is_a_failed_verdict(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.envelope_mod, "mixing_estimate", estimate_above_bound)

@@ -199,10 +199,18 @@ NON_INTEGER_COUNTS = {
     ),
     "float_exact_horizon": (lambda P, pi: exact_meeting_tail(P, (0, 1), 2.5), "horizon"),
     "float_max_iter": (lambda P, pi: ek.envelope_iterate(P, 0, max_iter=2.5), "max_iter"),
-    "float_max_n": (
-        lambda P, pi: ek.tv_bound_doeblin(ek.doeblin_split(P, pi), P, pi, max_n=2.5),
-        "max_n",
-    ),
+    "float_max_n": (lambda P, pi: ek.verify_doeblin(P, pi, max_n=2.5), "max_n"),
+}
+
+#: A seed out of range for each routine that draws, on the periodic flip
+#: chain: the seed is checked before the structure gate.
+BAD_SEEDS = {
+    "simulate_negative_seed": lambda P, pi: ek.simulate_coupling(P, (0, 1), seed=-1),
+    "simulate_float_seed": lambda P, pi: ek.simulate_coupling(P, (0, 1), seed=1.5),
+    "return_negative_seed": lambda P, pi: ek.monte_carlo_return(P, 0, trials=10, seed=-1),
+    "return_float_seed": lambda P, pi: ek.monte_carlo_return(P, 0, trials=10, seed=1.5),
+    "lemma_negative_seed": lambda P, pi: ek.verify_coupling_lemma(P, pi, 0, seed=-1),
+    "lemma_float_seed": lambda P, pi: ek.verify_coupling_lemma(P, pi, 0, seed=1.5),
 }
 
 
@@ -231,6 +239,7 @@ class TestArgumentRanges:
             lambda P, pi: ek.simulate_coupling(P, (0, 1), mode=("meet_at_state", 0)),
             lambda P, pi: ek.simulate_coupling(P, (0, 1, 1)),
             *(call for call, _ in NON_INTEGER_COUNTS.values()),
+            *BAD_SEEDS.values(),
         ],
         ids=[
             "start", "target", "trials", "lemma_start", "anchor", "return_trials",
@@ -238,6 +247,7 @@ class TestArgumentRanges:
             "exact_negative_start", "exact_horizon", "exact_far_start",
             "float_start", "float_anchor", "float_lemma_start", "exact_float_start",
             "unknown_mode", "meet_at_state_mode", "triple_start", *NON_INTEGER_COUNTS,
+            *BAD_SEEDS,
         ],
     )
     def test_rejected_before_any_step(self, two_state_chain, call, monkeypatch):
@@ -250,6 +260,13 @@ class TestArgumentRanges:
         monkeypatch.setattr(ek.stationary, "_walk_until", no_walk)
         with pytest.raises(ArgumentRangeError):
             call(two_state_chain, pi)
+
+    @pytest.mark.parametrize("case", BAD_SEEDS)
+    def test_seed_checked_before_the_structure_gate(self, case):
+        flip = gen.flip()
+        pi = ek.stationary_linear(flip).pi
+        with pytest.raises(ArgumentRangeError, match=r"^seed (must be >= 0, got -1|1\.5 is not)"):
+            BAD_SEEDS[case](flip, pi)
 
     @pytest.mark.parametrize("case", NON_INTEGER_COUNTS)
     def test_non_integer_count_named(self, two_state_chain, case):
@@ -268,8 +285,7 @@ class TestArgumentRanges:
         ).trials == 50
         assert exact_meeting_tail(two_state_chain, (0, 1), six).shape == (7,)
         assert len(ek.envelope_iterate(two_state_chain, 0, max_iter=six).iterations) <= 6
-        split = ek.doeblin_split(two_state_chain, pi)
-        assert len(ek.tv_bound_doeblin(split, two_state_chain, pi, max_n=six).rows) == 6
+        assert len(ek.verify_doeblin(two_state_chain, pi, max_n=six).rows) == 6
 
     def test_numpy_integer_states_accepted(self, two_state_chain):
         pi = ek.stationary_linear(two_state_chain).pi

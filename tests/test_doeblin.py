@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 import ergokit as ek
+from ergokit import doeblin
 from ergokit import generators as gen
 from ergokit.errors import (
     ArgumentRangeError,
+    ErgokitError,
     NotErgodicError,
     NotPositiveError,
     NotStationaryError,
+    RankDeficientError,
 )
 
 from conftest import from_array, random_positive
@@ -68,12 +71,16 @@ class TestDoeblinSplit:
         assert np.abs(Q.sum(axis=1) - 1.0).max() < 1e-12
 
 
+def recursion_errors(verdict):
+    return [error for _, _, _, error in verdict.rows]
+
+
 class TestErrorRecursion:
     def test_two_state(self, two_state_chain):
-        split, _ = split_of(two_state_chain)
-        verdict = ek.verify_error_recursion(split, two_state_chain, max_n=20)
-        assert verdict.passed
-        assert max(verdict.per_n_error) <= 1e-10
+        _, pi = split_of(two_state_chain)
+        verdict = ek.verify_doeblin(two_state_chain, pi, max_n=20)
+        assert verdict.recursion_passed
+        assert max(recursion_errors(verdict)) <= 1e-10
         assert verdict.fact_a_error <= 1e-12
         assert verdict.fact_b_error <= 1e-12
 
@@ -81,23 +88,37 @@ class TestErrorRecursion:
     def test_random_positive(self, seed):
         rng = np.random.default_rng(1700 + seed)
         P = random_positive(rng, int(rng.integers(2, 8)))
-        split, _ = split_of(P)
-        verdict = ek.verify_error_recursion(split, P, max_n=20, tol=1e-10)
-        assert verdict.passed
+        _, pi = split_of(P)
+        verdict = ek.verify_doeblin(P, pi, max_n=20)
+        assert verdict.recursion_passed
+        assert max(recursion_errors(verdict)) <= 1e-10
 
     def test_rank_one_case(self):
-        split, _ = split_of(gen.uniform(4))
-        verdict = ek.verify_error_recursion(split, gen.uniform(4))
-        assert verdict.passed
-        assert max(verdict.per_n_error) == 0.0
+        P = gen.uniform(4)
+        _, pi = split_of(P)
+        verdict = ek.verify_doeblin(P, pi)
+        assert verdict.recursion_passed
+        assert max(recursion_errors(verdict)) == 0.0
+
+    def test_tolerances(self):
+        assert doeblin.TV_SLACK == 1e-12
+        assert doeblin.RECURSION_TOL == 1e-10
+
+    def test_a_recursion_error_past_the_tolerance_fails(self, two_state_chain, monkeypatch):
+        _, pi = split_of(two_state_chain)
+        worst = max(recursion_errors(ek.verify_doeblin(two_state_chain, pi)))
+        monkeypatch.setattr(doeblin, "RECURSION_TOL", worst / 2)
+        verdict = ek.verify_doeblin(two_state_chain, pi)
+        assert not verdict.recursion_passed and verdict.tv_bound_passed
 
 
 class TestTVBound:
     def test_two_state_exact_values(self, two_state_chain):
-        split, pi = split_of(two_state_chain)
-        curve = ek.tv_bound_doeblin(split, two_state_chain, pi, max_n=10)
-        assert curve.passed
-        for n, d, bound in curve.rows:
+        _, pi = split_of(two_state_chain)
+        verdict = ek.verify_doeblin(two_state_chain, pi, max_n=10)
+        assert verdict.tv_bound_passed
+        assert [n for n, _, _, _ in verdict.rows] == list(range(1, 11))
+        for n, d, bound, _ in verdict.rows:
             assert d == pytest.approx(0.6 * 0.5**n, rel=1e-9)
             assert bound == pytest.approx(0.5**n)
             assert d <= bound
@@ -106,17 +127,22 @@ class TestTVBound:
     def test_domination_holds(self, seed):
         rng = np.random.default_rng(1800 + seed)
         P = random_positive(rng, int(rng.integers(2, 8)))
-        split, pi = split_of(P)
-        curve = ek.tv_bound_doeblin(split, P, pi, max_n=50)
-        assert curve.passed
-        ds = [d for _, d, _ in curve.rows]
+        _, pi = split_of(P)
+        verdict = ek.verify_doeblin(P, pi, max_n=50)
+        assert verdict.tv_bound_passed
+        ds = [d for _, d, _, _ in verdict.rows]
         assert ds[-1] < ds[0] or ds[0] == 0.0
 
     @pytest.mark.parametrize("max_n", [0, -3])
     def test_max_n_below_one_rejected(self, two_state_chain, max_n):
-        split, pi = split_of(two_state_chain)
+        _, pi = split_of(two_state_chain)
         with pytest.raises(ArgumentRangeError, match="max_n"):
-            ek.tv_bound_doeblin(split, two_state_chain, pi, max_n=max_n)
+            ek.verify_doeblin(two_state_chain, pi, max_n=max_n)
+
+    def test_rejects_zero_entries(self, flip_chain):
+        pi = ek.stationary_linear(flip_chain).pi
+        with pytest.raises(NotPositiveError):
+            ek.verify_doeblin(flip_chain, pi)
 
 
 class TestSpectralCheck:
@@ -176,3 +202,24 @@ class TestSpectralCheck:
         lam = np.abs(np.linalg.eigvals(P.entries))
         lam.sort()
         assert check.subdominant_modulus_estimate == pytest.approx(lam[-2], abs=1e-12)
+
+    def test_dominant_pair_is_the_memoized_solve(self, two_state_chain):
+        check = ek.spectral_check(two_state_chain)
+        assert check.dominant_vector is ek.stationary_linear(two_state_chain).pi
+
+    def test_stiff_chain(self):
+        # t_mix = 326,943: the rank-1 probe needs k of about 7.7e6, which
+        # power reaches in O(log k) products
+        P = gen.two_state(1e-6, 2e-6)
+        check = ek.spectral_check(P)
+        lam = np.sort(np.abs(np.linalg.eigvals(P.entries)))
+        assert abs(check.subdominant_modulus_estimate - lam[-2]) <= 1e-12
+        assert check.rank1_gap <= 1e-9
+        assert doeblin._default_probe(check.subdominant_modulus_estimate) > 7_000_000
+
+    def test_rounded_to_identity_is_a_typed_error(self):
+        # 1 - 1e-17 rounds to 1, so P - I has rank 0: the solve refuses the
+        # chain before the rank-1 probe could divide by log(1) = 0
+        with pytest.raises(ErgokitError) as exc:
+            ek.spectral_check(gen.two_state(1e-17, 1e-17))
+        assert type(exc.value) is RankDeficientError

@@ -67,7 +67,8 @@ def meeting_tails(tmp_path, P):
 
 def recursion_errors(tmp_path, P):
     pi = ek.stationary_linear(P).pi
-    return digest(ek.verify_error_recursion(ek.doeblin_split(P, pi), P, max_n=25).per_n_error)
+    rows = ek.verify_doeblin(P, pi, max_n=25).rows
+    return digest([error for _, _, _, error in rows])
 
 
 def power_iterations(tmp_path, P):
