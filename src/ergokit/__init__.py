@@ -35,9 +35,6 @@ from .stationary import (
 )
 from .coupling import (
     CouplingTrace,
-    ProductChain,
-    build_product_chain,
-    product_ergodicity,
     simulate_coupling,
     verify_coupling_lemma,
 )
@@ -58,13 +55,11 @@ __all__ = [
     "EnvelopeTrace",
     "ErgodicityReport",
     "MixingEstimate",
-    "ProductChain",
     "SpectralCheck",
     "StateSpace",
     "StationaryResult",
     "StochasticMatrix",
     "analyze",
-    "build_product_chain",
     "doeblin_split",
     "enumerate_arborescences",
     "envelope_iterate",
@@ -74,7 +69,6 @@ __all__ = [
     "monte_carlo_return",
     "power",
     "primitivity_exponent",
-    "product_ergodicity",
     "simulate_coupling",
     "spectral_check",
     "stationary_by_envelope",

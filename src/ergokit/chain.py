@@ -44,6 +44,7 @@ from .errors import (
     RowSumError,
     SpaceMismatchError,
     StateLabelError,
+    TooLargeError,
 )
 
 #: Ingestion tolerance on row sums. File round-tripping produces sub-ulp
@@ -53,6 +54,10 @@ ROW_SUM_TOL = 1e-12
 #: Residual threshold for "pi is stationary for P" guards. Above accumulated
 #: powering error at desk scale, below any real violation.
 STATIONARY_RESIDUAL_TOL = 1e-9
+
+#: Walkers one simulation moves at most: its states, meeting or return times
+#: and index arrays take about 60 bytes a walker, 0.6 GB at the cap.
+MAX_TRIALS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -253,21 +258,14 @@ def _tv_rows(rows: np.ndarray, pi: np.ndarray) -> float:
     return float(0.5 * np.abs(rows - pi[None, :]).sum(axis=1).max())
 
 
-def tv_curve(P: StochasticMatrix, pi: Distribution):
-    """Yield d(0), d(1), ... without end: d(t) = max_x TV(P^t(x, .), pi), over
-    the :func:`orbit` of the identity."""
-    return (_tv_rows(S, pi.probs) for S in orbit(np.eye(P.n), P.entries))
-
-
-def check_stationary(
-    P: StochasticMatrix, pi: Distribution, tol: float = STATIONARY_RESIDUAL_TOL
-) -> None:
+def check_stationary(P: StochasticMatrix, pi: Distribution) -> None:
+    """Reject a caller's pi whose residual exceeds STATIONARY_RESIDUAL_TOL."""
     if pi.space != P.space:
         raise SpaceMismatchError("distribution and matrix on different spaces")
     residual = stationary_residual(P, pi.probs)
-    if residual > tol:
+    if residual > STATIONARY_RESIDUAL_TOL:
         raise NotStationaryError(
-            f"residual ||pi P - pi||_inf = {residual:.3g} exceeds {tol:.3g}"
+            f"residual ||pi P - pi||_inf = {residual:.3g} exceeds {STATIONARY_RESIDUAL_TOL:.3g}"
         )
 
 
@@ -290,6 +288,14 @@ def _check_at_least(name: str, value: int, least: int) -> None:
         raise ArgumentRangeError(f"{name} must be >= {least}, got {value}")
 
 
+def _check_count(name: str, value: int, least: int, cap: int) -> None:
+    """Reject a count below ``least`` (ArgumentRangeError) and one above
+    ``cap``, the most a routine will allocate for (TooLargeError)."""
+    _check_at_least(name, value, least)
+    if value > cap:
+        raise TooLargeError(f"{name} {value} exceeds the cap of {cap}")
+
+
 def _check_tol(name: str, tol: float, zero_ok: bool = False) -> None:
     """Reject a tolerance that is NaN, negative, or 0 unless ``zero_ok``."""
     if not (tol >= 0.0 if zero_ok else tol > 0.0):  # NaN fails both
@@ -297,13 +303,13 @@ def _check_tol(name: str, tol: float, zero_ok: bool = False) -> None:
 
 
 def _check_walk(P: StochasticMatrix, states, trials: int, name: str = "state") -> None:
-    """Reject start or target states that are not integers in 0..n-1, and
-    fewer than one trial; ``name`` is what the messages call a state."""
+    """Reject start or target states that are not integers in 0..n-1, and a
+    trial count outside 1..MAX_TRIALS; ``name`` is what messages call a state."""
     for x in states:
         _check_integer(name, x)
         if not 0 <= x < P.n:
             raise ArgumentRangeError(f"{name} {x} is not in 0..{P.n - 1}")
-    _check_at_least("trials", trials, 1)
+    _check_count("trials", trials, 1, MAX_TRIALS)
 
 
 #: Walkers searched at a time: the sampler's scratch holds this many of each

@@ -154,10 +154,10 @@ _TRACE_ROWS = 10_000
 
 
 def _envelope_trace_csv(P, squeeze, tol) -> str:
-    """Each column's envelope trace on the chain the squeeze lifted to; the
-    header only if the squeeze refused the chain. Refuses traces that would
-    stop short of tol: the squeeze took more than _TRACE_ROWS iterations,
-    or did not reach tol."""
+    """Every column's envelope trace, all off one orbit of the chain the
+    squeeze lifted to; the header only if the squeeze refused the chain.
+    Refuses traces that would stop short of tol: the squeeze took more than
+    _TRACE_ROWS iterations, or did not reach tol."""
     if isinstance(squeeze, MaxIterExceededError):
         raise TooLargeError(f"--csv: the envelope traces would stop short of --tol ({squeeze})")
     lines = ["column,i,m,M,delta"]
@@ -169,12 +169,8 @@ def _envelope_trace_csv(P, squeeze, tol) -> str:
             f"--tol; it writes envelope traces of at most {_TRACE_ROWS} rows"
         )
     _, lifted = envelope_mod._lift(P)
-    for col in range(P.n):
-        trace = envelope_mod.envelope_iterate(lifted, col, max_iter=_TRACE_ROWS, tol=tol)
-        for rec in trace.iterations:
-            lines.append(
-                f"{col},{rec.i},{rec.m:.17g},{rec.M:.17g},{rec.delta:.17g}"
-            )
+    for col, trace in enumerate(envelope_mod.envelope_iterate(lifted, _TRACE_ROWS, tol)):
+        lines += (f"{col},{r.i},{r.m:.17g},{r.M:.17g},{r.delta:.17g}" for r in trace.iterations)
     return "\n".join(lines) + "\n"
 
 
@@ -221,7 +217,7 @@ def cmd_couple(args) -> int:
     P = _resolve_chain(args)
     # flags first: --start needs the chain's size, so it waits for the chain
     chain_mod._check_walk(P, (args.start,), args.trials)
-    chain_mod._check_at_least("horizon", args.horizon, 0)
+    chain_mod._check_count("horizon", args.horizon, 0, coupling_mod.MAX_HORIZON)
     chain_mod._check_at_least("seed", args.seed, 0)
     pi = stationary_mod.stationary_linear(P).pi
     report = coupling_mod.verify_coupling_lemma(
@@ -258,8 +254,8 @@ def cmd_generate(args) -> int:
 def cmd_report(args) -> int:
     # flags first, so no route runs before a bad one is named
     chain_mod._check_tol("--tol", args.tol)
-    chain_mod._check_at_least("--horizon", args.horizon, 1)
-    chain_mod._check_at_least("--trials", args.trials, 1)
+    chain_mod._check_count("--horizon", args.horizon, 1, coupling_mod.MAX_HORIZON)
+    chain_mod._check_count("--trials", args.trials, 1, chain_mod.MAX_TRIALS)
     chain_mod._check_at_least("--seed", args.seed, 0)
     if not 0.0 < args.epsilon < 1.0:
         raise ArgumentRangeError(f"--epsilon must lie in (0, 1), got {args.epsilon}")

@@ -1,11 +1,11 @@
 """Independent coupling of two copies of a chain, and what it proves.
 
-The product chain runs two independent copies side by side, and the
-coupling lemma turns the tail of their meeting time into a bound on the TV
-distance between the two marginal laws. Everything here keeps simulation
-and exact computation separate so each can check the other: the exact tail
-follows the n x n unmet pair mass, so it needs no product matrix and holds
-at any n.
+Two independent copies walk in lockstep, and the coupling lemma turns the
+tail of their meeting time into a bound on the TV distance between the two
+marginal laws. Two copies of an ergodic chain form an ergodic pair chain,
+so every routine here asks ``require_ergodic`` of P alone. Simulation and
+exact computation stay separate so each can check the other: the exact
+tail follows the n x n unmet pair mass, no n^2 x n^2 matrix, at any n.
 """
 
 from __future__ import annotations
@@ -15,23 +15,15 @@ from itertools import islice
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix, StateSpace, check_stationary
-from .chain import _Sampler, _check_at_least, _check_walk, _walk_until, orbit
-from .errors import ArgumentRangeError, MarginalMismatchError, NeverMetError
-from .structure import analyze, require_ergodic
+from .chain import Distribution, StochasticMatrix, check_stationary, orbit
+from .chain import _Sampler, _check_at_least, _check_count, _check_walk, _walk_until
+from .errors import ArgumentRangeError, NeverMetError
+from .structure import require_ergodic
 
-
-@dataclass(frozen=True)
-class ProductChain:
-    base: StochasticMatrix
-    product_matrix: StochasticMatrix  # over flattened pairs (i, k) -> i * n + k
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def flat(self, i: int, k: int) -> int:
-        return i * self.n + k
+#: Steps the coupling lemma and the exact meeting tail look ahead at most:
+#: the lemma keeps every step's exact law, n floats, and a report row,
+#: about 40 MB at n = 128.
+MAX_HORIZON = 10_000
 
 
 @dataclass(frozen=True)
@@ -49,46 +41,6 @@ class CouplingTrace:
                 f"no completed run: all {self.truncated} runs hit max_steps without meeting"
             )
         return float((self.tau_samples > i).mean())
-
-
-def build_product_chain(P: StochasticMatrix) -> ProductChain:
-    """Transition matrix of two independent copies:
-    Q((i,k),(j,l)) = P(i,j) P(k,l), i.e. the Kronecker square of P."""
-    n = P.n
-    Q = np.kron(P.entries, P.entries)
-    # faithfulness: from pair s = i * n + k, each copy's marginal transition
-    # law must be exactly P(i, .) and P(k, .)
-    marg_x = Q.reshape(n * n, n, n).sum(axis=2)
-    marg_y = Q.reshape(n * n, n, n).sum(axis=1)
-    gap = max(
-        np.abs(marg_x - np.repeat(P.entries, n, axis=0)).max(),
-        np.abs(marg_y - np.tile(P.entries, (n, 1))).max(),
-    )
-    if not gap < 1e-12:
-        raise MarginalMismatchError(
-            f"product-chain marginals deviate from P by {gap:.3g}"
-        )
-    labels = tuple(
-        f"({P.space.labels[i]},{P.space.labels[k]})"
-        for i in range(n)
-        for k in range(n)
-    )
-    return ProductChain(
-        base=P, product_matrix=StochasticMatrix(StateSpace(labels), Q)
-    )
-
-
-def product_ergodicity(P: StochasticMatrix) -> bool:
-    """Ergodicity of the product chain; equals ergodicity of P itself, and
-    the two verdicts are cross-checked here."""
-    pc = build_product_chain(P)
-    verdict = analyze(pc.product_matrix, with_primitivity=False).ergodic
-    base = analyze(P, with_primitivity=False).ergodic
-    if verdict != base:
-        raise AssertionError(
-            f"product ergodicity {verdict} disagrees with base ergodicity {base}"
-        )
-    return verdict
 
 
 def _check_coupling(P: StochasticMatrix, start, trials: int) -> None:
@@ -141,7 +93,7 @@ def exact_meeting_tail(P: StochasticMatrix, start: tuple[int, int], horizon: int
     zeroed, and the tail is M's sum. Serves as the oracle for the simulation;
     O(n^2) memory and O(n^3) per step, at any n."""
     _check_coupling(P, start, 1)
-    _check_at_least("horizon", horizon, 0)
+    _check_count("horizon", horizon, 0, MAX_HORIZON)
     M = np.zeros((P.n, P.n))
     M[tuple(start)] = 1.0
     tail = np.empty(horizon + 1)
@@ -194,7 +146,7 @@ def verify_coupling_lemma(
     start_y). The lemma says the tail dominates; the verdict allows a
     3-standard-error band on the simulated side."""
     _check_walk(P, (start_y,), trials)
-    _check_at_least("horizon", horizon, 0)
+    _check_count("horizon", horizon, 0, MAX_HORIZON)
     _check_at_least("seed", seed, 0)
     require_ergodic(P, "coupling lemma check")
     check_stationary(P, pi)

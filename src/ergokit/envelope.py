@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, orbit, power, stationary_residual
-from .chain import _check_at_least, _check_tol, _check_walk, _first_power, _memoized, _tv_rows
+from .chain import _check_at_least, _check_tol, _first_power, _memoized, _tv_rows
 from .errors import (
     ArgumentRangeError,
     MaxIterExceededError,
@@ -43,7 +43,6 @@ class EnvelopeRecord:
 
 @dataclass(frozen=True)
 class EnvelopeTrace:
-    column: int
     iterations: tuple[EnvelopeRecord, ...]
     p_min: float
     contraction_factor: float  # 1 - p_min
@@ -59,43 +58,47 @@ class MixingEstimate:
 
 
 def envelope_iterate(
-    P: StochasticMatrix, column: int, max_iter: int = 10_000, tol: float = 1e-12
-) -> EnvelopeTrace:
-    """Track (m^(i), M^(i), Delta^(i)) for one column of P^i, i = 1, 2, ...
+    P: StochasticMatrix, max_iter: int = 10_000, tol: float = 1e-12
+) -> tuple[EnvelopeTrace, ...]:
+    """Track (m^(i), M^(i), Delta^(i)) of every column of P^i, i = 1, 2, ...,
+    one trace per column, all off one orbit of P.
 
-    Stops at the first i with Delta^(i) <= tol, or at max_iter. The matrix
-    must be entrywise positive; lift a merely ergodic chain to P^m first.
+    Column j's trace stops at the first i with Delta^(i) <= tol, or at
+    max_iter; the orbit stops when every trace has. The matrix must be
+    entrywise positive; lift a merely ergodic chain to P^m first.
     """
     if (P.entries <= 0.0).any():
         raise NotPositiveError("envelope iteration needs an entrywise positive matrix")
-    _check_walk(P, (column,), 1, "column")
     _check_at_least("max_iter", max_iter, 1)
     _check_tol("tol", tol, zero_ok=True)
     p_min = P.min_entry()
-    records = []
-    prev_m, prev_M = -np.inf, np.inf
+    records = [[] for _ in range(P.n)]
+    prev_m, prev_M = [-math.inf] * P.n, [math.inf] * P.n
+    cols = range(P.n)  # the columns whose traces go on
     for i, S in zip(range(1, max_iter + 1), orbit(P.entries, P.entries)):
-        col = S[:, column]
-        m, M = float(col.min()), float(col.max())
-        if m < prev_m - _MONOTONE_SLACK or M > prev_M + _MONOTONE_SLACK:
-            raise MonotonicityViolationError(
-                f"envelope lost monotonicity at i={i}: "
-                f"m {prev_m!r}->{m!r}, M {prev_M!r}->{M!r}"
-            )
-        records.append(EnvelopeRecord(i=i, m=m, M=M, delta=M - m))
-        if M - m <= tol:
+        lo, hi, going = S.min(axis=0).tolist(), S.max(axis=0).tolist(), []
+        for j in cols:
+            m, M = lo[j], hi[j]
+            if m < prev_m[j] - _MONOTONE_SLACK or M > prev_M[j] + _MONOTONE_SLACK:
+                raise MonotonicityViolationError(
+                    f"envelope of column {j} lost monotonicity at i={i}: "
+                    f"m {prev_m[j]!r}->{m!r}, M {prev_M[j]!r}->{M!r}"
+                )
+            records[j].append(EnvelopeRecord(i=i, m=m, M=M, delta=M - m))
+            if M - m > tol:
+                going.append(j)
+            prev_m[j], prev_M[j] = m, M
+        cols = going
+        if not cols:
             break
-        prev_m, prev_M = m, M
-    return EnvelopeTrace(
-        column=column,
-        iterations=tuple(records),
-        p_min=p_min,
-        contraction_factor=1.0 - p_min,
+    return tuple(
+        EnvelopeTrace(iterations=tuple(r), p_min=p_min, contraction_factor=1.0 - p_min)
+        for r in records
     )
 
 
 #: The mixing search looks no further than t = 2^40 (about 1.1e12 steps),
-#: so it stores at most 41 squares of P; the squeeze's default cap too.
+#: so it stores at most 41 squares of P; the squeeze's cap too.
 _TMIX_LIMIT = 1 << 40
 
 
@@ -124,24 +127,21 @@ def _lift(P: StochasticMatrix) -> tuple[int, StochasticMatrix]:
     return _memoized(P, "lift", lambda: (m, power(P, m)))
 
 
-def stationary_by_envelope(
-    P: StochasticMatrix, tol: float = 1e-10, max_iter: int | None = None
-) -> StationaryResult:
+def stationary_by_envelope(P: StochasticMatrix, tol: float = 1e-10) -> StationaryResult:
     """Extract pi from the collapsing envelopes of every column at once.
 
     Non-positive ergodic chains are lifted to B = P^m first. The column
-    gaps of B^k never grow, so a doubling search finds the least k <=
-    max_iter with all of them at most tol (``evidence["iterations"]``).
-    Each pi_k is the midpoint of its final [m, M] interval, certified to
-    half-width tol / 2.
+    gaps of B^k never grow, so a doubling search finds the least k with all
+    of them at most tol (``evidence["iterations"]``), up to the cap
+    ``_default_max_iter`` sets from tol and B's least entry. Each pi_k is
+    the midpoint of its final [m, M] interval, certified to half-width
+    tol / 2.
     """
     _check_tol("tol", tol)
     require_ergodic(P, "envelope squeeze")
     m, lifted = _lift(P)
     B = lifted.entries
-    if max_iter is None:
-        max_iter = _default_max_iter(float(B.min()), tol)
-    _check_at_least("max_iter", max_iter, 1)
+    max_iter = _default_max_iter(float(B.min()), tol)
     found = _first_power(B, lambda S: _column_gap(S) <= tol, max_iter)
     if found is None:
         worst = _column_gap(np.linalg.matrix_power(B, max_iter))

@@ -62,7 +62,7 @@ class NoConvergenceError(ErgokitError):
 
 
 class TooLargeError(ErgokitError):
-    """State space exceeds the cap of an exhaustive routine."""
+    """A state space, count or horizon exceeds the cap of a routine."""
 
 
 class BalanceViolationError(ErgokitError):
@@ -75,10 +75,6 @@ class SingularSystemError(ErgokitError):
 
 class RankDeficientError(ErgokitError):
     """Nullity of P - I exceeds 1; contradicts irreducibility numerically."""
-
-
-class MarginalMismatchError(ErgokitError):
-    """A product chain's marginal transition law differs from its base chain."""
 
 
 class NeverMetError(ErgokitError):

@@ -25,7 +25,7 @@ from typing import Any, Mapping, NamedTuple
 import numpy as np
 
 from .chain import Distribution, StochasticMatrix, orbit, stationary_residual
-from .chain import _check_at_least, _check_tol, _check_walk, _memoized, _walk_until
+from .chain import _check_at_least, _check_walk, _memoized, _walk_until
 from .errors import (
     ArgumentRangeError,
     BalanceViolationError,
@@ -40,6 +40,16 @@ from .structure import require_ergodic, require_irreducible
 #: A dense chain has (n-1)^(n-1) candidate parent functions per root: about
 #: 2 s at n = 8, 1 GB of squarings at n = 9. The determinant route has no cap.
 ENUMERATION_CAP = 8
+
+#: Power iteration stops once two successive iterates agree to POWER_TOL in
+#: every entry, and gives up after POWER_MAX_ITER steps, one vector-matrix
+#: product each: a stiff chain such as two_state(1e-6, 2e-6) fails inline.
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 100_000
+
+#: A Monte Carlo return that takes longer than this many steps raises: the
+#: mean return time 1 / pi(z) is then far too long to estimate by walking.
+RETURN_MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -322,47 +332,41 @@ def stationary_by_return_time(P: StochasticMatrix) -> StationaryResult:
     )
 
 
-def monte_carlo_return(
-    P: StochasticMatrix, z: int, trials: int, seed: int, max_steps: int = 1_000_000
-) -> tuple[float, float]:
-    """Sample mean and standard error of the first return time to z.
+def monte_carlo_return(P: StochasticMatrix, z: int, trials: int, seed: int) -> tuple[float, float]:
+    """Sample mean and standard error of the first return time to z; a trial
+    that has not returned after RETURN_MAX_STEPS steps raises.
 
     All trials advance in lockstep, so for a fixed seed the result does not
     depend on how the work is scheduled.
     """
     _check_walk(P, (z,), trials)
-    _check_at_least("max_steps", max_steps, 1)
     _check_at_least("seed", seed, 0)
     require_irreducible(P, "Monte Carlo return time")
     times = np.full(trials, -1, dtype=np.int64)
     _walk_until(
-        P, np.full((1, trials), z, dtype=np.intp), lambda s: s == z, times, max_steps,
+        P, np.full((1, trials), z, dtype=np.intp), lambda s: s == z, times, RETURN_MAX_STEPS,
         np.random.default_rng(seed),
     )
     if (times < 0).any():
         raise MaxIterExceededError(
-            f"{(times < 0).sum()} trials did not return in {max_steps} steps"
+            f"{(times < 0).sum()} trials did not return in {RETURN_MAX_STEPS} steps"
         )
     mean = float(times.mean())
     se = float(times.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return mean, se
 
 
-def stationary_by_power(
-    P: StochasticMatrix, tol: float = 1e-12, max_iter: int = 100_000
-) -> StationaryResult:
+def stationary_by_power(P: StochasticMatrix) -> StationaryResult:
     """Power iteration mu <- mu P from the uniform vector until two
-    successive iterates differ by less than tol in every entry; requires
-    ergodicity."""
-    _check_at_least("max_iter", max_iter, 1)
-    _check_tol("tol", tol)
+    successive iterates differ by less than POWER_TOL in every entry, within
+    POWER_MAX_ITER steps; requires ergodicity."""
     require_ergodic(P, "power iteration")
     steps = itertools.pairwise(orbit(np.full(P.n, 1.0 / P.n), P.entries))
-    for it, (mu, nxt) in zip(range(1, max_iter + 1), steps):
-        if np.abs(nxt - mu).max() < tol:
+    for it, (mu, nxt) in zip(range(1, POWER_MAX_ITER + 1), steps):
+        if np.abs(nxt - mu).max() < POWER_TOL:
             break
     else:
-        raise NoConvergenceError(f"power iteration did not settle in {max_iter} steps")
+        raise NoConvergenceError(f"power iteration did not settle in {POWER_MAX_ITER} steps")
     mu = nxt / nxt.sum()
     return StationaryResult(
         pi=Distribution(P.space, mu),

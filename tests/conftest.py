@@ -18,6 +18,15 @@ def from_array(a) -> StochasticMatrix:
     return validate_stochastic(a, labels(a.shape[0]))
 
 
+def pair_chain(P: StochasticMatrix) -> StochasticMatrix:
+    """Two independent copies of P as one chain on the n^2 pairs, pair
+    (x, y) at index x * n + y: the Kronecker square of P, validated as any
+    chain is. The oracle for the facts about the pair chain that the
+    coupling routines rely on without building it."""
+    names = [f"({a},{b})" for a in P.space.labels for b in P.space.labels]
+    return validate_stochastic(np.kron(P.entries, P.entries), names)
+
+
 def random_positive(rng, n, floor=0.05) -> StochasticMatrix:
     a = rng.random((n, n)) + floor
     return from_array(a / a.sum(axis=1, keepdims=True))

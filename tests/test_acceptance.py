@@ -16,12 +16,12 @@ import pytest
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.chain import tv_curve
+from ergokit.chain import _tv_rows, orbit
 from ergokit.cli import main as cli_main
 from ergokit.errors import NotIrreducibleError
 from ergokit.stationary import check_balance
 
-from conftest import random_irreducible, random_positive, return_time_table
+from conftest import pair_chain, random_irreducible, random_positive, return_time_table
 
 
 def _positive_corpus(include_n2=False):
@@ -70,8 +70,7 @@ def test_criterion_01_envelope_contraction(positive_corpus):
     for P in positive_corpus:
         p = P.min_entry()
         base = 1.0 - 2.0 * p
-        for col in range(P.n):
-            trace = ek.envelope_iterate(P, col, max_iter=50, tol=0.0)
+        for trace in ek.envelope_iterate(P, max_iter=50, tol=0.0):
             for rec in trace.iterations:
                 worst = max(worst, rec.delta - base ** (rec.i - 1))
     elapsed = time.perf_counter() - t0
@@ -85,8 +84,7 @@ def test_criterion_02_dahiya_bound(positive_corpus_with_n2):
     worst = -np.inf
     for P in positive_corpus_with_n2:
         factor = 1.0 - P.min_entry()
-        for col in range(P.n):
-            trace = ek.envelope_iterate(P, col, max_iter=50, tol=0.0)
+        for trace in ek.envelope_iterate(P, max_iter=50, tol=0.0):
             ds = [r.delta for r in trace.iterations]
             for a, b in zip(ds, ds[1:]):
                 worst = max(worst, b - factor * a)
@@ -200,15 +198,14 @@ def test_criterion_09_structural_counterexamples():
     flip = gen.flip()
     pi = ek.stationary_linear(flip).pi
     assert np.allclose(pi.probs, [0.5, 0.5])
-    for d in islice(tv_curve(flip, pi), 31):
-        assert d == pytest.approx(0.5)
+    for S in islice(orbit(np.eye(2), flip.entries), 31):
+        assert _tv_rows(S, pi.probs) == pytest.approx(0.5)
 
     identity = ek.validate_stochastic(np.eye(3), ["a", "b", "c"])
     with pytest.raises(NotIrreducibleError):
         ek.stationary_linear(identity)
 
-    product = ek.build_product_chain(flip).product_matrix
-    assert not ek.analyze(product).irreducible
+    assert not ek.analyze(pair_chain(flip)).irreducible
     _report(9, "flip d(t)=0.5 for t<=30, identity and flip-product reducible")
 
 

@@ -21,13 +21,11 @@ PUBLIC = [
     "EnvelopeTrace",
     "ErgodicityReport",
     "MixingEstimate",
-    "ProductChain",
     "SpectralCheck",
     "StateSpace",
     "StationaryResult",
     "StochasticMatrix",
     "analyze",
-    "build_product_chain",
     "doeblin_split",
     "enumerate_arborescences",
     "envelope_iterate",
@@ -37,7 +35,6 @@ PUBLIC = [
     "monte_carlo_return",
     "power",
     "primitivity_exponent",
-    "product_ergodicity",
     "simulate_coupling",
     "spectral_check",
     "stationary_by_envelope",
@@ -57,10 +54,10 @@ MODULES = [
 ]
 
 #: Names that were public and are gone: ``analyze(P)`` replaces the
-#: structural ones, ``chain.tv_curve`` the d(t) of
-#: ``distance_from_stationary``, and the evidence of
+#: structural ones, ``chain._tv_rows`` over ``chain.orbit`` the d(t) of
+#: ``distance_from_stationary`` and of ``tv_curve``, and the evidence of
 #: ``stationary_by_return_time`` the per-anchor return-time table.
-#: ``chain.tv_curve`` and ``chain.orbit`` replace ``evolve``,
+#: ``chain.orbit`` replaces ``evolve``,
 #: ``envelope._column_gap`` over ``orbit`` (as ``mix --csv`` reads it)
 #: replaces ``delta_curve`` and ``convergence_by_coupling``, and the
 #: inequalities of ``verify_contraction`` are checked on
@@ -69,7 +66,11 @@ MODULES = [
 #: ``verify_error_recursion`` with their result types, reading d(n) and the
 #: error recursion off one orbit of P and one of Q, and
 #: ``stationary_by_power`` absorbs ``_power_iterate``, its one caller left
-#: once ``spectral_check`` took pi from the linear solve.
+#: once ``spectral_check`` took pi from the linear solve. The n^2 x n^2
+#: Kronecker pair chain (``build_product_chain``, ``product_ergodicity``,
+#: their result type and error) had no caller: ``require_ergodic`` gates
+#: every coupling routine and ``exact_meeting_tail`` follows the pair chain
+#: as the n x n unmet mass; tests build the Kronecker square themselves.
 REMOVED = [
     "TransitionGraph",
     "build_graph",
@@ -91,6 +92,11 @@ REMOVED = [
     "verify_error_recursion",
     "RecursionVerdict",
     "_power_iterate",
+    "ProductChain",
+    "build_product_chain",
+    "product_ergodicity",
+    "MarginalMismatchError",
+    "tv_curve",
 ]
 
 REMOVED_METHODS = [
@@ -103,11 +109,21 @@ REMOVED_METHODS = [
 #: Parameters that are gone: spectral_check's tol steered the Gelfand
 #: iteration that the computed spectrum replaced, and its max_iter the power
 #: iteration that the memoized linear solve replaced; exact_meeting_tail
-#: zeroes the diagonal, the one meeting rule.
+#: zeroes the diagonal, the one meeting rule. Values only tests set are
+#: module constants: the power iteration's ``POWER_TOL`` and
+#: ``POWER_MAX_ITER``, the squeeze's cap ``_default_max_iter``,
+#: ``RETURN_MAX_STEPS`` and ``STATIONARY_RESIDUAL_TOL``. ``envelope_iterate``
+#: returns every column's trace, off one orbit.
 REMOVED_PARAMETERS = [
     ("spectral_check", "tol"),
     ("spectral_check", "max_iter"),
     ("coupling.exact_meeting_tail", "mode"),
+    ("stationary_by_power", "tol"),
+    ("stationary_by_power", "max_iter"),
+    ("stationary_by_envelope", "max_iter"),
+    ("monte_carlo_return", "max_steps"),
+    ("chain.check_stationary", "tol"),
+    ("envelope_iterate", "column"),
 ]
 
 
@@ -145,14 +161,10 @@ def test_removed_parameter_is_gone(path, param):
 #: the argument's name. Each must raise ArgumentRangeError, naming the
 #: argument, before any matrix power, solve or orbit.
 BAD_ARGUMENTS = {
-    "column_negative": (lambda c: ek.envelope_iterate(c.P, column=-1), "column"),
-    "column_past_n": (lambda c: ek.envelope_iterate(c.P, column=5), "column"),
-    "column_float": (lambda c: ek.envelope_iterate(c.P, column=1.5), "column"),
     "root_past_n": (lambda c: ek.enumerate_arborescences(c.cube, root=99), "root"),
     "root_negative": (lambda c: ek.enumerate_arborescences(c.cube, root=-1), "root"),
     "max_n_zero": (lambda c: ek.verify_doeblin(c.P, c.pi, max_n=0), "max_n"),
     "max_n_float": (lambda c: ek.verify_doeblin(c.P, c.pi, max_n=2.5), "max_n"),
-    "power_max_iter": (lambda c: ek.stationary_by_power(c.P, max_iter=2.5), "max_iter"),
     "exponent_negative": (lambda c: ek.power(c.P, -1), "exponent"),
     "exponent_float": (lambda c: ek.power(c.P, 2.5), "exponent"),
     "chain_format": (lambda c: ek.load_chain(c.path, fmt="xml"), "fmt"),
@@ -160,11 +172,8 @@ BAD_ARGUMENTS = {
     "probs_sum": (lambda c: ek.Distribution(c.P.space, [0.5, 0.6]), "probs"),
     "tol_nan": (lambda c: ek.stationary_by_envelope(c.P, tol=math.nan), "tol"),
     "tol_negative": (lambda c: ek.stationary_by_envelope(c.P, tol=-1.0), "tol"),
-    "power_tol_nan": (lambda c: ek.stationary_by_power(c.P, tol=math.nan), "tol"),
-    "power_tol_negative": (lambda c: ek.stationary_by_power(c.P, tol=-1.0), "tol"),
-    "power_tol_zero": (lambda c: ek.stationary_by_power(c.P, tol=0.0), "tol"),
-    "trace_tol_nan": (lambda c: ek.envelope_iterate(c.P, 0, tol=math.nan), "tol"),
-    "trace_tol_negative": (lambda c: ek.envelope_iterate(c.P, 0, tol=-1.0), "tol"),
+    "trace_tol_nan": (lambda c: ek.envelope_iterate(c.P, tol=math.nan), "tol"),
+    "trace_tol_negative": (lambda c: ek.envelope_iterate(c.P, tol=-1.0), "tol"),
 }
 
 

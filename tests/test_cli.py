@@ -221,20 +221,33 @@ class TestBadArguments:
         "argv, message",
         [
             (("report", "--gen", "lazy_hypercube", "--params", "d=3", "--start", "99"),
-             "state 99 is not in 0..7"),
+             "ArgumentRangeError: state 99 is not in 0..7"),
             (("report", "--gen", "cycle", "--params", "L=3", "--start", "99"),
-             "state 99 is not in 0..2"),
+             "ArgumentRangeError: state 99 is not in 0..2"),
             (("couple", "--gen", "two_state", "--params", "p=0.2,q=0.3", "--start", "99"),
-             "state 99 is not in 0..1"),
+             "ArgumentRangeError: state 99 is not in 0..1"),
             (("couple", "--gen", "two_state", "--params", "p=0.2,q=0.3", "--trials", "0"),
-             "trials must be >= 1, got 0"),
+             "ArgumentRangeError: trials must be >= 1, got 0"),
             (("couple", "--gen", "two_state", "--params", "p=0.2,q=0.3", "--horizon", "-3"),
-             "horizon must be >= 0, got -3"),
+             "ArgumentRangeError: horizon must be >= 0, got -3"),
             (("couple", "--gen", "two_state", "--params", "p=0.2,q=0.3", "--seed", "-1"),
-             "seed must be >= 0, got -1"),
+             "ArgumentRangeError: seed must be >= 0, got -1"),
+            (("report", "--gen", "two_state", "--params", "p=0.2,q=0.3",
+              "--trials", "1000000000000000"),
+             "TooLargeError: --trials 1000000000000000 exceeds the cap of 10000000"),
+            (("report", "--gen", "two_state", "--params", "p=0.2,q=0.3",
+              "--horizon", "1000000000", "--trials", "1000"),
+             "TooLargeError: --horizon 1000000000 exceeds the cap of 10000"),
+            (("couple", "--gen", "two_state", "--params", "p=0.2,q=0.3",
+              "--trials", "1000000000000000"),
+             "TooLargeError: trials 1000000000000000 exceeds the cap of 10000000"),
+            (("couple", "--gen", "two_state", "--params", "p=0.2,q=0.3",
+              "--horizon", "1000000000", "--trials", "1000"),
+             "TooLargeError: horizon 1000000000 exceeds the cap of 10000"),
         ],
         ids=["report_start", "report_periodic_start", "couple_start", "couple_trials",
-             "couple_horizon", "couple_seed"],
+             "couple_horizon", "couple_seed", "report_trials_cap", "report_horizon_cap",
+             "couple_trials_cap", "couple_horizon_cap"],
     )
     def test_walk_flags_checked_before_any_route(self, capsys, monkeypatch, argv, message):
         def never(*args, **kwargs):
@@ -254,7 +267,7 @@ class TestBadArguments:
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err == f"error: ArgumentRangeError: {message}\n"
+        assert err == f"error: {message}\n"
 
     def test_couple_horizon_zero_is_valid(self, capsys):
         code, out, _ = run(
@@ -416,6 +429,25 @@ class TestStationary:
         )
         assert code == 0
         assert calls["matrix_power"] == 1
+
+    def test_csv_traces_every_column_off_one_orbit(self, capsys, monkeypatch, tmp_path):
+        from ergokit import chain, envelope, stationary
+
+        streams = []
+        orbit = chain.orbit
+
+        def counted(S, M):
+            streams.append(S.shape)
+            return orbit(S, M)
+
+        for mod in (chain, envelope, stationary):
+            monkeypatch.setattr(mod, "orbit", counted)
+        code, _, _ = run(
+            capsys, "stationary", "--gen", "lazy_hypercube", "--params", "d=3",
+            "--methods", "linear_solve,envelope", "--csv", str(tmp_path / "trace.csv"),
+        )
+        assert code == 0
+        assert streams == [(8, 8)]  # all 8 columns of the lift P^3 read one stream
 
 
 class TestMix:

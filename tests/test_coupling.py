@@ -14,29 +14,27 @@ from ergokit.chain import _CHUNK, _Sampler, orbit
 from ergokit.coupling import exact_meeting_tail
 from ergokit.errors import (
     ArgumentRangeError,
-    MarginalMismatchError,
     NeverMetError,
     NotErgodicError,
+    TooLargeError,
 )
 
-from conftest import from_array, random_ergodic, random_irreducible, random_positive
+from conftest import from_array, pair_chain, random_ergodic, random_irreducible, random_positive
 
 
 class TestProductChain:
+    """The pair-chain oracle: the tests that need the n^2 x n^2 chain of two
+    independent copies build it as the Kronecker square of P."""
+
     def test_uniform_product_is_uniform(self):
-        pc = ek.build_product_chain(gen.uniform(2))
-        assert np.allclose(pc.product_matrix.entries, 0.25)
+        assert np.allclose(pair_chain(gen.uniform(2)).entries, 0.25)
 
     def test_spot_entry(self, two_state_chain):
-        pc = ek.build_product_chain(two_state_chain)
         # Q((0,1),(0,0)) = P(0,0) * P(1,0) = 0.8 * 0.3
-        assert pc.product_matrix.entries[pc.flat(0, 1), pc.flat(0, 0)] == pytest.approx(
-            0.24
-        )
+        assert pair_chain(two_state_chain).entries[0 * 2 + 1, 0] == pytest.approx(0.24)
 
     def test_flip_product_reducible(self, flip_chain):
-        pc = ek.build_product_chain(flip_chain)
-        rep = ek.analyze(pc.product_matrix)
+        rep = ek.analyze(pair_chain(flip_chain))
         assert not rep.irreducible
         assert len(rep.scc_decomposition) == 2  # diagonal pairs never meet off-diagonal ones
 
@@ -44,20 +42,13 @@ class TestProductChain:
     def test_faithfulness_marginals(self, seed):
         rng = np.random.default_rng(seed)
         P = random_positive(rng, int(rng.integers(2, 5)))
-        pc = ek.build_product_chain(P)
         n = P.n
-        Q = pc.product_matrix.entries.reshape(n * n, n, n)
+        Q = pair_chain(P).entries.reshape(n * n, n, n)
         for i in range(n):
             for k in range(n):
                 s = i * n + k
                 assert np.abs(Q[s].sum(axis=1) - P.entries[i]).max() < 1e-12
                 assert np.abs(Q[s].sum(axis=0) - P.entries[k]).max() < 1e-12
-
-    def test_unfaithful_marginals_typed_error(self):
-        # the raw constructor trusts its input: row 0 sums to 1.1
-        P = ek.StochasticMatrix(ek.StateSpace(("a", "b")), np.array([[0.5, 0.6], [0.5, 0.5]]))
-        with pytest.raises(MarginalMismatchError):
-            ek.build_product_chain(P)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_product_stationary_is_outer_product(self, seed):
@@ -65,24 +56,26 @@ class TestProductChain:
         P = random_positive(rng, 3)
         pi = ek.stationary_linear(P).pi.probs
         pp = np.outer(pi, pi).ravel()
-        Q = ek.build_product_chain(P).product_matrix.entries
+        Q = pair_chain(P).entries
         assert np.abs(pp @ Q - pp).max() < 1e-12
 
 
 class TestProductErgodicity:
+    """Two independent copies of P form an ergodic pair chain exactly when P
+    is ergodic: the lemma behind ``require_ergodic`` gating every coupling
+    routine on P's own verdict."""
+
     def test_ergodic_base(self, two_state_chain):
-        assert ek.product_ergodicity(two_state_chain) is True
+        assert ek.analyze(pair_chain(two_state_chain)).ergodic is True
 
     def test_flip(self, flip_chain):
-        assert ek.product_ergodicity(flip_chain) is False
+        assert ek.analyze(pair_chain(flip_chain)).ergodic is False
 
     def test_identity(self, identity3):
-        assert ek.product_ergodicity(identity3) is False
+        assert ek.analyze(pair_chain(identity3)).ergodic is False
 
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_base_ergodicity(self, seed):
-        # the coupling routines gate on P's own verdict; this keeps the
-        # product-chain lemma they rely on checked
         rng = np.random.default_rng(900 + seed)
         reducible = np.eye(4)
         reducible[0] = rng.random(4) + 0.1
@@ -95,7 +88,7 @@ class TestProductErgodicity:
             from_array(reducible / reducible.sum(axis=1, keepdims=True)),
         ]
         for P in chains:
-            assert ek.product_ergodicity(P) == ek.analyze(P).ergodic
+            assert ek.analyze(pair_chain(P)).ergodic == ek.analyze(P).ergodic
         assert [ek.analyze(P).ergodic for P in chains][3:] == [False] * 3
 
 
@@ -198,7 +191,7 @@ NON_INTEGER_COUNTS = {
         lambda P, pi: ek.verify_coupling_lemma(P, pi, start_y=0, horizon=2.5), "horizon"
     ),
     "float_exact_horizon": (lambda P, pi: exact_meeting_tail(P, (0, 1), 2.5), "horizon"),
-    "float_max_iter": (lambda P, pi: ek.envelope_iterate(P, 0, max_iter=2.5), "max_iter"),
+    "float_max_iter": (lambda P, pi: ek.envelope_iterate(P, max_iter=2.5), "max_iter"),
     "float_max_n": (lambda P, pi: ek.verify_doeblin(P, pi, max_n=2.5), "max_n"),
 }
 
@@ -226,7 +219,6 @@ class TestArgumentRanges:
             lambda P, pi: ek.monte_carlo_return(P, z=0, trials=0, seed=0),
             lambda P, pi: ek.verify_coupling_lemma(P, pi, start_y=0, horizon=-3),
             lambda P, pi: ek.simulate_coupling(P, (0, 1), max_steps=0),
-            lambda P, pi: ek.monte_carlo_return(P, z=0, trials=10, seed=0, max_steps=0),
             lambda P, pi: exact_meeting_tail(P, (0, 5), 3),
             lambda P, pi: exact_meeting_tail(P, (-1, 0), 3),
             lambda P, pi: exact_meeting_tail(P, (0, 1), -2),
@@ -243,7 +235,7 @@ class TestArgumentRanges:
         ],
         ids=[
             "start", "target", "trials", "lemma_start", "anchor", "return_trials",
-            "lemma_horizon", "max_steps", "return_max_steps", "exact_start",
+            "lemma_horizon", "max_steps", "exact_start",
             "exact_negative_start", "exact_horizon", "exact_far_start",
             "float_start", "float_anchor", "float_lemma_start", "exact_float_start",
             "unknown_mode", "meet_at_state_mode", "triple_start", *NON_INTEGER_COUNTS,
@@ -275,6 +267,45 @@ class TestArgumentRanges:
         with pytest.raises(ArgumentRangeError, match=f"^{name} [0-9.]+ is not an integer$"):
             call(two_state_chain, pi)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda P, pi: ek.simulate_coupling(P, (0, 1), trials=10**15), "trials"),
+            (lambda P, pi: ek.monte_carlo_return(P, 0, trials=10**15, seed=0), "trials"),
+            (lambda P, pi: ek.verify_coupling_lemma(P, pi, 0, trials=10**15), "trials"),
+            (lambda P, pi: ek.verify_coupling_lemma(P, pi, 0, horizon=10**9), "horizon"),
+            (lambda P, pi: exact_meeting_tail(P, (0, 1), 10**9), "horizon"),
+        ],
+        ids=["simulate_trials", "return_trials", "lemma_trials", "lemma_horizon",
+             "exact_horizon"],
+    )
+    def test_oversized_count_refused_before_any_allocation(
+        self, two_state_chain, call, message, monkeypatch
+    ):
+        # 10^15 walkers or 10^9 rows do not fit: a buffer allocated before
+        # the check would raise MemoryError instead
+        pi = ek.stationary_linear(two_state_chain).pi
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a walk or orbit started")
+
+        for name in ("_walk_until", "orbit"):
+            monkeypatch.setattr(ek.coupling, name, no_walk)
+        monkeypatch.setattr(ek.stationary, "_walk_until", no_walk)
+        with pytest.raises(TooLargeError, match=rf"^{message} \d+ exceeds the cap of \d+$"):
+            call(two_state_chain, pi)
+
+    def test_caps_are_inclusive(self, two_state_chain, monkeypatch):
+        pi = ek.stationary_linear(two_state_chain).pi
+        monkeypatch.setattr(ek.chain, "MAX_TRIALS", 50)
+        monkeypatch.setattr(ek.coupling, "MAX_HORIZON", 5)
+        assert ek.verify_coupling_lemma(two_state_chain, pi, 0, horizon=5, trials=50).trials == 50
+        assert exact_meeting_tail(two_state_chain, (0, 1), 5).shape == (6,)
+        with pytest.raises(TooLargeError, match="^trials 51 exceeds the cap of 50$"):
+            ek.simulate_coupling(two_state_chain, (0, 1), trials=51)
+        with pytest.raises(TooLargeError, match="^horizon 6 exceeds the cap of 5$"):
+            exact_meeting_tail(two_state_chain, (0, 1), 6)
+
     def test_numpy_integer_counts_accepted(self, two_state_chain):
         pi = ek.stationary_linear(two_state_chain).pi
         six = np.int64(6)
@@ -284,7 +315,10 @@ class TestArgumentRanges:
             two_state_chain, pi, start_y=0, horizon=six, trials=50
         ).trials == 50
         assert exact_meeting_tail(two_state_chain, (0, 1), six).shape == (7,)
-        assert len(ek.envelope_iterate(two_state_chain, 0, max_iter=six).iterations) <= 6
+        assert all(
+            len(trace.iterations) <= 6
+            for trace in ek.envelope_iterate(two_state_chain, max_iter=six)
+        )
         assert len(ek.verify_doeblin(two_state_chain, pi, max_n=six).rows) == 6
 
     def test_numpy_integer_states_accepted(self, two_state_chain):

@@ -5,16 +5,21 @@ import pytest
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.chain import orbit, tv_curve
+from ergokit.chain import _tv_rows, orbit
 from ergokit.envelope import _column_gap, _lift
-from ergokit.errors import ArgumentRangeError, NotErgodicError, NotPositiveError
+from ergokit.errors import (
+    ArgumentRangeError,
+    MonotonicityViolationError,
+    NotErgodicError,
+    NotPositiveError,
+)
 
 from conftest import random_positive
 
 
 class TestEnvelopeIterate:
     def test_hand_computed_two_state(self, two_state_chain):
-        trace = ek.envelope_iterate(two_state_chain, column=0, max_iter=2)
+        trace = ek.envelope_iterate(two_state_chain, max_iter=2)[0]
         first, second = trace.iterations
         assert (first.m, first.M, first.delta) == (0.3, 0.8, 0.5)
         assert second.m == pytest.approx(0.45)
@@ -22,31 +27,59 @@ class TestEnvelopeIterate:
         assert second.delta == pytest.approx(0.25)
 
     def test_uniform_converges_immediately(self):
-        trace = ek.envelope_iterate(gen.uniform(2), column=1)
+        trace = ek.envelope_iterate(gen.uniform(2))[1]
         assert len(trace.iterations) == 1
         assert trace.iterations[0].delta == 0.0
 
     def test_random_positive_decays(self):
         rng = np.random.default_rng(1)
         P = random_positive(rng, 5)
-        trace = ek.envelope_iterate(P, column=2, max_iter=200)
+        trace = ek.envelope_iterate(P, max_iter=200)[2]
         deltas = [r.delta for r in trace.iterations]
         assert deltas[-1] < 1e-12
         assert all(b <= a for a, b in zip(deltas, deltas[1:]))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_each_trace_is_its_own_column_of_the_powers(self, seed):
+        # each column stops at its own first Delta <= tol, so the traces
+        # differ in length; every record is that of a one-column walk
+        rng = np.random.default_rng(450 + seed)
+        P = random_positive(rng, int(rng.integers(2, 7)))
+        traces = ek.envelope_iterate(P, max_iter=40, tol=1e-9)
+        assert len(traces) == P.n
+        for col, trace in enumerate(traces):
+            want, S = [], P.entries
+            for i in range(1, 41):
+                lo, hi = float(S[:, col].min()), float(S[:, col].max())
+                want.append((i, lo, hi, hi - lo))
+                if hi - lo <= 1e-9:
+                    break
+                S = S @ P.entries
+            assert [(r.i, r.m, r.M, r.delta) for r in trace.iterations] == want
+            assert trace.p_min == P.min_entry()
+
+    def test_lost_monotonicity_names_the_column(self):
+        # not stochastic (the raw constructor trusts its input): column 0 is
+        # constant, so its trace closes at i = 1, and column 1's top grows
+        A = ek.StochasticMatrix(ek.StateSpace(("a", "b")), np.array([[0.5, 0.5], [0.5, 0.9]]))
+        with pytest.raises(
+            MonotonicityViolationError, match=r"^envelope of column 1 lost monotonicity at i=2: "
+        ):
+            ek.envelope_iterate(A)
+
     def test_rejects_zero_entries(self, flip_chain):
         with pytest.raises(NotPositiveError):
-            ek.envelope_iterate(flip_chain, column=0)
+            ek.envelope_iterate(flip_chain)
 
     def test_rejects_fewer_than_one_iteration(self, two_state_chain):
         with pytest.raises(ArgumentRangeError, match="max_iter must be >= 1, got 0"):
-            ek.envelope_iterate(two_state_chain, column=0, max_iter=0)
+            ek.envelope_iterate(two_state_chain, max_iter=0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_monotone_envelopes(self, seed):
         rng = np.random.default_rng(400 + seed)
         P = random_positive(rng, int(rng.integers(2, 7)))
-        trace = ek.envelope_iterate(P, column=0, max_iter=60)
+        trace = ek.envelope_iterate(P, max_iter=60)[0]
         ms = [r.m for r in trace.iterations]
         Ms = [r.M for r in trace.iterations]
         assert all(b >= a for a, b in zip(ms, ms[1:]))
@@ -57,7 +90,7 @@ class TestEnvelopeIterate:
         rng = np.random.default_rng(500 + seed)
         P = random_positive(rng, 4)
         col = int(rng.integers(0, 4))
-        trace = ek.envelope_iterate(P, column=col, max_iter=30)
+        trace = ek.envelope_iterate(P, max_iter=30)[col]
         for rec in trace.iterations:
             column = ek.power(P, rec.i).entries[:, col]
             assert rec.m <= column.min() + 1e-15
@@ -79,7 +112,7 @@ def assert_contraction(trace, tol=1e-12):
 
 class TestVerifyContraction:
     def test_two_state_second_step(self, two_state_chain):
-        trace = ek.envelope_iterate(two_state_chain, column=0, max_iter=2)
+        trace = ek.envelope_iterate(two_state_chain, max_iter=2)[0]
         # Delta2 = 0.25 <= (1 - 2 * 0.2) * 0.5 = 0.30
         assert len(trace.iterations) == 2
         assert_contraction(trace)
@@ -88,7 +121,7 @@ class TestVerifyContraction:
     def test_all_inequalities_on_random_positive(self, seed):
         rng = np.random.default_rng(600 + seed)
         P = random_positive(rng, 4)
-        trace = ek.envelope_iterate(P, column=int(rng.integers(0, 4)), max_iter=50)
+        trace = ek.envelope_iterate(P, max_iter=50)[int(rng.integers(0, 4))]
         assert len(trace.iterations) > 1
         assert_contraction(trace)
 
@@ -98,7 +131,7 @@ class TestVerifyContraction:
         n = int(rng.integers(2, 7))
         P = random_positive(rng, n)
         p = P.min_entry()
-        trace = ek.envelope_iterate(P, column=0, max_iter=50)
+        trace = ek.envelope_iterate(P, max_iter=50)[0]
         for rec in trace.iterations:
             assert rec.delta <= (1 - p) ** (rec.i - 1) + 1e-12
             if 1 - 2 * p > 0:
@@ -213,7 +246,8 @@ class TestDeltaRelations:
         P = random_positive(rng, n)
         pi = ek.stationary_linear(P).pi
         deltas = delta_curve(P, 15)
-        for t, d in enumerate(islice(tv_curve(P, pi), 1, 16), start=1):
+        ds = (_tv_rows(S, pi.probs) for S in orbit(np.eye(n), P.entries))
+        for t, d in enumerate(islice(ds, 1, 16), start=1):
             assert d <= n * deltas[t - 1] + 1e-12
 
     def test_two_state_geometric(self, two_state_chain):

@@ -17,7 +17,7 @@ from ergokit.chain import orbit
 from ergokit.cli import main
 from ergokit.coupling import exact_meeting_tail
 
-from conftest import random_ergodic, random_positive
+from conftest import pair_chain, random_ergodic, random_positive
 
 
 def digest(values) -> str:
@@ -150,15 +150,14 @@ def absorbing_tail(P, start, horizon):
     every diagonal pair made absorbing and the surviving mass read off: the
     oracle that the pair-mass recursion replaced."""
     n = P.n
-    pc = ek.build_product_chain(P)
-    Q = pc.product_matrix.entries.copy()
+    Q = pair_chain(P).entries.copy()
     pairs = np.arange(n * n)
     xs, ys = np.divmod(pairs, n)
     absorbing = xs == ys
     Q[absorbing] = 0.0
     Q[absorbing, pairs[absorbing]] = 1.0
     point = np.zeros(n * n)
-    point[pc.flat(*start)] = 1.0
+    point[start[0] * n + start[1]] = 1.0
     return np.array([v[~absorbing].sum() for v in islice(orbit(point, Q), horizon + 1)])
 
 

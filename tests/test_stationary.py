@@ -482,16 +482,18 @@ class TestMonteCarloReturn:
         b = ek.monte_carlo_return(two_state_chain, z=1, trials=500, seed=9)
         assert a == b
 
-    def test_step_cap_typed_error(self, flip_chain):
+    def test_step_cap_typed_error(self, flip_chain, monkeypatch):
         # every return to 0 takes exactly two steps
-        with pytest.raises(MaxIterExceededError):
-            ek.monte_carlo_return(flip_chain, z=0, trials=10, seed=1, max_steps=1)
+        monkeypatch.setattr(st, "RETURN_MAX_STEPS", 1)
+        with pytest.raises(MaxIterExceededError, match="10 trials did not return in 1 steps"):
+            ek.monte_carlo_return(flip_chain, z=0, trials=10, seed=1)
 
 
 class TestPowerIteration:
-    def test_no_convergence_typed_error(self):
-        with pytest.raises(NoConvergenceError):
-            ek.stationary_by_power(gen.two_state(1e-6, 2e-6), max_iter=10)
+    def test_no_convergence_typed_error(self, monkeypatch):
+        monkeypatch.setattr(st, "POWER_MAX_ITER", 10)
+        with pytest.raises(NoConvergenceError, match="did not settle in 10 steps"):
+            ek.stationary_by_power(gen.two_state(1e-6, 2e-6))
 
 
 class TestCrossMethodAgreement:
