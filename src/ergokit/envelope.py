@@ -44,8 +44,6 @@ class EnvelopeRecord:
 @dataclass(frozen=True)
 class EnvelopeTrace:
     iterations: tuple[EnvelopeRecord, ...]
-    p_min: float
-    contraction_factor: float  # 1 - p_min
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,6 @@ def envelope_iterate(
         raise NotPositiveError("envelope iteration needs an entrywise positive matrix")
     _check_at_least("max_iter", max_iter, 1)
     _check_tol("tol", tol, zero_ok=True)
-    p_min = P.min_entry()
     records = [[] for _ in range(P.n)]
     prev_m, prev_M = [-math.inf] * P.n, [math.inf] * P.n
     cols = range(P.n)  # the columns whose traces go on
@@ -91,10 +88,7 @@ def envelope_iterate(
         cols = going
         if not cols:
             break
-    return tuple(
-        EnvelopeTrace(iterations=tuple(r), p_min=p_min, contraction_factor=1.0 - p_min)
-        for r in records
-    )
+    return tuple(EnvelopeTrace(iterations=tuple(r)) for r in records)
 
 
 #: The mixing search looks no further than t = 2^40 (about 1.1e12 steps),

@@ -9,6 +9,10 @@ import numpy as np
 from .chain import StochasticMatrix, validate_stochastic
 from .errors import InvalidGeneratorParamsError
 
+#: Most states a sized generator builds: lazy_hypercube's 2^12. Its dense
+#: n x n matrix is 128 MiB there, and every route costs O(n^3) or more.
+MAX_STATES = 1 << 12
+
 
 def flip() -> StochasticMatrix:
     """Two states, deterministic swap; periodic with period 2."""
@@ -16,8 +20,8 @@ def flip() -> StochasticMatrix:
 
 
 def uniform(n: int) -> StochasticMatrix:
-    if n < 1:
-        raise InvalidGeneratorParamsError("uniform chain needs n >= 1")
+    if not 1 <= n <= MAX_STATES:
+        raise InvalidGeneratorParamsError(f"uniform chain needs 1 <= n <= {MAX_STATES}")
     return validate_stochastic(
         np.full((n, n), 1.0 / n), [f"s{i}" for i in range(n)]
     )
@@ -32,8 +36,8 @@ def two_state(p: float, q: float) -> StochasticMatrix:
 
 def cycle(length: int) -> StochasticMatrix:
     """Deterministic successor cycle; period = length."""
-    if length < 2:
-        raise InvalidGeneratorParamsError("cycle needs length >= 2")
+    if not 2 <= length <= MAX_STATES:
+        raise InvalidGeneratorParamsError(f"cycle needs 2 <= length <= {MAX_STATES}")
     m = np.zeros((length, length))
     for i in range(length):
         m[i, (i + 1) % length] = 1.0

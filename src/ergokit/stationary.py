@@ -51,6 +51,10 @@ POWER_MAX_ITER = 100_000
 #: mean return time 1 / pi(z) is then far too long to estimate by walking.
 RETURN_MAX_STEPS = 1_000_000
 
+#: Raw tree weights pass the flow-balance check when no state's inflow and
+#: outflow differ by more than this, relative to the larger of the two.
+BALANCE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class StationaryResult:
@@ -226,18 +230,19 @@ def _gamma_determinant(P: StochasticMatrix) -> np.ndarray:
     return gammas
 
 
-def check_balance(P: StochasticMatrix, gammas: np.ndarray, rtol: float = 1e-9) -> float:
+def check_balance(P: StochasticMatrix, gammas: np.ndarray) -> float:
     """Verify flow balance for the raw tree weights: for every y,
     sum_{x != y} gamma(x) p_xy = sum_{x != y} gamma(y) p_yx.
 
-    Returns the worst relative discrepancy; raises on violation."""
+    Returns the worst relative discrepancy; raises where it exceeds
+    BALANCE_RTOL."""
     off = P.entries.copy()
     np.fill_diagonal(off, 0.0)
     inflow = gammas @ off
     outflow = gammas * off.sum(axis=1)
     scale = np.maximum(np.maximum(np.abs(inflow), np.abs(outflow)), 1e-300)
     worst = float((np.abs(inflow - outflow) / scale).max())
-    if not (worst <= rtol):  # a NaN weight fails too
+    if not (worst <= BALANCE_RTOL):  # a NaN weight fails too
         raise BalanceViolationError(
             f"flow balance violated: relative discrepancy {worst:.3g}"
         )

@@ -1,16 +1,17 @@
 """Structural ergodicity analysis of the transition graph.
 
-Irreducibility via strongly connected components, the period of each class
-via one BFS level-gcd, and the primitivity exponent (least m with P^m
-entrywise positive) via boolean matrix powering. Structure is read off the
-exact zero pattern of the matrix: a structural zero means exactly 0.0, and
-the graph is P's out-neighbour lists, ``adj[i]`` the columns j with
-P(i, j) > 0 in ascending order.
+Irreducibility via strongly connected components and the period of each
+class from one Tarjan search (a level-gcd over the depths it assigns), and
+the primitivity exponent (least m with P^m entrywise positive) via boolean
+matrix powering. Structure is read off the exact zero pattern of the
+matrix: a structural zero means exactly 0.0, and the graph is P's
+out-neighbour lists, ``adj[i]`` the columns j with P(i, j) > 0 in
+ascending order.
 
 The structural report is computed once per matrix: :func:`analyze` builds
-the out-neighbour lists and does one O(n + E) pass over them (a single
-Tarjan run, then one BFS per class) and keeps the result in the per-matrix
-memo of the frozen
+the out-neighbour lists, runs Tarjan's search over them once and reads
+every class's period off the depths that search assigns, O(n + E) in all,
+and keeps the result in the per-matrix memo of the frozen
 :class:`~ergokit.chain.StochasticMatrix` (:func:`~ergokit.chain._memoized`),
 next to the linear-solve pi and the lift P^m that other modules keep there.
 Every other module asks :func:`analyze` instead of recomputing.
@@ -59,12 +60,15 @@ class ErgodicityReport:
         )
 
 
-def strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative, over out-neighbour lists; components
-    in reverse topological order."""
+def strongly_connected_components(adj: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Tarjan's algorithm, iterative, over out-neighbour lists.
+
+    Returns the components in reverse topological order, and each state's
+    depth in the depth-first forest the search grows (0 at each root)."""
     n = len(adj)
     index = [-1] * n
     lowlink = [0] * n
+    depth = [0] * n
     on_stack = [False] * n
     stack: list[int] = []
     sccs: list[list[int]] = []
@@ -73,67 +77,38 @@ def strongly_connected_components(adj: list[list[int]]) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
+        work = [(root, None)]  # the search path: (state, its unread out-edges)
         while work:
-            v, ei = work[-1]
-            if ei == 0:
+            v, out = work[-1]
+            if out is None:  # first visit
                 index[v] = lowlink[v] = counter
                 counter += 1
+                depth[v] = len(work) - 1
                 stack.append(v)
                 on_stack[v] = True
-            advanced = False
-            for k in range(ei, len(adj[v])):
-                w = adj[v][k]
+                out = iter(adj[v])
+                work[-1] = (v, out)
+            for w in out:
                 if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
+                    work.append((w, None))
                     break
                 if on_stack[w]:
                     lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                lowlink[u] = min(lowlink[u], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
-
-
-def _class_period(adj: list[list[int]], members: set[int], s: int) -> int:
-    """gcd of level(u) + 1 - level(v) over the edges (u, v) inside the
-    strongly connected class `members`, with levels from a BFS started at
-    its member s.
-
-    This equals the gcd of the closed-walk lengths through any member, so it
-    is the period of the whole class. 0 means the class has no closed walk:
-    a single state without a self-loop.
-    """
-    level = {s: 0}
-    queue = [s]
-    while queue:
-        nxt = []
-        for u in queue:
-            for w in adj[u]:
-                if w in members and w not in level:
-                    level[w] = level[u] + 1
-                    nxt.append(w)
-        queue = nxt
-    g = 0
-    for u in level:
-        for w in adj[u]:
-            if w in members:
-                g = math.gcd(g, level[u] + 1 - level[w])
-    return g
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    lowlink[u] = min(lowlink[u], lowlink[v])
+                if lowlink[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
+    return sccs, depth
 
 
 def wielandt_bound(n: int) -> int:
@@ -164,12 +139,17 @@ def primitivity_exponent(P: StochasticMatrix) -> int:
 
 def _structural_report(P: StochasticMatrix) -> ErgodicityReport:
     adj = [np.flatnonzero(row > 0.0).tolist() for row in P.entries]
-    sccs = strongly_connected_components(adj)
-    period: list[int | None] = [None] * P.n
-    for comp in sccs:
-        g = _class_period(adj, set(comp), comp[0])
-        for v in comp:
-            period[v] = g or None
+    sccs, depth = strongly_connected_components(adj)
+    cls = {v: c for c, comp in enumerate(sccs) for v in comp}
+    # a class's period is the gcd of depth(u) + 1 - depth(v) over its inner
+    # edges (u, v); 0 means the class has no closed walk
+    g = [0] * len(sccs)
+    for u, out in enumerate(adj):
+        c = cls[u]
+        for v in out:
+            if cls[v] == c:
+                g[c] = math.gcd(g[c], depth[u] + 1 - depth[v])
+    period = [g[cls[v]] or None for v in range(P.n)]
     labels = P.space.labels
     return ErgodicityReport(
         irreducible=len(sccs) == 1,
@@ -185,9 +165,12 @@ def _structural_report(P: StochasticMatrix) -> ErgodicityReport:
 def analyze(P: StochasticMatrix, with_primitivity: bool = True) -> ErgodicityReport:
     """Structural report for a chain, computed once per matrix.
 
-    One Tarjan pass finds the strongly connected classes and one BFS
-    level-gcd per class gives the period all its members share: O(n + E)
-    in all. The report is memoized on P, whose entries are read-only, so
+    One Tarjan pass finds the strongly connected classes and the depth of
+    every state in its depth-first forest. A class's first-found state is
+    its root, and the tree path from there to any member stays inside the
+    class, so these depths are levels whose gcd of depth(u) + 1 - depth(v)
+    over inner edges (u, v) is the period all members share: O(n + E) in
+    all. The report is memoized on P, whose entries are read-only, so
     later calls cost a lookup. The base report (primitivity exponent None)
     and the full one are kept apart; the full one reuses the base one and
     adds the exponent for ergodic chains.

@@ -138,7 +138,7 @@ def test_criterion_05_balance_condition(irreducible_corpus):
     worst = 0.0
     for P in irreducible_corpus:
         gamma = np.array(ek.stationary_by_trees(P, "determinant").evidence["gamma"])
-        worst = max(worst, check_balance(P, gamma, rtol=1e-9))
+        worst = max(worst, check_balance(P, gamma))
     assert worst <= 1e-9
     _report(5, f"worst relative imbalance {worst:.2e}")
 

@@ -1,6 +1,7 @@
 """The public API, pinned: adding or removing a name is a deliberate change
 to this file."""
 
+import dataclasses
 import importlib
 import inspect
 import math
@@ -106,14 +107,22 @@ REMOVED_METHODS = [
     ("chain", "Distribution", "point_mass"),
 ]
 
+#: Result fields that are gone: every trace of ``envelope_iterate`` repeated
+#: the matrix's least entry and 1 minus it, and nothing read either; a
+#: caller takes ``P.min_entry()``.
+REMOVED_FIELDS = [
+    ("envelope", "EnvelopeTrace", "p_min"),
+    ("envelope", "EnvelopeTrace", "contraction_factor"),
+]
+
 #: Parameters that are gone: spectral_check's tol steered the Gelfand
 #: iteration that the computed spectrum replaced, and its max_iter the power
 #: iteration that the memoized linear solve replaced; exact_meeting_tail
 #: zeroes the diagonal, the one meeting rule. Values only tests set are
 #: module constants: the power iteration's ``POWER_TOL`` and
 #: ``POWER_MAX_ITER``, the squeeze's cap ``_default_max_iter``,
-#: ``RETURN_MAX_STEPS`` and ``STATIONARY_RESIDUAL_TOL``. ``envelope_iterate``
-#: returns every column's trace, off one orbit.
+#: ``RETURN_MAX_STEPS``, ``STATIONARY_RESIDUAL_TOL`` and ``BALANCE_RTOL``.
+#: ``envelope_iterate`` returns every column's trace, off one orbit.
 REMOVED_PARAMETERS = [
     ("spectral_check", "tol"),
     ("spectral_check", "max_iter"),
@@ -124,6 +133,7 @@ REMOVED_PARAMETERS = [
     ("monte_carlo_return", "max_steps"),
     ("chain.check_stationary", "tol"),
     ("envelope_iterate", "column"),
+    ("stationary.check_balance", "rtol"),
 ]
 
 
@@ -148,6 +158,12 @@ def test_removed_method_is_gone(mod, cls, attr):
     # a class that is gone takes its methods with it
     owner = getattr(importlib.import_module(f"ergokit.{mod}"), cls, None)
     assert not hasattr(owner, attr)
+
+
+@pytest.mark.parametrize("mod, cls, field", REMOVED_FIELDS)
+def test_removed_field_is_gone(mod, cls, field):
+    owner = getattr(importlib.import_module(f"ergokit.{mod}"), cls)
+    assert field not in {f.name for f in dataclasses.fields(owner)}
 
 
 @pytest.mark.parametrize("path, param", REMOVED_PARAMETERS)

@@ -244,10 +244,15 @@ class TestBadArguments:
             (("couple", "--gen", "two_state", "--params", "p=0.2,q=0.3",
               "--horizon", "1000000000", "--trials", "1000"),
              "TooLargeError: horizon 1000000000 exceeds the cap of 10000"),
+            (("generate", "uniform", "--params", "n=1000000"),
+             "InvalidGeneratorParamsError: uniform chain needs 1 <= n <= 4096"),
+            (("analyze", "--gen", "cycle", "--params", "L=1000000"),
+             "InvalidGeneratorParamsError: cycle needs 2 <= length <= 4096"),
         ],
         ids=["report_start", "report_periodic_start", "couple_start", "couple_trials",
              "couple_horizon", "couple_seed", "report_trials_cap", "report_horizon_cap",
-             "couple_trials_cap", "couple_horizon_cap"],
+             "couple_trials_cap", "couple_horizon_cap", "generate_uniform_cap",
+             "analyze_cycle_cap"],
     )
     def test_walk_flags_checked_before_any_route(self, capsys, monkeypatch, argv, message):
         def never(*args, **kwargs):

@@ -740,6 +740,20 @@ class TestScratchSize:
             tracemalloc.stop()
         assert peak <= trials * per_walker + fixed + (1 << 16)
 
+    def test_lemma_keeps_no_law_per_step(self):
+        # each step's law is dropped once its TV is taken, so the peak grows
+        # with the horizon by a report row per step, not by n floats
+        pi = ek.stationary_linear(self.P).pi
+        tracemalloc.start()
+        try:
+            ek.verify_coupling_lemma(
+                self.P, pi, start_y=0, horizon=ek.coupling.MAX_HORIZON, trials=1000, seed=0
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20  # 10,001 laws of 128 floats alone would be 9.8 MiB
+
 
 #: Outputs recorded before the O(log n) sampler replaced the full-row count:
 #: meeting times (sha256 of the int64 samples, and their sum), coupling-lemma

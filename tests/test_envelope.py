@@ -56,7 +56,6 @@ class TestEnvelopeIterate:
                     break
                 S = S @ P.entries
             assert [(r.i, r.m, r.M, r.delta) for r in trace.iterations] == want
-            assert trace.p_min == P.min_entry()
 
     def test_lost_monotonicity_names_the_column(self):
         # not stochastic (the raw constructor trusts its input): column 0 is
@@ -97,11 +96,11 @@ class TestEnvelopeIterate:
             assert rec.M >= column.max() - 1e-15
 
 
-def assert_contraction(trace, tol=1e-12):
+def assert_contraction(trace, p, tol=1e-12):
     """The four contraction inequalities on every consecutive pair of a
-    trace: m rises and M falls by at least p Delta, Delta' <= (1 - p) Delta,
-    and Delta' <= (1 - 2p) Delta where 1 - 2p > 0."""
-    p = trace.p_min
+    trace of a matrix whose least entry is p: m rises and M falls by at
+    least p Delta, Delta' <= (1 - p) Delta, and Delta' <= (1 - 2p) Delta
+    where 1 - 2p > 0."""
     for a, b in zip(trace.iterations, trace.iterations[1:]):
         assert b.m >= a.m + p * a.delta - tol
         assert b.M <= a.M - p * a.delta + tol
@@ -115,7 +114,7 @@ class TestVerifyContraction:
         trace = ek.envelope_iterate(two_state_chain, max_iter=2)[0]
         # Delta2 = 0.25 <= (1 - 2 * 0.2) * 0.5 = 0.30
         assert len(trace.iterations) == 2
-        assert_contraction(trace)
+        assert_contraction(trace, two_state_chain.min_entry())
 
     @pytest.mark.parametrize("seed", range(10))
     def test_all_inequalities_on_random_positive(self, seed):
@@ -123,7 +122,7 @@ class TestVerifyContraction:
         P = random_positive(rng, 4)
         trace = ek.envelope_iterate(P, max_iter=50)[int(rng.integers(0, 4))]
         assert len(trace.iterations) > 1
-        assert_contraction(trace)
+        assert_contraction(trace, P.min_entry())
 
     @pytest.mark.parametrize("seed", range(10))
     def test_geometric_decay_bounds(self, seed):

@@ -16,6 +16,8 @@ class TestSimpleGenerators:
         assert (P.entries == 0.25).all()
         with pytest.raises(InvalidGeneratorParamsError):
             gen.uniform(0)
+        with pytest.raises(InvalidGeneratorParamsError):
+            gen.uniform(gen.MAX_STATES + 1)
 
     def test_two_state(self):
         P = gen.two_state(0.2, 0.3)
@@ -30,6 +32,8 @@ class TestSimpleGenerators:
         assert rep.irreducible and rep.periods["s0"] == 4
         with pytest.raises(InvalidGeneratorParamsError):
             gen.cycle(1)
+        with pytest.raises(InvalidGeneratorParamsError):
+            gen.cycle(gen.MAX_STATES + 1)
 
 
 class TestLazyHypercube:

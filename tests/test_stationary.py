@@ -379,11 +379,11 @@ class TestTreeStationary:
         rng = np.random.default_rng(1200 + seed)
         P = random_irreducible(rng, int(rng.integers(2, 8)))
         res = ek.stationary_by_trees(P, mode="determinant")
-        worst = check_balance(P, np.array(res.evidence["gamma"]), rtol=1e-9)
+        worst = check_balance(P, np.array(res.evidence["gamma"]))
         assert worst <= 1e-9
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_balance_matches_loop_reference(self, seed):
+    def test_balance_matches_loop_reference(self, monkeypatch, seed):
         rng = np.random.default_rng(1250 + seed)
         P = random_irreducible(rng, int(rng.integers(2, 9)))
         gammas = rng.random(P.n) + 0.1  # arbitrary weights: not balanced
@@ -394,7 +394,8 @@ class TestTreeStationary:
             outflow = gammas[y] * sum(E[y, x] for x in range(P.n) if x != y)
             scale = max(abs(inflow), abs(outflow), 1e-300)
             worst = max(worst, abs(inflow - outflow) / scale)
-        assert check_balance(P, gammas, rtol=np.inf) == pytest.approx(worst, rel=1e-12, abs=1e-15)
+        monkeypatch.setattr(st, "BALANCE_RTOL", np.inf)  # read the discrepancy, do not judge it
+        assert check_balance(P, gammas) == pytest.approx(worst, rel=1e-12, abs=1e-15)
 
 
 class TestReturnTimes:

@@ -59,7 +59,8 @@ class TestIrreducibility:
     def test_reverse_topological_order(self):
         # edge 0 -> 1 between two singleton SCCs: sink component first
         a = np.array([[0.0, 1.0], [0.0, 1.0]])
-        assert strongly_connected_components([[1], [1]]) == [[1], [0]]
+        sccs, depth = strongly_connected_components([[1], [1]])
+        assert (sccs, depth) == ([[1], [0]], [0, 1])
         assert ek.analyze(from_array(a)).scc_decomposition == (("s1",), ("s0",))
 
     @pytest.mark.parametrize("seed", range(12))
@@ -76,6 +77,59 @@ class TestIrreducibility:
         for _ in range(n - 1):
             R = (R.astype(int) @ B.astype(int)) > 0
         assert ok == bool(R.all())
+
+
+class TestSearchDepths:
+    """The depth of each state in the forest Tarjan's search grows; the
+    periods are read off these depths."""
+
+    def test_cycle(self):
+        assert strongly_connected_components([[1], [2], [0]]) == ([[2, 1, 0]], [0, 1, 2])
+
+    def test_back_edge(self):
+        # 2 -> 0 closes the cycle, and 2 -> 3 leaves it
+        sccs, depth = strongly_connected_components([[1], [2], [0, 3], []])
+        assert (sccs, depth) == ([[3], [2, 1, 0]], [0, 1, 2, 3])
+
+    def test_depth_is_not_the_bfs_level(self):
+        # 0 -> 1 -> 2 is searched before the shortcut 0 -> 2
+        sccs, depth = strongly_connected_components([[1, 2], [2], [0]])
+        assert (sccs, depth) == ([[2, 1, 0]], [0, 1, 2])
+
+    def test_forest_with_two_roots(self):
+        # 2 is unreached from 0 and starts a second tree; 3 -> 0 crosses over
+        sccs, depth = strongly_connected_components([[1], [0], [3], [2, 0]])
+        assert (sccs, depth) == ([[1, 0], [3, 2]], [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_inner_edges_span_multiples_of_the_period(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        a = random_layered_digraph(rng)
+        n = len(a)
+        P = from_array(a / a.sum(axis=1, keepdims=True))
+        adj = [np.flatnonzero(row).tolist() for row in a]
+        sccs, depth = strongly_connected_components(adj)
+        for comp in sccs:
+            inner = [(u, v) for u in comp for v in adj[u] if v in comp]
+            if inner:
+                p = brute_force_period(P, comp[0], 3 * n)
+                assert all((depth[u] + 1 - depth[v]) % p == 0 for u, v in inner)
+
+
+def random_layered_digraph(rng):
+    """0/1 adjacency of a random digraph on 2 to 12 states, most of whose
+    edges go from one of k levels to the next mod k (k from 1 to 4), so that
+    many of its classes are periodic; at most one chord may break that."""
+    n = int(rng.integers(2, 13))
+    k = int(rng.integers(1, 5))
+    level = rng.integers(0, k, n)
+    nxt = level[None, :] == (level[:, None] + 1) % k
+    a = (nxt & (rng.random((n, n)) < 0.4)).astype(float)
+    if rng.random() < 0.5:
+        a[tuple(rng.integers(0, n, 2))] = 1.0
+    for u in np.flatnonzero(a.sum(axis=1) == 0):  # no empty rows
+        a[u, rng.choice(np.flatnonzero(nxt[u]) if nxt[u].any() else n)] = 1.0
+    return a
 
 
 def brute_force_period(P, s, max_len):
