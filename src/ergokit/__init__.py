@@ -24,9 +24,7 @@ from .envelope import (
     stationary_by_envelope,
 )
 from .stationary import (
-    Arborescence,
     StationaryResult,
-    enumerate_arborescences,
     monte_carlo_return,
     stationary_by_power,
     stationary_by_return_time,
@@ -48,7 +46,6 @@ from .doeblin import (
 from . import generators
 
 __all__ = [
-    "Arborescence",
     "CouplingTrace",
     "Distribution",
     "DoeblinSplit",
@@ -61,7 +58,6 @@ __all__ = [
     "StochasticMatrix",
     "analyze",
     "doeblin_split",
-    "enumerate_arborescences",
     "envelope_iterate",
     "generators",
     "load_chain",

@@ -151,10 +151,6 @@ class Distribution:
             raise ArgumentRangeError(f"probs sum to {s}, not 1")
         object.__setattr__(self, "probs", _freeze(np.clip(p, 0.0, None) / s))
 
-    @classmethod
-    def uniform(cls, space: StateSpace) -> "Distribution":
-        return cls(space, np.full(space.size, 1.0 / space.size))
-
 
 def _memoized(P: StochasticMatrix, key: str, build):
     """P's memo entry for ``key``, made by ``build()`` on first use. A build
@@ -302,13 +298,13 @@ def _check_tol(name: str, tol: float, zero_ok: bool = False) -> None:
         raise ArgumentRangeError(f"{name} must be {'>=' if zero_ok else '>'} 0, got {tol}")
 
 
-def _check_walk(P: StochasticMatrix, states, trials: int, name: str = "state") -> None:
+def _check_walk(P: StochasticMatrix, states, trials: int) -> None:
     """Reject start or target states that are not integers in 0..n-1, and a
-    trial count outside 1..MAX_TRIALS; ``name`` is what messages call a state."""
+    trial count outside 1..MAX_TRIALS."""
     for x in states:
-        _check_integer(name, x)
+        _check_integer("state", x)
         if not 0 <= x < P.n:
-            raise ArgumentRangeError(f"{name} {x} is not in 0..{P.n - 1}")
+            raise ArgumentRangeError(f"state {x} is not in 0..{P.n - 1}")
     _check_count("trials", trials, 1, MAX_TRIALS)
 
 

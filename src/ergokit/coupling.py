@@ -17,7 +17,7 @@ import numpy as np
 
 from .chain import Distribution, StochasticMatrix, check_stationary, orbit
 from .chain import _Sampler, _check_at_least, _check_count, _check_walk, _walk_until
-from .errors import ArgumentRangeError, NeverMetError
+from .errors import ArgumentRangeError
 from .structure import require_ergodic
 
 #: Steps the coupling lemma and the exact meeting tail look ahead at most.
@@ -34,15 +34,6 @@ class CouplingTrace:
     trials: int
     seed: int
     truncated: int  # runs that hit max_steps without meeting (excluded)
-
-    def tail(self, i: int) -> float:
-        """Empirical Pr(tau > i) over the completed runs; NeverMetError
-        when every run was truncated."""
-        if self.tau_samples.size == 0:
-            raise NeverMetError(
-                f"no completed run: all {self.truncated} runs hit max_steps without meeting"
-            )
-        return float((self.tau_samples > i).mean())
 
 
 def _check_coupling(P: StochasticMatrix, start, trials: int) -> None:

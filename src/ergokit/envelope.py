@@ -128,8 +128,12 @@ def stationary_by_envelope(P: StochasticMatrix, tol: float = 1e-10) -> Stationar
     gaps of B^k never grow, so a doubling search finds the least k with all
     of them at most tol (``evidence["iterations"]``), up to the cap
     ``_default_max_iter`` sets from tol and B's least entry. Each pi_k is
-    the midpoint of its final [m, M] interval, certified to half-width
-    tol / 2.
+    the midpoint of its final [m, M] interval, of half-width at most tol / 2.
+    The interval is computed, not certified to hold pi: a product of
+    stochastic matrices drifts off row sum 1 by rounding. On
+    two_state(1e-6, 2e-6) the rows of the final power sum to 1 - 2.4e-10
+    and its column-0 interval misses the true pi_0 = 2/3 by 1.38e-10.
+    Renormalising the rows of every product (ROADMAP item 1) is the fix.
     """
     _check_tol("tol", tol)
     require_ergodic(P, "envelope squeeze")

@@ -77,10 +77,6 @@ class RankDeficientError(ErgokitError):
     """Nullity of P - I exceeds 1; contradicts irreducibility numerically."""
 
 
-class NeverMetError(ErgokitError):
-    """The two paths never satisfy the meeting condition."""
-
-
 class InvalidGeneratorParamsError(ErgokitError):
     pass
 

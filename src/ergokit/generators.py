@@ -76,24 +76,20 @@ def top_to_random(deck: int) -> StochasticMatrix:
     return validate_stochastic(m, labels)
 
 
-def pagerank(
-    edges: list[tuple[str, str]], damping: float, nodes: list[str] | None = None
-) -> StochasticMatrix:
-    """Damped link-following chain: damping * (row-normalized adjacency,
-    dangling rows made uniform) + (1 - damping) * uniform teleport.
-    Entrywise positive whenever damping < 1."""
+def pagerank(edges: list[tuple[str, str]], damping: float) -> StochasticMatrix:
+    """Damped link-following chain on the edges' endpoints, in sorted order:
+    damping * (row-normalized adjacency, dangling rows made uniform) +
+    (1 - damping) * uniform teleport. Entrywise positive whenever
+    damping < 1."""
     if not 0.0 <= damping < 1.0:
         raise InvalidGeneratorParamsError("pagerank needs 0 <= damping < 1")
-    if nodes is None:
-        nodes = sorted({u for u, _ in edges} | {v for _, v in edges})
+    nodes = sorted({u for u, _ in edges} | {v for _, v in edges})
     if not nodes:
         raise InvalidGeneratorParamsError("pagerank needs at least one node")
     idx = {v: i for i, v in enumerate(nodes)}
     n = len(nodes)
     adj = np.zeros((n, n))
     for u, v in edges:
-        if u not in idx or v not in idx:
-            raise InvalidGeneratorParamsError(f"edge ({u}, {v}) outside node set")
         adj[idx[u], idx[v]] = 1.0
     sums = adj.sum(axis=1)
     dangling = sums == 0.0

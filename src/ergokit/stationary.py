@@ -70,16 +70,6 @@ class StationaryResult:
         object.__setattr__(self, "evidence", MappingProxyType(dict(self.evidence)))
 
 
-@dataclass(frozen=True)
-class Arborescence:
-    """An upward spanning tree: every non-root state keeps one out-edge and
-    all edge-paths lead to the root."""
-
-    root: int
-    parent_edges: dict[int, int]  # y -> f(y) for every y != root
-    weight: float
-
-
 def stationary_linear(P: StochasticMatrix) -> StationaryResult:
     """Solve pi (P - I) = 0 with sum(pi) = 1 by a dense partial-pivot solve.
 
@@ -138,22 +128,9 @@ def _tree_table(P: StochasticMatrix, root: int) -> tuple[np.ndarray, np.ndarray]
     return F, P.entries[others, F[:, others]].prod(axis=1)
 
 
-def enumerate_arborescences(P: StochasticMatrix, root: int) -> list[Arborescence]:
-    """All upward spanning trees rooted at `root`, in itertools.product
-    order over each state's structural out-edges (n-capped)."""
-    _check_walk(P, (root,), 1, "root")
-    require_irreducible(P, "tree enumeration")
-    F, weights = _tree_table(P, root)
-    others = [y for y in range(P.n) if y != root]
-    return [
-        Arborescence(root=root, parent_edges=dict(zip(others, f)), weight=w)
-        for f, w in zip(F[:, others].tolist(), weights.tolist())
-    ]
-
-
 def _gamma_enumeration(P: StochasticMatrix) -> tuple[np.ndarray, list[int]]:
-    """Per root, the summed tree weights (the builtin sum, as over the
-    tree list) and the number of trees; one root's table at a time."""
+    """Per root, the summed tree weights (the builtin sum, in table order)
+    and the number of trees; one root's table at a time."""
     gammas, counts = [], []
     for x in range(P.n):
         weights = _tree_table(P, x)[1]

@@ -142,13 +142,18 @@ def _structural_report(P: StochasticMatrix) -> ErgodicityReport:
     sccs, depth = strongly_connected_components(adj)
     cls = {v: c for c, comp in enumerate(sccs) for v in comp}
     # a class's period is the gcd of depth(u) + 1 - depth(v) over its inner
-    # edges (u, v); 0 means the class has no closed walk
+    # edges (u, v); 0 means the class has no closed walk. A gcd of 1 is
+    # final, so the sweep stops reading that class's edges there.
     g = [0] * len(sccs)
     for u, out in enumerate(adj):
         c = cls[u]
+        if g[c] == 1:
+            continue
         for v in out:
             if cls[v] == c:
                 g[c] = math.gcd(g[c], depth[u] + 1 - depth[v])
+                if g[c] == 1:
+                    break
     period = [g[cls[v]] or None for v in range(P.n)]
     labels = P.space.labels
     return ErgodicityReport(

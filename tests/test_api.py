@@ -15,7 +15,6 @@ from ergokit import generators as gen
 from ergokit.errors import ArgumentRangeError
 
 PUBLIC = [
-    "Arborescence",
     "CouplingTrace",
     "Distribution",
     "DoeblinSplit",
@@ -28,7 +27,6 @@ PUBLIC = [
     "StochasticMatrix",
     "analyze",
     "doeblin_split",
-    "enumerate_arborescences",
     "envelope_iterate",
     "generators",
     "load_chain",
@@ -72,6 +70,10 @@ MODULES = [
 #: their result type and error) had no caller: ``require_ergodic`` gates
 #: every coupling routine and ``exact_meeting_tail`` follows the pair chain
 #: as the n x n unmet mass; tests build the Kronecker square themselves.
+#: ``enumerate_arborescences`` listed, as ``Arborescence`` records, the table
+#: the ``tree_enumeration`` route reads directly (``stationary._tree_table``),
+#: and nothing else called it. ``NeverMetError`` was raised only by
+#: ``CouplingTrace.tail``; callers read ``(trace.tau_samples > i).mean()``.
 REMOVED = [
     "TransitionGraph",
     "build_graph",
@@ -98,6 +100,9 @@ REMOVED = [
     "product_ergodicity",
     "MarginalMismatchError",
     "tv_curve",
+    "enumerate_arborescences",
+    "Arborescence",
+    "NeverMetError",
 ]
 
 REMOVED_METHODS = [
@@ -105,6 +110,8 @@ REMOVED_METHODS = [
     ("chain", "StateSpace", "index"),
     ("doeblin", "TVBoundCurve", "to_csv"),
     ("chain", "Distribution", "point_mass"),
+    ("chain", "Distribution", "uniform"),
+    ("coupling", "CouplingTrace", "tail"),
 ]
 
 #: Result fields that are gone: every trace of ``envelope_iterate`` repeated
@@ -123,6 +130,7 @@ REMOVED_FIELDS = [
 #: ``POWER_MAX_ITER``, the squeeze's cap ``_default_max_iter``,
 #: ``RETURN_MAX_STEPS``, ``STATIONARY_RESIDUAL_TOL`` and ``BALANCE_RTOL``.
 #: ``envelope_iterate`` returns every column's trace, off one orbit.
+#: ``pagerank`` takes its nodes from the edges, as ``generate`` always did.
 REMOVED_PARAMETERS = [
     ("spectral_check", "tol"),
     ("spectral_check", "max_iter"),
@@ -134,6 +142,7 @@ REMOVED_PARAMETERS = [
     ("chain.check_stationary", "tol"),
     ("envelope_iterate", "column"),
     ("stationary.check_balance", "rtol"),
+    ("generators.pagerank", "nodes"),
 ]
 
 
@@ -177,8 +186,6 @@ def test_removed_parameter_is_gone(path, param):
 #: the argument's name. Each must raise ArgumentRangeError, naming the
 #: argument, before any matrix power, solve or orbit.
 BAD_ARGUMENTS = {
-    "root_past_n": (lambda c: ek.enumerate_arborescences(c.cube, root=99), "root"),
-    "root_negative": (lambda c: ek.enumerate_arborescences(c.cube, root=-1), "root"),
     "max_n_zero": (lambda c: ek.verify_doeblin(c.P, c.pi, max_n=0), "max_n"),
     "max_n_float": (lambda c: ek.verify_doeblin(c.P, c.pi, max_n=2.5), "max_n"),
     "exponent_negative": (lambda c: ek.power(c.P, -1), "exponent"),
@@ -200,7 +207,7 @@ def test_bad_argument_rejected_before_any_work(case, tmp_path, monkeypatch):
     pi = ek.stationary_linear(P).pi
     path = tmp_path / "chain.json"
     path.write_text(P.to_json())
-    ctx = SimpleNamespace(P=P, pi=pi, cube=gen.lazy_hypercube(2), path=str(path))
+    ctx = SimpleNamespace(P=P, pi=pi, path=str(path))
 
     def no_work(*args, **kwargs):
         raise AssertionError("a matrix power, solve or orbit started")

@@ -158,9 +158,9 @@ class TestTVDistance:
         assert ek.tv_distance(mu, nu) == pytest.approx(0.5)
 
     def test_space_mismatch(self, flip_chain):
-        other = ek.Distribution.uniform(gen.uniform(3).space)
+        other = ek.Distribution(gen.uniform(3).space, np.full(3, 1 / 3))
         with pytest.raises(SpaceMismatchError):
-            ek.tv_distance(other, ek.Distribution.uniform(flip_chain.space))
+            ek.tv_distance(other, ek.Distribution(flip_chain.space, np.full(2, 1 / 2)))
 
     @given(distribution_pairs())
     @settings(max_examples=60, deadline=None)
@@ -175,7 +175,7 @@ class TestTVDistance:
         if d < 1e-12:
             assert np.abs(mu_p - nu_p).max() < 1e-11
         # triangle inequality through a third point
-        rho = ek.Distribution.uniform(space)
+        rho = ek.Distribution(space, np.full(space.size, 1 / space.size))
         assert d <= ek.tv_distance(mu, rho) + ek.tv_distance(rho, nu) + 1e-12
 
     @given(distribution_pairs(max_n=5))

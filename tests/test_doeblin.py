@@ -39,7 +39,7 @@ class TestDoeblinSplit:
             ek.doeblin_split(flip_chain, pi)
 
     def test_rejects_non_stationary_pi(self, two_state_chain):
-        bogus = ek.Distribution.uniform(two_state_chain.space)
+        bogus = ek.Distribution(two_state_chain.space, np.full(2, 1 / 2))
         with pytest.raises(NotStationaryError):
             ek.doeblin_split(two_state_chain, bogus)
 

@@ -95,9 +95,10 @@ class TestPagerank:
         assert ek.primitivity_exponent(P) == 1
 
     def test_dangling_node_uniform(self):
-        P = gen.pagerank([("a", "c")], damping=0.85, nodes=["a", "b", "c"])
-        # b has no out-links: its row is pure teleport + uniform link mass
-        assert np.allclose(P.entries[1], 1.0 / 3)
+        P = gen.pagerank([("a", "c"), ("b", "a")], damping=0.85)
+        # c has no out-links: its row is pure teleport + uniform link mass
+        assert P.space.labels == ("a", "b", "c")
+        assert np.allclose(P.entries[2], 1.0 / 3)
 
     def test_spot_value(self):
         P = gen.pagerank([("a", "b"), ("b", "a")], damping=0.8)
@@ -108,9 +109,9 @@ class TestPagerank:
         with pytest.raises(InvalidGeneratorParamsError):
             gen.pagerank([("a", "b")], damping=1.0)
 
-    def test_edge_outside_nodes(self):
-        with pytest.raises(InvalidGeneratorParamsError):
-            gen.pagerank([("a", "z")], damping=0.5, nodes=["a", "b"])
+    def test_empty_edge_list(self):
+        with pytest.raises(InvalidGeneratorParamsError, match="at least one node"):
+            gen.pagerank([], damping=0.5)
 
 
 class TestEdgeListLoading:

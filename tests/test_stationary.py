@@ -14,14 +14,22 @@ from ergokit.errors import (
     SingularSystemError,
     TooLargeError,
 )
-from ergokit.stationary import Arborescence, check_balance
+from ergokit.stationary import check_balance
 
 from conftest import from_array, random_irreducible, return_time_table
 
 
+def tree_rows(P, root):
+    """The trees rooted at `root` as ``stationary._tree_table`` lists them:
+    (parent function as a tuple, f[root] = root; weight) per tree."""
+    F, weights = st._tree_table(P, root)
+    return [(tuple(f), w) for f, w in zip(F.tolist(), weights.tolist())]
+
+
 def walk_arborescences(P, root):
     """The trees rooted at `root` by walking every candidate parent function
-    in itertools.product order: the oracle for the array enumeration."""
+    in itertools.product order, in the form of :func:`tree_rows`: the oracle
+    for the array enumeration."""
     others = [y for y in range(P.n) if y != root]
     choices = [
         [int(j) for j in np.flatnonzero(P.entries[y] > 0.0) if j != y]
@@ -44,7 +52,7 @@ def walk_arborescences(P, root):
                 break
         if ok:
             w = float(np.prod([P.entries[y, f[y]] for y in others])) if others else 1.0
-            out.append(Arborescence(root=root, parent_edges=f, weight=w))
+            out.append((tuple(f.get(y, root) for y in range(P.n)), w))
     return out
 
 
@@ -183,7 +191,7 @@ class TestLinearSolve:
     def test_caller_evidence_is_copied(self):
         evidence = {"rank": 1}
         res = st.StationaryResult(
-            pi=ek.Distribution.uniform(ek.StateSpace(("a", "b"))), method="linear_solve",
+            pi=ek.Distribution(ek.StateSpace(("a", "b")), np.full(2, 1 / 2)), method="linear_solve",
             residual=0.0, evidence=evidence,
         )
         evidence["rank"] = 5
@@ -191,40 +199,34 @@ class TestLinearSolve:
 
 
 class TestArborescences:
+    """Hand-counted rows of the tree table the tree_enumeration route reads."""
+
     def test_two_state_single_tree(self, two_state_chain):
-        trees = ek.enumerate_arborescences(two_state_chain, root=0)
-        assert len(trees) == 1
-        assert trees[0].parent_edges == {1: 0}
-        assert trees[0].weight == pytest.approx(0.3)  # q
+        assert tree_rows(two_state_chain, 0) == [((0, 0), 0.3)]  # 1 -> 0, weight q
 
     def test_cycle_single_tree(self):
-        P = gen.cycle(3)
-        trees = ek.enumerate_arborescences(P, root=0)
-        assert len(trees) == 1
-        assert trees[0].parent_edges == {1: 2, 2: 0}
-        assert trees[0].weight == 1.0
+        assert tree_rows(gen.cycle(3), 0) == [((0, 2, 0), 1.0)]  # 1 -> 2 -> 0
 
     def test_complete_three_state_count(self):
-        trees = ek.enumerate_arborescences(gen.uniform(3), root=1)
-        assert len(trees) == 3  # rooted spanning trees of K3 toward a root
+        assert len(tree_rows(gen.uniform(3), 1)) == 3  # rooted spanning trees of K3
 
     def test_too_large(self):
-        with pytest.raises(TooLargeError):
-            ek.enumerate_arborescences(gen.uniform(9), root=0)
+        with pytest.raises(TooLargeError, match="n = 9 exceeds enumeration cap 8"):
+            ek.stationary_by_trees(gen.uniform(9), mode="enumeration")
 
     def test_tree_shape_invariants(self):
         rng = np.random.default_rng(42)
         P = random_irreducible(rng, 5)
         for root in range(5):
-            for tree in ek.enumerate_arborescences(P, root):
-                assert set(tree.parent_edges) == set(range(5)) - {root}
-                assert tree.weight > 0.0
-                for y in tree.parent_edges:
+            for f, w in tree_rows(P, root):
+                assert f[root] == root
+                assert w > 0.0
+                for y in range(5):
                     v, seen = y, set()
                     while v != root:
                         assert v not in seen
                         seen.add(v)
-                        v = tree.parent_edges[v]
+                        v = f[v]
 
 
 class TestTreeTable:
@@ -233,8 +235,8 @@ class TestTreeTable:
         P = TREE_CORPUS[name]()
         walks = [walk_arborescences(P, root) for root in range(P.n)]
         for root, walk in enumerate(walks):
-            assert ek.enumerate_arborescences(P, root) == walk
-        gammas = np.array([sum(t.weight for t in walk) for walk in walks])
+            assert tree_rows(P, root) == walk
+        gammas = np.array([sum(w for _, w in walk) for walk in walks])
         res = ek.stationary_by_trees(P, mode="enumeration")
         assert res.evidence["gamma"] == gammas.tolist()
         assert res.evidence["arborescence_counts"] == [len(walk) for walk in walks]

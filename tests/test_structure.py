@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -167,6 +168,21 @@ class TestPeriod:
         periods = ek.analyze(P).periods
         for s in range(n):
             assert periods[f"s{s}"] == brute_force_period(P, s, 2 * n)
+
+    def test_sweep_stops_once_the_gcd_is_one(self, monkeypatch):
+        # uniform(64) has 4,096 inner edges; the first, a self-loop, settles
+        # the class's gcd at 1, so no other edge needs reading
+        from ergokit import structure
+
+        calls = []
+
+        def counting_gcd(a, b):
+            calls.append((a, b))
+            return math.gcd(a, b)
+
+        monkeypatch.setattr(structure, "math", SimpleNamespace(gcd=counting_gcd))
+        assert set(ek.analyze(gen.uniform(64)).periods.values()) == {1}
+        assert len(calls) <= 1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_period_constant_on_scc(self, seed):
@@ -375,14 +391,13 @@ class TestRequireIrreducible:
         "routine, what",
         [
             (lambda P: ek.stationary_linear(P), "linear solve"),
-            (lambda P: ek.enumerate_arborescences(P, 0), "tree enumeration"),
             (lambda P: ek.stationary_by_trees(P, "enumeration"), "tree_enumeration"),
             (lambda P: ek.stationary_by_trees(P, "determinant"), "tree_determinant"),
             (lambda P: ek.stationary_by_return_time(P), "return-time table"),
             (lambda P: ek.monte_carlo_return(P, 0, trials=10, seed=0), "Monte Carlo return time"),
         ],
         ids=[
-            "linear", "arborescences", "tree_enumeration", "tree_determinant",
+            "linear", "tree_enumeration", "tree_determinant",
             "return_time", "monte_carlo_return",
         ],
     )
