@@ -246,7 +246,7 @@ def tv_distance(mu: Distribution, nu: Distribution) -> float:
     """Total variation distance: half the L1 difference. Always in [0, 1]."""
     if mu.space != nu.space:
         raise SpaceMismatchError("distributions on different spaces")
-    return min(1.0, 0.5 * float(np.abs(mu.probs - nu.probs).sum()))
+    return min(1.0, _tv_rows(mu.probs[None, :], nu.probs))
 
 
 def _tv_rows(rows: np.ndarray, pi: np.ndarray) -> float:

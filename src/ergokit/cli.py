@@ -132,18 +132,18 @@ def cmd_stationary(args) -> int:
     for m in methods:
         if m not in METHODS:
             raise InvalidGeneratorParamsError(f"unknown method {m!r}")
+    if args.csv and "envelope" not in methods:
+        raise ArgumentRangeError("--csv writes envelope traces, so --methods must include envelope")
     results = _stationary_table(P, methods, args.tol)
-    trace = None  # built before printing, so a refused trace prints nothing
-    if args.csv and "envelope" in methods:
-        trace = _envelope_trace_csv(P, results["envelope"], args.tol)
+    # built before printing, so a refused trace prints nothing
+    trace = _envelope_trace_csv(P, results["envelope"], args.tol) if args.csv else None
     table, worst = _discrepancies(results)
     out = {
         "methods": {m: _method_json(r, with_message=True) for m, r in results.items()},
         "pairwise_max_discrepancy": table,
     }
     print(json.dumps(out))
-    if trace is not None:
-        _write_csv(args.csv, trace)
+    _write_csv(args.csv, trace)
     if all(isinstance(r, Exception) for r in results.values()) or worst > 10.0 * args.tol:
         return 2
     return 0
@@ -201,7 +201,7 @@ def cmd_mix(args) -> int:
         pi = stationary_mod.stationary_linear(P).pi
         split = None
         if (P.entries > 0.0).all():
-            split = doeblin_mod.doeblin_split(P, pi)
+            split = doeblin_mod.doeblin_split(P)
         lines = ["t,d,n_delta,theta_pow"]
         # d(t) and Delta(t) off one stream, so each P^t is formed once
         for t, S in zip(range(1, horizon + 1), chain_mod.orbit(P.entries, P.entries)):
@@ -283,9 +283,8 @@ def cmd_report(args) -> int:
         out["verdicts"]["mixing_bound_dominates"] = (
             est.empirical_tmix <= est.bound_tmix
         )
-        pi = reference.pi
         lemma = coupling_mod.verify_coupling_lemma(
-            P, pi, start_y=args.start, horizon=args.horizon,
+            P, reference.pi, start_y=args.start, horizon=args.horizon,
             trials=args.trials, seed=args.seed,
         )
         out["verdicts"]["coupling_lemma"] = lemma.passed
@@ -296,7 +295,7 @@ def cmd_report(args) -> int:
         }
         if (P.entries > 0.0).all():
             # at least the 20 steps the recursion verdict has always covered
-            doeblin = doeblin_mod.verify_doeblin(P, pi, max_n=max(args.horizon, 20))
+            doeblin = doeblin_mod.verify_doeblin(P, max_n=max(args.horizon, 20))
             out["doeblin"] = {"delta": doeblin.split.delta, "theta": doeblin.split.theta}
             out["verdicts"]["doeblin_tv_bound"] = doeblin.tv_bound_passed
             out["verdicts"]["doeblin_recursion"] = doeblin.recursion_passed

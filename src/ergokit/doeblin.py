@@ -20,8 +20,9 @@ from itertools import islice, pairwise
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix, check_stationary, orbit, power
-from .chain import _check_at_least, _tv_rows
+from .chain import Distribution, StochasticMatrix, orbit, power
+from .chain import _check_count, _tv_rows
+from .coupling import MAX_HORIZON
 from .errors import NotPositiveError
 from .stationary import stationary_linear
 from .structure import require_ergodic
@@ -65,16 +66,15 @@ def _pi_rows(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray:
     return np.tile(pi, (P.n, 1))
 
 
-def doeblin_split(P: StochasticMatrix, pi: Distribution) -> DoeblinSplit:
+def doeblin_split(P: StochasticMatrix) -> DoeblinSplit:
     """Largest delta with P(x, y) >= delta pi(y) everywhere, and the
     residual Q with P = (1 - theta) Pi + theta Q.
 
-    delta is ratio-sensitive near small pi entries, so pass the
-    high-precision pi from the linear solver."""
+    delta is ratio-sensitive near small pi entries, so pi is the memoized
+    high-precision one of the linear solve."""
     if (P.entries <= 0.0).any():
         raise NotPositiveError("minorization split needs an entrywise positive matrix")
-    check_stationary(P, pi)
-    Pi = _pi_rows(P, pi.probs)
+    Pi = _pi_rows(P, stationary_linear(P).pi.probs)
     delta = min(1.0, float((P.entries / Pi).min()))
     if delta > 1.0 - 1e-12:
         delta = 1.0  # solver rounding in pi, not a genuine residual
@@ -97,15 +97,17 @@ def _random_stochastic(n: int, rng) -> np.ndarray:
     return a / a.sum(axis=1, keepdims=True)
 
 
-def verify_doeblin(P: StochasticMatrix, pi: Distribution, max_n: int = 50) -> DoeblinVerdict:
+def verify_doeblin(P: StochasticMatrix, max_n: int = 50) -> DoeblinVerdict:
     """Split P, then for n = 1..max_n compare the exact d(n) with theta^n and
     check P^n - Pi = theta^n (Q^n - Pi Q^(n-1)) entrywise, both sides formed
     independently, over one orbit of P and one of Q. Also checks the two
     absorption identities the recursion leans on (M Pi = Pi for stochastic
-    M; Pi M = Pi when pi M = pi)."""
-    _check_at_least("max_n", max_n, 1)
-    split = doeblin_split(P, pi)
+    M; Pi M = Pi when pi M = pi). max_n is capped at coupling.MAX_HORIZON:
+    the verdict keeps one row per step."""
+    _check_count("max_n", max_n, 1, MAX_HORIZON)
+    split = doeblin_split(P)
     Pi = split.Pi_matrix.entries
+    pi = Pi[0]
     Q = split.Q_matrix.entries
     th = split.theta
     rows = []
@@ -114,7 +116,7 @@ def verify_doeblin(P: StochasticMatrix, pi: Distribution, max_n: int = 50) -> Do
     for n, (Pn, (Qprev, Qn)) in zip(range(1, max_n + 1), steps):
         bound = th**n
         error = float(np.abs((Pn - Pi) - bound * (Qn - Pi @ Qprev)).max())
-        rows.append((n, _tv_rows(Pn, pi.probs), bound, error))
+        rows.append((n, _tv_rows(Pn, pi), bound, error))
     rng = np.random.default_rng(7)
     probes = [P.entries, Q, _random_stochastic(P.n, rng)]
     fact_a = max(float(np.abs(M @ Pi - Pi).max()) for M in probes)

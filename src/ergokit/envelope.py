@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix, orbit, power, stationary_residual
+from .chain import StochasticMatrix, orbit, power
 from .chain import _check_at_least, _check_tol, _first_power, _memoized, _tv_rows
 from .errors import (
     ArgumentRangeError,
@@ -25,7 +25,7 @@ from .errors import (
     MonotonicityViolationError,
     NotPositiveError,
 )
-from .stationary import StationaryResult, stationary_linear
+from .stationary import StationaryResult, _result, stationary_linear
 from .structure import analyze, require_ergodic
 
 #: Slack for the "should be impossible" monotonicity assertions; a few ulps
@@ -149,16 +149,9 @@ def stationary_by_envelope(P: StochasticMatrix, tol: float = 1e-10) -> Stationar
     it, S = found
     lo, hi = S.min(axis=0), S.max(axis=0)
     mid = (lo + hi) / 2.0
-    pi = mid / mid.sum()
-    return StationaryResult(
-        pi=Distribution(P.space, pi),
-        method="envelope",
-        residual=stationary_residual(P, pi),
-        evidence={
-            "lift_exponent": m,
-            "iterations": it,
-            "max_half_width": float((hi - lo).max()) / 2.0,
-        },
+    return _result(
+        P, mid / mid.sum(), "envelope",
+        lift_exponent=m, iterations=it, max_half_width=float((hi - lo).max()) / 2.0,
     )
 
 

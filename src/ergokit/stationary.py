@@ -70,6 +70,12 @@ class StationaryResult:
         object.__setattr__(self, "evidence", MappingProxyType(dict(self.evidence)))
 
 
+def _result(P: StochasticMatrix, pi: np.ndarray, method: str, **evidence) -> StationaryResult:
+    """A route's result: pi as a Distribution, the residual of the raw
+    vector the route computed, and the route's evidence."""
+    return StationaryResult(Distribution(P.space, pi), method, stationary_residual(P, pi), evidence)
+
+
 def stationary_linear(P: StochasticMatrix) -> StationaryResult:
     """Solve pi (P - I) = 0 with sum(pi) = 1 by a dense partial-pivot solve.
 
@@ -95,12 +101,7 @@ def _solve_linear(P: StochasticMatrix) -> StationaryResult:
         pi = np.linalg.solve(A, b)
     except np.linalg.LinAlgError as e:
         raise SingularSystemError(str(e)) from e
-    return StationaryResult(
-        pi=Distribution(P.space, pi),
-        method="linear_solve",
-        residual=stationary_residual(P, pi),
-        evidence={"rank": int(rank)},
-    )
+    return _result(P, pi, "linear_solve", rank=int(rank))
 
 
 def _tree_table(P: StochasticMatrix, root: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,19 +246,10 @@ def stationary_by_trees(P: StochasticMatrix, mode: str = "determinant") -> Stati
         # 1 - p_xx rounds to 0, or products of tiny entries underflow
         raise SingularSystemError(f"tree_{mode}: tree weights sum to {total}, not > 0")
     worst = check_balance(P, gammas)
-    pi = gammas / total
-    evidence: dict[str, Any] = {
-        "gamma": gammas.tolist(),
-        "balance_rel_discrepancy": worst,
-    }
+    evidence: dict[str, Any] = {"gamma": gammas.tolist(), "balance_rel_discrepancy": worst}
     if counts is not None:
         evidence["arborescence_counts"] = counts
-    return StationaryResult(
-        pi=Distribution(P.space, pi),
-        method=f"tree_{mode}",
-        residual=stationary_residual(P, pi),
-        evidence=evidence,
-    )
+    return _result(P, gammas / total, f"tree_{mode}", **evidence)
 
 
 def _return_times(P: StochasticMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -300,17 +292,13 @@ def stationary_by_return_time(P: StochasticMatrix) -> StationaryResult:
     if bad.size:
         x = int(bad[0])
         raise BalanceViolationError(f"pi_x * E_x tau+ = {pi[x] * ert[x]:.12g} != 1 at state {x}")
-    return StationaryResult(
-        pi=Distribution(P.space, pi),
-        method="return_time",
-        residual=stationary_residual(P, pi),
-        evidence={
-            "anchor": 0,
-            "visit_counts": visits.tolist(),
-            "expected_return": float(ert[0]),
-            "expected_returns_per_state": ert.tolist(),
-            "kac_max_error": float(kac.max()),
-        },
+    return _result(
+        P, pi, "return_time",
+        anchor=0,
+        visit_counts=visits.tolist(),
+        expected_return=float(ert[0]),
+        expected_returns_per_state=ert.tolist(),
+        kac_max_error=float(kac.max()),
     )
 
 
@@ -349,10 +337,4 @@ def stationary_by_power(P: StochasticMatrix) -> StationaryResult:
             break
     else:
         raise NoConvergenceError(f"power iteration did not settle in {POWER_MAX_ITER} steps")
-    mu = nxt / nxt.sum()
-    return StationaryResult(
-        pi=Distribution(P.space, mu),
-        method="power_iteration",
-        residual=stationary_residual(P, mu),
-        evidence={"iterations": it},
-    )
+    return _result(P, nxt / nxt.sum(), "power_iteration", iterations=it)

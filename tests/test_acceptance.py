@@ -183,8 +183,7 @@ def test_criterion_08_doeblin_bound(positive_corpus):
     """d(n) <= theta^n + 1e-12 and error recursion entrywise 1e-10, n <= 50."""
     worst_rec = 0.0
     for P in positive_corpus:
-        pi = ek.stationary_linear(P).pi
-        verdict = ek.verify_doeblin(P, pi, max_n=50)
+        verdict = ek.verify_doeblin(P, max_n=50)
         assert len(verdict.rows) == 50
         assert all(d <= bound + 1e-12 for _, d, bound, _ in verdict.rows)
         assert verdict.tv_bound_passed and verdict.recursion_passed

@@ -425,6 +425,23 @@ class TestStationary:
         assert err.count("\n") == 1
         assert not out_csv.exists()
 
+    def test_csv_without_the_envelope_method_refused(self, capsys, monkeypatch, tmp_path):
+        # --csv writes envelope traces; without the squeeze it would write nothing
+        def no_route(P):
+            raise AssertionError("a route ran")
+
+        monkeypatch.setattr(cli.stationary_mod, "stationary_linear", no_route)
+        out_csv = tmp_path / "trace.csv"
+        code, out, err = run(
+            capsys, "stationary", "--gen", "two_state", "--params", "p=0.2,q=0.3",
+            "--methods", "linear_solve", "--csv", str(out_csv),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ArgumentRangeError: --csv") and "envelope" in err
+        assert err.count("\n") == 1
+        assert not out_csv.exists()
+
     def test_csv_forms_the_lift_once(self, capsys, monkeypatch, tmp_path):
         # the squeeze and its traces both run on P^3
         calls = count_linalg(monkeypatch)

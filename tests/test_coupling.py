@@ -191,7 +191,7 @@ NON_INTEGER_COUNTS = {
     ),
     "float_exact_horizon": (lambda P, pi: exact_meeting_tail(P, (0, 1), 2.5), "horizon"),
     "float_max_iter": (lambda P, pi: ek.envelope_iterate(P, max_iter=2.5), "max_iter"),
-    "float_max_n": (lambda P, pi: ek.verify_doeblin(P, pi, max_n=2.5), "max_n"),
+    "float_max_n": (lambda P, pi: ek.verify_doeblin(P, max_n=2.5), "max_n"),
 }
 
 #: A seed out of range for each routine that draws, on the periodic flip
@@ -318,7 +318,7 @@ class TestArgumentRanges:
             len(trace.iterations) <= 6
             for trace in ek.envelope_iterate(two_state_chain, max_iter=six)
         )
-        assert len(ek.verify_doeblin(two_state_chain, pi, max_n=six).rows) == 6
+        assert len(ek.verify_doeblin(two_state_chain, max_n=six).rows) == 6
 
     def test_numpy_integer_states_accepted(self, two_state_chain):
         pi = ek.stationary_linear(two_state_chain).pi

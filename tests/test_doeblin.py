@@ -4,21 +4,21 @@ import pytest
 import ergokit as ek
 from ergokit import doeblin
 from ergokit import generators as gen
+from ergokit.coupling import MAX_HORIZON
 from ergokit.errors import (
     ArgumentRangeError,
     ErgokitError,
     NotErgodicError,
     NotPositiveError,
-    NotStationaryError,
     RankDeficientError,
+    TooLargeError,
 )
 
 from conftest import from_array, random_positive
 
 
 def split_of(P):
-    pi = ek.stationary_linear(P).pi
-    return ek.doeblin_split(P, pi), pi
+    return ek.doeblin_split(P), ek.stationary_linear(P).pi
 
 
 class TestDoeblinSplit:
@@ -34,14 +34,25 @@ class TestDoeblinSplit:
         assert np.allclose(split.Q_matrix.entries, split.Pi_matrix.entries)
 
     def test_rejects_zero_entries(self, flip_chain):
-        pi = ek.stationary_linear(flip_chain).pi
         with pytest.raises(NotPositiveError):
-            ek.doeblin_split(flip_chain, pi)
+            ek.doeblin_split(flip_chain)
 
-    def test_rejects_non_stationary_pi(self, two_state_chain):
-        bogus = ek.Distribution(two_state_chain.space, np.full(2, 1 / 2))
-        with pytest.raises(NotStationaryError):
-            ek.doeblin_split(two_state_chain, bogus)
+    def test_pi_is_the_memoized_solve(self, monkeypatch):
+        # the split, the verdict and the caller all read one linear solve
+        P = random_positive(np.random.default_rng(1550), 6)
+        solves = []
+        solve = np.linalg.solve
+
+        def counted(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        split = ek.doeblin_split(P)
+        ek.verify_doeblin(P, max_n=3)
+        pi = ek.stationary_linear(P).pi.probs
+        assert split.Pi_matrix.entries[0].tobytes() == pi.tobytes()
+        assert "linear_solve" in P._memo and len(solves) == 1
 
     @pytest.mark.parametrize("seed", range(10))
     def test_split_reconstructs_p(self, seed):
@@ -77,8 +88,7 @@ def recursion_errors(verdict):
 
 class TestErrorRecursion:
     def test_two_state(self, two_state_chain):
-        _, pi = split_of(two_state_chain)
-        verdict = ek.verify_doeblin(two_state_chain, pi, max_n=20)
+        verdict = ek.verify_doeblin(two_state_chain, max_n=20)
         assert verdict.recursion_passed
         assert max(recursion_errors(verdict)) <= 1e-10
         assert verdict.fact_a_error <= 1e-12
@@ -88,15 +98,13 @@ class TestErrorRecursion:
     def test_random_positive(self, seed):
         rng = np.random.default_rng(1700 + seed)
         P = random_positive(rng, int(rng.integers(2, 8)))
-        _, pi = split_of(P)
-        verdict = ek.verify_doeblin(P, pi, max_n=20)
+        verdict = ek.verify_doeblin(P, max_n=20)
         assert verdict.recursion_passed
         assert max(recursion_errors(verdict)) <= 1e-10
 
     def test_rank_one_case(self):
         P = gen.uniform(4)
-        _, pi = split_of(P)
-        verdict = ek.verify_doeblin(P, pi)
+        verdict = ek.verify_doeblin(P)
         assert verdict.recursion_passed
         assert max(recursion_errors(verdict)) == 0.0
 
@@ -105,17 +113,15 @@ class TestErrorRecursion:
         assert doeblin.RECURSION_TOL == 1e-10
 
     def test_a_recursion_error_past_the_tolerance_fails(self, two_state_chain, monkeypatch):
-        _, pi = split_of(two_state_chain)
-        worst = max(recursion_errors(ek.verify_doeblin(two_state_chain, pi)))
+        worst = max(recursion_errors(ek.verify_doeblin(two_state_chain)))
         monkeypatch.setattr(doeblin, "RECURSION_TOL", worst / 2)
-        verdict = ek.verify_doeblin(two_state_chain, pi)
+        verdict = ek.verify_doeblin(two_state_chain)
         assert not verdict.recursion_passed and verdict.tv_bound_passed
 
 
 class TestTVBound:
     def test_two_state_exact_values(self, two_state_chain):
-        _, pi = split_of(two_state_chain)
-        verdict = ek.verify_doeblin(two_state_chain, pi, max_n=10)
+        verdict = ek.verify_doeblin(two_state_chain, max_n=10)
         assert verdict.tv_bound_passed
         assert [n for n, _, _, _ in verdict.rows] == list(range(1, 11))
         for n, d, bound, _ in verdict.rows:
@@ -127,22 +133,25 @@ class TestTVBound:
     def test_domination_holds(self, seed):
         rng = np.random.default_rng(1800 + seed)
         P = random_positive(rng, int(rng.integers(2, 8)))
-        _, pi = split_of(P)
-        verdict = ek.verify_doeblin(P, pi, max_n=50)
+        verdict = ek.verify_doeblin(P, max_n=50)
         assert verdict.tv_bound_passed
         ds = [d for _, d, _, _ in verdict.rows]
         assert ds[-1] < ds[0] or ds[0] == 0.0
 
     @pytest.mark.parametrize("max_n", [0, -3])
     def test_max_n_below_one_rejected(self, two_state_chain, max_n):
-        _, pi = split_of(two_state_chain)
         with pytest.raises(ArgumentRangeError, match="max_n"):
-            ek.verify_doeblin(two_state_chain, pi, max_n=max_n)
+            ek.verify_doeblin(two_state_chain, max_n=max_n)
+
+    def test_max_n_past_the_cap_rejected(self, two_state_chain):
+        # the verdict keeps one row per step, so max_n shares the lemma's cap
+        with pytest.raises(TooLargeError, match="max_n"):
+            ek.verify_doeblin(two_state_chain, max_n=MAX_HORIZON + 1)
+        assert len(ek.verify_doeblin(two_state_chain, max_n=MAX_HORIZON).rows) == MAX_HORIZON
 
     def test_rejects_zero_entries(self, flip_chain):
-        pi = ek.stationary_linear(flip_chain).pi
         with pytest.raises(NotPositiveError):
-            ek.verify_doeblin(flip_chain, pi)
+            ek.verify_doeblin(flip_chain)
 
 
 class TestSpectralCheck:
