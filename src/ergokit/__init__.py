@@ -12,7 +12,6 @@ from .chain import (
     StochasticMatrix,
     load_chain,
     power,
-    tv_distance,
     validate_stochastic,
 )
 from .structure import ErgodicityReport, analyze, primitivity_exponent
@@ -72,7 +71,6 @@ __all__ = [
     "stationary_by_return_time",
     "stationary_by_trees",
     "stationary_linear",
-    "tv_distance",
     "validate_stochastic",
     "verify_coupling_lemma",
     "verify_doeblin",

@@ -242,13 +242,6 @@ def orbit(S: np.ndarray, M: np.ndarray):
         S = S @ M
 
 
-def tv_distance(mu: Distribution, nu: Distribution) -> float:
-    """Total variation distance: half the L1 difference. Always in [0, 1]."""
-    if mu.space != nu.space:
-        raise SpaceMismatchError("distributions on different spaces")
-    return min(1.0, _tv_rows(mu.probs[None, :], nu.probs))
-
-
 def _tv_rows(rows: np.ndarray, pi: np.ndarray) -> float:
     """max over rows of TV(row, pi), on raw arrays."""
     return float(0.5 * np.abs(rows - pi[None, :]).sum(axis=1).max())

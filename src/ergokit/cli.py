@@ -149,27 +149,23 @@ def cmd_stationary(args) -> int:
     return 0
 
 
-#: ``stationary --csv`` writes at most this many rows per column trace.
-_TRACE_ROWS = 10_000
-
-
 def _envelope_trace_csv(P, squeeze, tol) -> str:
     """Every column's envelope trace, all off one orbit of the chain the
     squeeze lifted to; the header only if the squeeze refused the chain.
     Refuses traces that would stop short of tol: the squeeze took more than
-    _TRACE_ROWS iterations, or did not reach tol."""
+    envelope.MAX_TRACE_ROWS iterations, or did not reach tol."""
     if isinstance(squeeze, MaxIterExceededError):
         raise TooLargeError(f"--csv: the envelope traces would stop short of --tol ({squeeze})")
     lines = ["column,i,m,M,delta"]
     if isinstance(squeeze, Exception):
         return lines[0] + "\n"
-    if squeeze.evidence["iterations"] > _TRACE_ROWS:
+    if squeeze.evidence["iterations"] > envelope_mod.MAX_TRACE_ROWS:
         raise TooLargeError(
             f"--csv would need {squeeze.evidence['iterations']} rows per column to reach "
-            f"--tol; it writes envelope traces of at most {_TRACE_ROWS} rows"
+            f"--tol; it writes envelope traces of at most {envelope_mod.MAX_TRACE_ROWS} rows"
         )
     _, lifted = envelope_mod._lift(P)
-    for col, trace in enumerate(envelope_mod.envelope_iterate(lifted, _TRACE_ROWS, tol)):
+    for col, trace in enumerate(envelope_mod.envelope_iterate(lifted, tol=tol)):
         lines += (f"{col},{r.i},{r.m:.17g},{r.M:.17g},{r.delta:.17g}" for r in trace.iterations)
     return "\n".join(lines) + "\n"
 

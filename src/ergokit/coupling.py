@@ -152,8 +152,8 @@ def verify_coupling_lemma(
     tau[tau < 0] = horizon + 1  # censored beyond horizon
 
     def exact_tv(law: np.ndarray) -> float:
-        # normalized as a Distribution would be, so this is tv_distance's bit for bit
-        return min(1.0, _tv_rows((np.clip(law, 0.0, None) / law.sum())[None, :], pi.probs))
+        # normalized as a Distribution would be; the law is never negative
+        return min(1.0, _tv_rows((law / law.sum())[None, :], pi.probs))
 
     point = np.zeros(P.n)
     point[start_y] = 1.0

@@ -3,13 +3,11 @@
 A positive P admits P = (1 - theta) Pi + theta Q with Pi the rank-1 matrix
 of stationary rows; the residual error P^n - Pi then equals
 theta^n (Q^n - Pi Q^(n-1)), giving the TV bound d(n) <= theta^n. One pass
-over the orbits of P and Q checks both. The spectral side verifies the
-facts that proof rests on (dominant eigenvalue 1 with stationary left
-vector, subdominant modulus below 1, rank-1 limit): the dominant pair from
-the memoized linear solve, the subdominant modulus from the computed
-eigenvalues of the deflated operator P - Pi (Brauer's theorem: deflation
-swaps the eigenvalue 1 for 0 and keeps the rest), and the limit by direct
-powering.
+over the orbits of P and Q checks both. The spectral side takes the
+dominant pair as given (1 and pi, for any stochastic P) and computes the
+rate: the subdominant modulus, from the computed eigenvalues of the
+deflated operator P - Pi (Brauer's theorem: deflation swaps the eigenvalue
+1 for 0 and keeps the rest), and the rank-1 limit by direct powering.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from itertools import islice, pairwise
 
 import numpy as np
 
-from .chain import Distribution, StochasticMatrix, orbit, power
+from .chain import StochasticMatrix, orbit, power
 from .chain import _check_count, _tv_rows
 from .coupling import MAX_HORIZON
 from .errors import NotPositiveError
@@ -55,8 +53,6 @@ class DoeblinVerdict:
 
 @dataclass(frozen=True)
 class SpectralCheck:
-    dominant_value: float
-    dominant_vector: Distribution
     subdominant_modulus_estimate: float
     rank1_gap: float  # ||P^k - Pi||_inf, k from the subdominant estimate
 
@@ -134,27 +130,19 @@ def verify_doeblin(P: StochasticMatrix, max_n: int = 50) -> DoeblinVerdict:
 
 
 def spectral_check(P: StochasticMatrix) -> SpectralCheck:
-    """Dominant pair from the memoized linear-solve pi, subdominant modulus
-    as the spectral radius of the deflated operator A = P - Pi, and the
-    rank-1 limit gap ||P^k - Pi||_inf at the k that pushes the subdominant
-    part below ~1e-10.
+    """Subdominant modulus as the spectral radius of the deflated operator
+    A = P - Pi, Pi from the memoized linear-solve pi, and the rank-1 limit
+    gap ||P^k - Pi||_inf at the k that pushes the subdominant part below
+    ~1e-10.
 
     By Brauer's theorem, A = P - 1 pi^T has the eigenvalues of P with the
     eigenvalue 1 replaced by 1 - sum(pi) = 0, so rho(A) is |lambda_2|
     however far the computed pi is from the true one."""
     require_ergodic(P, "spectral check")
-    pi = stationary_linear(P).pi
-    mu = pi.probs
-    dominant_value = float((mu @ P.entries).sum() / mu.sum())  # = 1 for stochastic P
-    Pi = _pi_rows(P, mu)
-    est = float(np.abs(np.linalg.eigvals(P.entries - Pi)).max())
-    gap = float(np.abs(power(P, _default_probe(est)).entries - Pi).sum(axis=1).max())
-    return SpectralCheck(
-        dominant_value=dominant_value,
-        dominant_vector=pi,
-        subdominant_modulus_estimate=est,
-        rank1_gap=gap,
-    )
+    mu = stationary_linear(P).pi.probs
+    est = float(np.abs(np.linalg.eigvals(P.entries - mu)).max())
+    gap = 2.0 * _tv_rows(power(P, _default_probe(est)).entries, mu)
+    return SpectralCheck(subdominant_modulus_estimate=est, rank1_gap=gap)
 
 
 def _default_probe(subdominant: float) -> int:

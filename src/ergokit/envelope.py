@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import StochasticMatrix, orbit, power
-from .chain import _check_at_least, _check_tol, _first_power, _memoized, _tv_rows
+from .chain import _check_count, _check_tol, _first_power, _memoized, _tv_rows
 from .errors import (
     ArgumentRangeError,
     MaxIterExceededError,
@@ -31,6 +31,10 @@ from .structure import analyze, require_ergodic
 #: Slack for the "should be impossible" monotonicity assertions; a few ulps
 #: of accumulated matmul rounding, nothing more.
 _MONOTONE_SLACK = 1e-12
+
+#: Most records an envelope trace keeps: ``envelope_iterate``'s default and
+#: cap for ``max_iter``, and the rows per column ``stationary --csv`` writes.
+MAX_TRACE_ROWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -56,18 +60,18 @@ class MixingEstimate:
 
 
 def envelope_iterate(
-    P: StochasticMatrix, max_iter: int = 10_000, tol: float = 1e-12
+    P: StochasticMatrix, max_iter: int = MAX_TRACE_ROWS, tol: float = 1e-12
 ) -> tuple[EnvelopeTrace, ...]:
     """Track (m^(i), M^(i), Delta^(i)) of every column of P^i, i = 1, 2, ...,
     one trace per column, all off one orbit of P.
 
     Column j's trace stops at the first i with Delta^(i) <= tol, or at
-    max_iter; the orbit stops when every trace has. The matrix must be
-    entrywise positive; lift a merely ergodic chain to P^m first.
+    max_iter (<= MAX_TRACE_ROWS); the orbit stops when all have. The matrix
+    must be entrywise positive; lift a merely ergodic chain to P^m first.
     """
     if (P.entries <= 0.0).any():
         raise NotPositiveError("envelope iteration needs an entrywise positive matrix")
-    _check_at_least("max_iter", max_iter, 1)
+    _check_count("max_iter", max_iter, 1, MAX_TRACE_ROWS)
     _check_tol("tol", tol, zero_ok=True)
     records = [[] for _ in range(P.n)]
     prev_m, prev_M = [-math.inf] * P.n, [math.inf] * P.n
@@ -142,7 +146,7 @@ def stationary_by_envelope(P: StochasticMatrix, tol: float = 1e-10) -> Stationar
     max_iter = _default_max_iter(float(B.min()), tol)
     found = _first_power(B, lambda S: _column_gap(S) <= tol, max_iter)
     if found is None:
-        worst = _column_gap(np.linalg.matrix_power(B, max_iter))
+        worst = _column_gap(power(lifted, max_iter).entries)
         raise MaxIterExceededError(
             f"envelopes at Delta = {worst:.3g} after {max_iter} iterations"
         )

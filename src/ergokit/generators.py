@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -14,14 +15,24 @@ from .errors import InvalidGeneratorParamsError
 MAX_STATES = 1 << 12
 
 
+def _check_size(who: str, name: str, value, least: int, most: int) -> None:
+    """Reject a size that is not an integer (numpy integers pass) or lies
+    outside least..most, naming it."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvalidGeneratorParamsError(f"{name} {value!r} is not an integer") from None
+    if not least <= value <= most:
+        raise InvalidGeneratorParamsError(f"{who} needs {least} <= {name} <= {most}")
+
+
 def flip() -> StochasticMatrix:
     """Two states, deterministic swap; periodic with period 2."""
     return validate_stochastic([[0.0, 1.0], [1.0, 0.0]], ["s0", "s1"])
 
 
 def uniform(n: int) -> StochasticMatrix:
-    if not 1 <= n <= MAX_STATES:
-        raise InvalidGeneratorParamsError(f"uniform chain needs 1 <= n <= {MAX_STATES}")
+    _check_size("uniform chain", "n", n, 1, MAX_STATES)
     return validate_stochastic(
         np.full((n, n), 1.0 / n), [f"s{i}" for i in range(n)]
     )
@@ -36,8 +47,7 @@ def two_state(p: float, q: float) -> StochasticMatrix:
 
 def cycle(length: int) -> StochasticMatrix:
     """Deterministic successor cycle; period = length."""
-    if not 2 <= length <= MAX_STATES:
-        raise InvalidGeneratorParamsError(f"cycle needs 2 <= length <= {MAX_STATES}")
+    _check_size("cycle", "length", length, 2, MAX_STATES)
     m = np.zeros((length, length))
     for i in range(length):
         m[i, (i + 1) % length] = 1.0
@@ -47,8 +57,7 @@ def cycle(length: int) -> StochasticMatrix:
 def lazy_hypercube(dim: int) -> StochasticMatrix:
     """Lazy random walk on the dim-cube: hold with probability 1/2, flip a
     uniformly random coordinate otherwise. States labeled as bit strings."""
-    if not 1 <= dim <= 12:
-        raise InvalidGeneratorParamsError("lazy_hypercube needs 1 <= dim <= 12")
+    _check_size("lazy_hypercube", "dim", dim, 1, 12)
     n = 1 << dim
     m = np.zeros((n, n))
     for x in range(n):
@@ -62,8 +71,7 @@ def lazy_hypercube(dim: int) -> StochasticMatrix:
 def top_to_random(deck: int) -> StochasticMatrix:
     """Card shuffle on deck! permutations: pick a card uniformly at random
     and place it on top (picking the current top card holds the deck)."""
-    if not 2 <= deck <= 5:
-        raise InvalidGeneratorParamsError("top_to_random needs 2 <= deck <= 5")
+    _check_size("top_to_random", "deck", deck, 2, 5)
     perms = list(itertools.permutations(range(deck)))
     index = {p: i for i, p in enumerate(perms)}
     n = len(perms)

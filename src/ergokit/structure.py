@@ -14,7 +14,7 @@ every class's period off the depths that search assigns, O(n + E) in all,
 and keeps the result in the per-matrix memo of the frozen
 :class:`~ergokit.chain.StochasticMatrix` (:func:`~ergokit.chain._memoized`),
 next to the linear-solve pi and the lift P^m that other modules keep there.
-Every other module asks :func:`analyze` instead of recomputing.
+Every other module reads that memo instead of recomputing.
 """
 
 from __future__ import annotations
@@ -167,7 +167,13 @@ def _structural_report(P: StochasticMatrix) -> ErgodicityReport:
     )
 
 
-def analyze(P: StochasticMatrix, with_primitivity: bool = True) -> ErgodicityReport:
+def _base_report(P: StochasticMatrix) -> ErgodicityReport:
+    """The memoized structural report of P without the primitivity exponent
+    (None): the one the gates read, so no gate starts a primitivity search."""
+    return _memoized(P, "structure", lambda: _structural_report(P))
+
+
+def analyze(P: StochasticMatrix) -> ErgodicityReport:
     """Structural report for a chain, computed once per matrix.
 
     One Tarjan pass finds the strongly connected classes and the depth of
@@ -176,12 +182,11 @@ def analyze(P: StochasticMatrix, with_primitivity: bool = True) -> ErgodicityRep
     class, so these depths are levels whose gcd of depth(u) + 1 - depth(v)
     over inner edges (u, v) is the period all members share: O(n + E) in
     all. The report is memoized on P, whose entries are read-only, so
-    later calls cost a lookup. The base report (primitivity exponent None)
-    and the full one are kept apart; the full one reuses the base one and
-    adds the exponent for ergodic chains.
+    later calls cost a lookup. For an ergodic chain it adds the primitivity
+    exponent to the base report of :func:`_base_report`, memoized apart.
     """
-    base = _memoized(P, "structure", lambda: _structural_report(P))
-    if not (with_primitivity and base.ergodic):
+    base = _base_report(P)
+    if not base.ergodic:
         return base
     return _memoized(
         P, "structure+primitivity",
@@ -194,7 +199,7 @@ def require_ergodic(P: StochasticMatrix, what: str) -> ErgodicityReport:
     primitivity search), or a NotErgodicError naming ``what`` and saying
     whether P is reducible or periodic. Ergodicity of P is also that of the
     product chain of two copies, so coupling routines ask this gate too."""
-    report = analyze(P, with_primitivity=False)
+    report = _base_report(P)
     if not report.ergodic:
         kind = "periodic" if report.irreducible else "reducible"
         raise NotErgodicError(f"{what} needs an ergodic chain; this one is {kind}")
@@ -205,7 +210,7 @@ def require_irreducible(P: StochasticMatrix, what: str) -> ErgodicityReport:
     """The irreducibility gate of the routes that need no aperiodicity: the
     memoized base report of P, or a NotIrreducibleError naming ``what`` and
     the number of strongly connected classes."""
-    report = analyze(P, with_primitivity=False)
+    report = _base_report(P)
     if not report.irreducible:
         k = len(report.scc_decomposition)
         raise NotIrreducibleError(

@@ -42,7 +42,6 @@ PUBLIC = [
     "stationary_by_return_time",
     "stationary_by_trees",
     "stationary_linear",
-    "tv_distance",
     "validate_stochastic",
     "verify_coupling_lemma",
     "verify_doeblin",
@@ -75,6 +74,8 @@ MODULES = [
 #: the ``tree_enumeration`` route reads directly (``stationary._tree_table``),
 #: and nothing else called it. ``NeverMetError`` was raised only by
 #: ``CouplingTrace.tail``; callers read ``(trace.tau_samples > i).mean()``.
+#: ``tv_distance`` had no caller left: every TV in ergokit is
+#: ``chain._tv_rows``, the coupling lemma's exact column included.
 REMOVED = [
     "TransitionGraph",
     "build_graph",
@@ -104,6 +105,7 @@ REMOVED = [
     "enumerate_arborescences",
     "Arborescence",
     "NeverMetError",
+    "tv_distance",
 ]
 
 REMOVED_METHODS = [
@@ -117,10 +119,14 @@ REMOVED_METHODS = [
 
 #: Result fields that are gone: every trace of ``envelope_iterate`` repeated
 #: the matrix's least entry and 1 minus it, and nothing read either; a
-#: caller takes ``P.min_entry()``.
+#: caller takes ``P.min_entry()``. ``spectral_check``'s dominant pair
+#: checked nothing: its value, (mu P)1 / mu 1, is 1 for any stochastic P
+#: and any mu, and its vector was the memoized linear-solve pi itself.
 REMOVED_FIELDS = [
     ("envelope", "EnvelopeTrace", "p_min"),
     ("envelope", "EnvelopeTrace", "contraction_factor"),
+    ("doeblin", "SpectralCheck", "dominant_value"),
+    ("doeblin", "SpectralCheck", "dominant_vector"),
 ]
 
 #: Parameters that are gone: spectral_check's tol steered the Gelfand
@@ -133,7 +139,9 @@ REMOVED_FIELDS = [
 #: ``envelope_iterate`` returns every column's trace, off one orbit.
 #: ``pagerank`` takes its nodes from the edges, as ``generate`` always did.
 #: The Doeblin pass reads pi from the memoized linear solve, the one pi its
-#: callers ever passed.
+#: callers ever passed. ``analyze`` has one behaviour; the gates read the
+#: base report, without the primitivity exponent, from
+#: ``structure._base_report``.
 REMOVED_PARAMETERS = [
     ("spectral_check", "tol"),
     ("spectral_check", "max_iter"),
@@ -148,6 +156,7 @@ REMOVED_PARAMETERS = [
     ("generators.pagerank", "nodes"),
     ("doeblin_split", "pi"),
     ("verify_doeblin", "pi"),
+    ("analyze", "with_primitivity"),
 ]
 
 
@@ -185,6 +194,14 @@ def test_removed_parameter_is_gone(path, param):
     *mod, name = path.split(".")
     owner = importlib.import_module(f"ergokit.{mod[0]}") if mod else ek
     assert param not in inspect.signature(getattr(owner, name)).parameters
+
+
+def test_matrix_power_is_called_only_in_power():
+    """Every fixed power of a stochastic matrix goes through ``chain.power``."""
+    for mod in MODULES:
+        source = inspect.getsource(importlib.import_module(f"ergokit.{mod}"))
+        inside = inspect.getsource(ek.chain.power) if mod == "chain" else ""
+        assert source.count("np.linalg.matrix_power") == inside.count("np.linalg.matrix_power"), mod
 
 
 #: A public argument out of its range, for each routine that takes one, and

@@ -15,7 +15,6 @@ from ergokit.errors import (
     NonSquareError,
     NotStationaryError,
     RowSumError,
-    SpaceMismatchError,
     StateLabelError,
 )
 
@@ -142,41 +141,34 @@ class TestPower:
             assert np.abs(sums - 1.0).max() < 1e-9
 
 
+def tv(mu: np.ndarray, nu: np.ndarray) -> float:
+    """TV(mu, nu) as every TV in ergokit is formed: _tv_rows on one row."""
+    return _tv_rows(mu[None, :], nu)
+
+
 class TestTVDistance:
-    def test_equal_distributions(self, flip_chain):
-        mu = _dist(flip_chain, [0.3, 0.7])
-        assert ek.tv_distance(mu, mu) == 0.0
+    def test_equal_distributions(self):
+        mu = np.array([0.3, 0.7])
+        assert tv(mu, mu) == 0.0
 
-    def test_disjoint_supports(self, flip_chain):
-        mu = _dist(flip_chain, [1.0, 0.0])
-        nu = _dist(flip_chain, [0.0, 1.0])
-        assert ek.tv_distance(mu, nu) == 1.0
+    def test_disjoint_supports(self):
+        assert tv(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
 
-    def test_direct_formula(self, flip_chain):
-        mu = _dist(flip_chain, [1.0, 0.0])
-        nu = _dist(flip_chain, [0.5, 0.5])
-        assert ek.tv_distance(mu, nu) == pytest.approx(0.5)
-
-    def test_space_mismatch(self, flip_chain):
-        other = ek.Distribution(gen.uniform(3).space, np.full(3, 1 / 3))
-        with pytest.raises(SpaceMismatchError):
-            ek.tv_distance(other, ek.Distribution(flip_chain.space, np.full(2, 1 / 2)))
+    def test_direct_formula(self):
+        assert tv(np.array([1.0, 0.0]), np.array([0.5, 0.5])) == pytest.approx(0.5)
 
     @given(distribution_pairs())
     @settings(max_examples=60, deadline=None)
     def test_metric_axioms(self, pair):
-        mu_p, nu_p = pair
-        space = ek.StateSpace(tuple(labels(len(mu_p))))
-        mu = ek.Distribution(space, mu_p)
-        nu = ek.Distribution(space, nu_p)
-        d = ek.tv_distance(mu, nu)
+        mu, nu = pair
+        d = tv(mu, nu)
         assert 0.0 <= d <= 1.0
-        assert d == ek.tv_distance(nu, mu)
+        assert d == tv(nu, mu)
         if d < 1e-12:
-            assert np.abs(mu_p - nu_p).max() < 1e-11
+            assert np.abs(mu - nu).max() < 1e-11
         # triangle inequality through a third point
-        rho = ek.Distribution(space, np.full(space.size, 1 / space.size))
-        assert d <= ek.tv_distance(mu, rho) + ek.tv_distance(rho, nu) + 1e-12
+        rho = np.full(len(mu), 1 / len(mu))
+        assert d <= tv(mu, rho) + tv(rho, nu) + 1e-12
 
     @given(distribution_pairs(max_n=5))
     @settings(max_examples=30, deadline=None)
@@ -189,9 +181,7 @@ class TestTVDistance:
             for ev in itertools.combinations(range(n), r):
                 ev = list(ev)
                 best = max(best, abs(mu_p[ev].sum() - nu_p[ev].sum()))
-        space = ek.StateSpace(tuple(labels(n)))
-        d = ek.tv_distance(ek.Distribution(space, mu_p), ek.Distribution(space, nu_p))
-        assert d == pytest.approx(best, abs=1e-12)
+        assert tv(mu_p, nu_p) == pytest.approx(best, abs=1e-12)
 
 
 def d_curve(P, pi):

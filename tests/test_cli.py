@@ -1,5 +1,7 @@
 import collections
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +214,7 @@ class TestBadArguments:
             raise AssertionError("analysis ran before the flags were checked")
 
         monkeypatch.setattr(structure, "analyze", never)
+        monkeypatch.setattr(structure, "_base_report", never)
         code, out, err = run(capsys, *argv, *gen_args)
         assert code == 1
         assert out == ""
@@ -248,11 +251,13 @@ class TestBadArguments:
              "InvalidGeneratorParamsError: uniform chain needs 1 <= n <= 4096"),
             (("analyze", "--gen", "cycle", "--params", "L=1000000"),
              "InvalidGeneratorParamsError: cycle needs 2 <= length <= 4096"),
+            (("analyze", "--gen", "uniform", "--params", "n=2.5"),
+             "InvalidGeneratorParamsError: n 2.5 is not an integer"),
         ],
         ids=["report_start", "report_periodic_start", "couple_start", "couple_trials",
              "couple_horizon", "couple_seed", "report_trials_cap", "report_horizon_cap",
              "couple_trials_cap", "couple_horizon_cap", "generate_uniform_cap",
-             "analyze_cycle_cap"],
+             "analyze_cycle_cap", "analyze_uniform_size"],
     )
     def test_walk_flags_checked_before_any_route(self, capsys, monkeypatch, argv, message):
         def never(*args, **kwargs):
@@ -260,6 +265,7 @@ class TestBadArguments:
 
         for mod, name in [
             (cli.structure_mod, "analyze"),
+            (cli.structure_mod, "_base_report"),
             (cli.stationary_mod, "stationary_linear"),
             (cli.stationary_mod, "stationary_by_trees"),
             (cli.stationary_mod, "stationary_by_return_time"),
@@ -798,3 +804,21 @@ class TestReport:
         assert obj["stationary"]["linear_solve"] == {"error": "SingularSystemError"}
         assert obj["verdicts"]["linear_solve"] is False
         assert "mixing" not in obj
+
+
+def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):
+    """README's ``## CLI`` block runs in-process, each command exiting 0, so a
+    stale example fails. A ``> file`` redirect is dropped; ``my_chain.json``
+    comes from ``generate`` first."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.splitlines() if line and line[0] != "#"]
+    assert commands and all(argv[0] == "ergokit" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "generate", "two_state", "--params", "p=0.2,q=0.3")
+    assert code == 0
+    (tmp_path / "my_chain.json").write_text(out)
+    for argv in commands:
+        argv = argv[1 : argv.index(">") if ">" in argv else None]
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 import ergokit as ek
+from ergokit import envelope
 from ergokit import generators as gen
 from ergokit.chain import _tv_rows, orbit
-from ergokit.envelope import _column_gap, _lift
+from ergokit.envelope import MAX_TRACE_ROWS, _column_gap, _lift
 from ergokit.errors import (
     ArgumentRangeError,
     MonotonicityViolationError,
     NotErgodicError,
     NotPositiveError,
+    TooLargeError,
 )
 
 from conftest import random_positive
@@ -73,6 +75,19 @@ class TestEnvelopeIterate:
     def test_rejects_fewer_than_one_iteration(self, two_state_chain):
         with pytest.raises(ArgumentRangeError, match="max_iter must be >= 1, got 0"):
             ek.envelope_iterate(two_state_chain, max_iter=0)
+
+    def test_trace_length_is_capped(self, two_state_chain, monkeypatch):
+        # with tol = 0 the gap stalls near 5.6e-16 and never reaches tol, so
+        # every trace runs to max_iter: the cap is what bounds its memory
+        traces = ek.envelope_iterate(two_state_chain, max_iter=MAX_TRACE_ROWS, tol=0.0)
+        assert [len(t.iterations) for t in traces] == [MAX_TRACE_ROWS] * 2
+
+        def no_orbit(*args):
+            raise AssertionError("an orbit started before max_iter was checked")
+
+        monkeypatch.setattr(envelope, "orbit", no_orbit)
+        with pytest.raises(TooLargeError, match=f"^max_iter {MAX_TRACE_ROWS + 1} exceeds"):
+            ek.envelope_iterate(two_state_chain, max_iter=MAX_TRACE_ROWS + 1, tol=0.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_monotone_envelopes(self, seed):

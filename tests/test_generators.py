@@ -36,6 +36,17 @@ class TestSimpleGenerators:
             gen.cycle(gen.MAX_STATES + 1)
 
 
+@pytest.mark.parametrize(
+    "make, size, name",
+    [(gen.uniform, 2.5, "n"), (gen.cycle, 3.5, "length"),
+     (gen.lazy_hypercube, 2.5, "dim"), (gen.top_to_random, 3.0, "deck")],
+    ids=["uniform", "cycle", "lazy_hypercube", "top_to_random"],
+)
+def test_non_integer_size_names_the_parameter(make, size, name):
+    with pytest.raises(InvalidGeneratorParamsError, match=rf"^{name} {size} is not an integer$"):
+        make(size)
+
+
 class TestLazyHypercube:
     def test_laziness_and_neighbors(self):
         P = gen.lazy_hypercube(3)

@@ -7,7 +7,7 @@ import pytest
 import ergokit as ek
 from ergokit import generators as gen
 from ergokit.errors import NotErgodicError, NotIrreducibleError
-from ergokit.structure import strongly_connected_components, wielandt_bound
+from ergokit.structure import _base_report, strongly_connected_components, wielandt_bound
 
 from conftest import from_array, random_ergodic, random_irreducible
 
@@ -286,7 +286,7 @@ class TestAnalyzeOnce:
     def test_memoized_per_matrix(self, flip_chain):
         rep = ek.analyze(flip_chain)
         assert ek.analyze(flip_chain) is rep
-        assert ek.analyze(flip_chain, with_primitivity=False) is rep  # not ergodic
+        assert _base_report(flip_chain) is rep  # not ergodic: no exponent to add
         # P^2 is a new matrix with its own report: two absorbing classes
         sq = ek.analyze(ek.power(flip_chain, 2))
         assert not sq.irreducible and sq.periods == {"s0": 1, "s1": 1}
@@ -294,9 +294,9 @@ class TestAnalyzeOnce:
 
     def test_base_and_full_reports_kept_apart(self):
         P = gen.lazy_hypercube(3)
-        assert ek.analyze(P, with_primitivity=False).primitivity_exponent is None
+        assert _base_report(P).primitivity_exponent is None
         assert ek.analyze(P).primitivity_exponent == 3
-        assert ek.analyze(P, with_primitivity=False).primitivity_exponent is None
+        assert _base_report(P).primitivity_exponent is None
 
     def test_returned_periods_are_read_only(self, flip_chain):
         rep = ek.analyze(flip_chain)
@@ -323,7 +323,7 @@ class TestRequireErgodic:
         monkeypatch.setattr(structure, "primitivity_exponent", never)
         P = gen.lazy_hypercube(3)
         rep = structure.require_ergodic(P, "this check")
-        assert rep is ek.analyze(P, with_primitivity=False)
+        assert rep is _base_report(P)
         assert "structure+primitivity" not in P._memo
 
     @pytest.mark.parametrize(
@@ -370,7 +370,7 @@ class TestRequireIrreducible:
         monkeypatch.setattr(structure, "primitivity_exponent", never)
         P = gen.flip()  # periodic chains pass this gate
         rep = structure.require_irreducible(P, "this check")
-        assert rep is ek.analyze(P, with_primitivity=False)
+        assert rep is _base_report(P)
         assert "structure+primitivity" not in P._memo
 
     @pytest.mark.parametrize(
