@@ -27,6 +27,7 @@ threads; one walk's sampler serves that walk alone.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import operator
@@ -97,10 +98,10 @@ class StochasticMatrix:
 
     space: StateSpace
     entries: np.ndarray = field(repr=False)
-    #: Facts derived from the entries, each built on first use by
-    #: :func:`_memoized`: the structural reports, the linear-solve pi and the
-    #: lift (m, P^m). The entries and every fact here are read-only, so
-    #: nothing can go stale or be changed by a caller.
+    #: Facts derived from the entries, keyed by the function that builds
+    #: each on first use (:func:`_memoized`): the structural reports, the
+    #: linear-solve pi and the lift (m, P^m). The entries and every fact here
+    #: are read-only, so nothing can go stale or be changed by a caller.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -152,13 +153,19 @@ class Distribution:
         object.__setattr__(self, "probs", _freeze(np.clip(p, 0.0, None) / s))
 
 
-def _memoized(P: StochasticMatrix, key: str, build):
-    """P's memo entry for ``key``, made by ``build()`` on first use. A build
-    that raises stores nothing, so the next call raises again."""
-    memo = P._memo
-    if key not in memo:
-        memo[key] = build()
-    return memo[key]
+def _memoized(build):
+    """Make ``build(P)`` a fact of P: built on first use and kept in P's
+    memo, keyed by ``build`` itself. A build that raises stores nothing, so
+    the next call raises again. The fact keeps ``build``'s name and module."""
+
+    @functools.wraps(build)
+    def fact(P: StochasticMatrix):
+        memo = P._memo
+        if build not in memo:
+            memo[build] = build(P)
+        return memo[build]
+
+    return fact
 
 
 def validate_stochastic(raw_matrix, labels) -> StochasticMatrix:

@@ -9,6 +9,7 @@ stderr line. All stdout reports are JSON; curve data goes to --csv files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -105,7 +106,9 @@ def _method_json(r, with_message: bool) -> dict:
     return {"error": type(r).__name__, **({"message": str(r)} if with_message else {})}
 
 
-def _discrepancies(results):
+def _discrepancies(results, tol):
+    """The pairwise max discrepancy table of the routes that returned a pi,
+    and the ``methods_agree`` verdict: the worst entry is at most 10 tol."""
     ok = {m: r for m, r in results.items() if not isinstance(r, Exception)}
     names = sorted(ok)
     table = {}
@@ -115,7 +118,7 @@ def _discrepancies(results):
             d = float(np.abs(ok[a].pi.probs - ok[b].pi.probs).max())
             table[f"{a}/{b}"] = d
             worst = max(worst, d)
-    return table, worst
+    return table, worst <= 10.0 * tol
 
 
 def cmd_analyze(args) -> int:
@@ -137,14 +140,14 @@ def cmd_stationary(args) -> int:
     results = _stationary_table(P, methods, args.tol)
     # built before printing, so a refused trace prints nothing
     trace = _envelope_trace_csv(P, results["envelope"], args.tol) if args.csv else None
-    table, worst = _discrepancies(results)
+    table, agree = _discrepancies(results, args.tol)
     out = {
         "methods": {m: _method_json(r, with_message=True) for m, r in results.items()},
         "pairwise_max_discrepancy": table,
     }
     print(json.dumps(out))
     _write_csv(args.csv, trace)
-    if all(isinstance(r, Exception) for r in results.values()) or worst > 10.0 * args.tol:
+    if all(isinstance(r, Exception) for r in results.values()) or not agree:
         return 2
     return 0
 
@@ -185,18 +188,11 @@ def cmd_mix(args) -> int:
             f"--csv would need {horizon} rows, max(--horizon, t_mix + 1); "
             f"it writes curves of at most {_MIX_CSV_ROWS} rows"
         )
-    out = {
-        "epsilon": est.epsilon,
-        "empirical_tmix": est.empirical_tmix,
-        "bound_tmix": est.bound_tmix,
-        "primitivity_m": est.primitivity_m,
-        "pmin_of_Pm": est.pmin_of_Pm,
-    }
-    print(json.dumps(out))
+    print(json.dumps(dataclasses.asdict(est)))
     if args.csv:
         pi = stationary_mod.stationary_linear(P).pi
         split = None
-        if (P.entries > 0.0).all():
+        if est.primitivity_m == 1:  # P is entrywise positive
             split = doeblin_mod.doeblin_split(P)
         lines = ["t,d,n_delta,theta_pow"]
         # d(t) and Delta(t) off one stream, so each P^t is formed once
@@ -260,10 +256,10 @@ def cmd_report(args) -> int:
     erg = structure_mod.analyze(P)
     out = {"ergodicity": json.loads(erg.to_json()), "verdicts": {}}
     results = _stationary_table(P, METHODS, args.tol)
-    table, worst = _discrepancies(results)
+    table, agree = _discrepancies(results, args.tol)
     out["stationary"] = {m: _method_json(r, with_message=False) for m, r in results.items()}
     out["pairwise_max_discrepancy"] = table
-    out["verdicts"]["methods_agree"] = worst <= 10.0 * args.tol
+    out["verdicts"]["methods_agree"] = agree
 
     reference = results["linear_solve"]
     if erg.ergodic and isinstance(reference, Exception):
@@ -289,7 +285,7 @@ def cmd_report(args) -> int:
             "trials": lemma.trials,
             "horizon": args.horizon,
         }
-        if (P.entries > 0.0).all():
+        if erg.primitivity_exponent == 1:  # P is entrywise positive
             # at least the 20 steps the recursion verdict has always covered
             doeblin = doeblin_mod.verify_doeblin(P, max_n=max(args.horizon, 20))
             out["doeblin"] = {"delta": doeblin.split.delta, "theta": doeblin.split.theta}

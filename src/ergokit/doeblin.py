@@ -36,7 +36,6 @@ RECURSION_TOL = 1e-10
 class DoeblinSplit:
     delta: float  # minorization constant, in (0, 1]
     theta: float  # 1 - delta
-    Pi_matrix: StochasticMatrix  # every row is pi
     Q_matrix: StochasticMatrix  # residual kernel
 
 
@@ -57,11 +56,6 @@ class SpectralCheck:
     rank1_gap: float  # ||P^k - Pi||_inf, k from the subdominant estimate
 
 
-def _pi_rows(P: StochasticMatrix, pi: np.ndarray) -> np.ndarray:
-    """The rank-1 matrix Pi whose every row is the vector pi."""
-    return np.tile(pi, (P.n, 1))
-
-
 def doeblin_split(P: StochasticMatrix) -> DoeblinSplit:
     """Largest delta with P(x, y) >= delta pi(y) everywhere, and the
     residual Q with P = (1 - theta) Pi + theta Q.
@@ -70,22 +64,17 @@ def doeblin_split(P: StochasticMatrix) -> DoeblinSplit:
     high-precision one of the linear solve."""
     if (P.entries <= 0.0).any():
         raise NotPositiveError("minorization split needs an entrywise positive matrix")
-    Pi = _pi_rows(P, stationary_linear(P).pi.probs)
-    delta = min(1.0, float((P.entries / Pi).min()))
+    pi = stationary_linear(P).pi.probs
+    delta = min(1.0, float((P.entries / pi).min()))
     if delta > 1.0 - 1e-12:
         delta = 1.0  # solver rounding in pi, not a genuine residual
     theta = 1.0 - delta
     if theta > 0.0:
-        Q = (P.entries - delta * Pi) / theta
+        Q = (P.entries - delta * pi) / theta
         Q = np.clip(Q, 0.0, None)  # clamp -1e-14-scale rounding
     else:
-        Q = Pi
-    return DoeblinSplit(
-        delta=delta,
-        theta=theta,
-        Pi_matrix=StochasticMatrix(P.space, Pi),
-        Q_matrix=StochasticMatrix(P.space, Q),
-    )
+        Q = np.tile(pi, (P.n, 1))
+    return DoeblinSplit(delta=delta, theta=theta, Q_matrix=StochasticMatrix(P.space, Q))
 
 
 def _random_stochastic(n: int, rng) -> np.ndarray:
@@ -102,8 +91,8 @@ def verify_doeblin(P: StochasticMatrix, max_n: int = 50) -> DoeblinVerdict:
     the verdict keeps one row per step."""
     _check_count("max_n", max_n, 1, MAX_HORIZON)
     split = doeblin_split(P)
-    Pi = split.Pi_matrix.entries
-    pi = Pi[0]
+    pi = stationary_linear(P).pi.probs
+    Pi = np.tile(pi, (P.n, 1))
     Q = split.Q_matrix.entries
     th = split.theta
     rows = []

@@ -117,12 +117,13 @@ def _column_gap(S: np.ndarray) -> float:
     return float((S.max(axis=0) - S.min(axis=0)).max())
 
 
+@_memoized
 def _lift(P: StochasticMatrix) -> tuple[int, StochasticMatrix]:
     """(m, P^m) for the primitivity exponent m of an ergodic P, formed once
     per matrix: the squeeze and its ``stationary --csv`` traces run on P^m,
     and its least entry sets the mixing bound. m = 1 for a positive P."""
     m = analyze(P).primitivity_exponent
-    return _memoized(P, "lift", lambda: (m, power(P, m)))
+    return m, power(P, m)
 
 
 def stationary_by_envelope(P: StochasticMatrix, tol: float = 1e-10) -> StationaryResult:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import numbers
 import operator
 
 import numpy as np
@@ -26,6 +27,12 @@ def _check_size(who: str, name: str, value, least: int, most: int) -> None:
         raise InvalidGeneratorParamsError(f"{who} needs {least} <= {name} <= {most}")
 
 
+def _check_real(name: str, value) -> None:
+    """Reject a parameter that is not a real number (numpy floats pass)."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidGeneratorParamsError(f"{name} {value!r} is not a real number")
+
+
 def flip() -> StochasticMatrix:
     """Two states, deterministic swap; periodic with period 2."""
     return validate_stochastic([[0.0, 1.0], [1.0, 0.0]], ["s0", "s1"])
@@ -40,6 +47,8 @@ def uniform(n: int) -> StochasticMatrix:
 
 def two_state(p: float, q: float) -> StochasticMatrix:
     """P(0->1) = p, P(1->0) = q; stationary [q, p] / (p + q)."""
+    _check_real("p", p)
+    _check_real("q", q)
     if not (0.0 < p <= 1.0 and 0.0 < q <= 1.0):
         raise InvalidGeneratorParamsError("two_state needs 0 < p, q <= 1")
     return validate_stochastic([[1.0 - p, p], [q, 1.0 - q]], ["s0", "s1"])
@@ -137,10 +146,7 @@ def generate(name: str, **params) -> StochasticMatrix:
     if name == "pagerank":
         path = params.pop("path", None)
         alpha = params.pop("alpha", 0.85)
-        try:
-            alpha = float(alpha)
-        except (TypeError, ValueError):
-            raise InvalidGeneratorParamsError(f"pagerank alpha {alpha!r} is not a number") from None
+        _check_real("alpha", alpha)
         if path is None:
             raise InvalidGeneratorParamsError("pagerank needs path=<edge list file>")
         if params:

@@ -76,6 +76,7 @@ def _result(P: StochasticMatrix, pi: np.ndarray, method: str, **evidence) -> Sta
     return StationaryResult(Distribution(P.space, pi), method, stationary_residual(P, pi), evidence)
 
 
+@_memoized
 def stationary_linear(P: StochasticMatrix) -> StationaryResult:
     """Solve pi (P - I) = 0 with sum(pi) = 1 by a dense partial-pivot solve.
 
@@ -84,10 +85,6 @@ def stationary_linear(P: StochasticMatrix) -> StationaryResult:
     trouble rather than a property of the chain. Solved once per matrix:
     the mixing scan, ``mix --csv`` and ``couple`` read the memoized result.
     """
-    return _memoized(P, "linear_solve", lambda: _solve_linear(P))
-
-
-def _solve_linear(P: StochasticMatrix) -> StationaryResult:
     require_irreducible(P, "linear solve")
     n = P.n
     A = (P.entries - np.eye(n)).T.copy()

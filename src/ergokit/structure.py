@@ -137,7 +137,10 @@ def primitivity_exponent(P: StochasticMatrix) -> int:
     return found[0]
 
 
-def _structural_report(P: StochasticMatrix) -> ErgodicityReport:
+@_memoized
+def _base_report(P: StochasticMatrix) -> ErgodicityReport:
+    """The structural report of P without the primitivity exponent (None):
+    the one the gates read, so no gate starts a primitivity search."""
     adj = [np.flatnonzero(row > 0.0).tolist() for row in P.entries]
     sccs, depth = strongly_connected_components(adj)
     cls = {v: c for c, comp in enumerate(sccs) for v in comp}
@@ -167,12 +170,7 @@ def _structural_report(P: StochasticMatrix) -> ErgodicityReport:
     )
 
 
-def _base_report(P: StochasticMatrix) -> ErgodicityReport:
-    """The memoized structural report of P without the primitivity exponent
-    (None): the one the gates read, so no gate starts a primitivity search."""
-    return _memoized(P, "structure", lambda: _structural_report(P))
-
-
+@_memoized
 def analyze(P: StochasticMatrix) -> ErgodicityReport:
     """Structural report for a chain, computed once per matrix.
 
@@ -188,10 +186,7 @@ def analyze(P: StochasticMatrix) -> ErgodicityReport:
     base = _base_report(P)
     if not base.ergodic:
         return base
-    return _memoized(
-        P, "structure+primitivity",
-        lambda: replace(base, primitivity_exponent=primitivity_exponent(P)),
-    )
+    return replace(base, primitivity_exponent=primitivity_exponent(P))
 
 
 def require_ergodic(P: StochasticMatrix, what: str) -> ErgodicityReport:

@@ -5,6 +5,8 @@ import dataclasses
 import importlib
 import inspect
 import math
+import re
+import tokenize
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -122,11 +124,14 @@ REMOVED_METHODS = [
 #: caller takes ``P.min_entry()``. ``spectral_check``'s dominant pair
 #: checked nothing: its value, (mu P)1 / mu 1, is 1 for any stochastic P
 #: and any mu, and its vector was the memoized linear-solve pi itself.
+#: ``DoeblinSplit.Pi_matrix`` was an n x n copy of that same pi; callers
+#: read ``stationary_linear(P).pi``.
 REMOVED_FIELDS = [
     ("envelope", "EnvelopeTrace", "p_min"),
     ("envelope", "EnvelopeTrace", "contraction_factor"),
     ("doeblin", "SpectralCheck", "dominant_value"),
     ("doeblin", "SpectralCheck", "dominant_vector"),
+    ("doeblin", "DoeblinSplit", "Pi_matrix"),
 ]
 
 #: Parameters that are gone: spectral_check's tol steered the Gelfand
@@ -202,6 +207,45 @@ def test_matrix_power_is_called_only_in_power():
         source = inspect.getsource(importlib.import_module(f"ergokit.{mod}"))
         inside = inspect.getsource(ek.chain.power) if mod == "chain" else ""
         assert source.count("np.linalg.matrix_power") == inside.count("np.linalg.matrix_power"), mod
+
+
+def test_memo_is_touched_only_in_chain():
+    """Every per-matrix fact goes through the ``chain._memoized`` decorator,
+    so no other module reads or writes a matrix's memo itself."""
+    for mod in MODULES:
+        source = inspect.getsource(importlib.import_module(f"ergokit.{mod}"))
+        assert bool(re.search(r"\b_memo\b", source)) == (mod == "chain"), mod
+
+
+def _code_names(path: Path) -> list[str]:
+    """The names a Python file uses as code (not in strings or comments),
+    leaving out the name a ``def`` or ``class`` statement defines."""
+    names, defining = [], False
+    with path.open("rb") as f:
+        for tok in tokenize.tokenize(f.readline):
+            if tok.type == tokenize.NAME and not defining:
+                names.append(tok.string)
+            defining = tok.type == tokenize.NAME and tok.string in ("def", "class")
+    return names
+
+
+#: Public names no code calls yet, each with the change that will call it.
+UNCALLED_PUBLIC = {
+    "spectral_check": "ROADMAP item 4 reads the mixing rate off it in `report`",
+}
+
+
+def test_every_public_name_has_a_caller():
+    """Each name of ``ergokit.__all__`` is used by code in another part of
+    the package (its re-export in ``__init__`` does not count) or by the
+    benchmark, so a public name that only tests read shows up here."""
+    root = Path(ek.__file__).resolve().parent
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    used = set()
+    for path in [*root.glob("*.py"), *bench.glob("*.py")]:
+        if path != root / "__init__.py":
+            used.update(_code_names(path))
+    assert sorted(set(ek.__all__) - used) == sorted(UNCALLED_PUBLIC)
 
 
 #: A public argument out of its range, for each routine that takes one, and

@@ -15,6 +15,7 @@ from ergokit.errors import (
     NonSquareError,
     NotStationaryError,
     RowSumError,
+    SpaceMismatchError,
     StateLabelError,
 )
 
@@ -93,6 +94,23 @@ class TestValidation:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
             ek.validate_stochastic(np.eye(2), ["a", "a"])
+
+    @pytest.mark.parametrize(
+        "make, error, match",
+        [
+            (lambda: ek.StateSpace(()), StateLabelError, "at least one state"),
+            (lambda: ek.Distribution(ek.StateSpace(("a", "b")), [0.2, 0.3, 0.5]),
+             SpaceMismatchError, r"length \(3,\) on a 2-state space"),
+            (lambda: ek.Distribution(ek.StateSpace(("a", "b")), [1.5, -0.5]),
+             NegativeEntryError, "negative probability"),
+            (lambda: ek.validate_stochastic(np.eye(2), ["a", "b", "c"]),
+             NonSquareError, "2x2 matrix with 3 labels"),
+        ],
+        ids=["empty_space", "probs_length", "negative_probability", "label_count"],
+    )
+    def test_malformed_value_rejected(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()
 
     def test_string_labels_rejected(self):
         # "ab" would otherwise be read as the two labels "a" and "b"

@@ -74,6 +74,7 @@ MALFORMED = [
     ("chain_dir", None, "Is a directory", "chain_dir"),
     ("edges_dir", None, "Is a directory", "edges_dir"),
     ("edges.txt", "a b\nb a\n", "InvalidGeneratorParamsError", "'abc'"),
+    ("text.csv", "a,b\nabc,0.5\n0.5,0.5\n", "ChainParseError", "'abc'"),
 ]
 
 #: The command a malformed input goes to, "{}" standing for its path, where
@@ -253,11 +254,18 @@ class TestBadArguments:
              "InvalidGeneratorParamsError: cycle needs 2 <= length <= 4096"),
             (("analyze", "--gen", "uniform", "--params", "n=2.5"),
              "InvalidGeneratorParamsError: n 2.5 is not an integer"),
+            (("analyze", "--gen", "two_state", "--params", "p=abc,q=0.3"),
+             "InvalidGeneratorParamsError: p 'abc' is not a real number"),
+            (("analyze", "--gen", "uniform", "--params", "n"),
+             "InvalidGeneratorParamsError: bad param 'n', expected k=v"),
+            (("analyze", "--gen", "pagerank", "--params", "path=edges.txt,beta=2"),
+             "InvalidGeneratorParamsError: unknown params ['beta']"),
         ],
         ids=["report_start", "report_periodic_start", "couple_start", "couple_trials",
              "couple_horizon", "couple_seed", "report_trials_cap", "report_horizon_cap",
              "couple_trials_cap", "couple_horizon_cap", "generate_uniform_cap",
-             "analyze_cycle_cap", "analyze_uniform_size"],
+             "analyze_cycle_cap", "analyze_uniform_size", "analyze_two_state_p",
+             "analyze_param_without_value", "analyze_pagerank_unknown_param"],
     )
     def test_walk_flags_checked_before_any_route(self, capsys, monkeypatch, argv, message):
         def never(*args, **kwargs):

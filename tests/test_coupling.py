@@ -15,6 +15,7 @@ from ergokit.coupling import exact_meeting_tail
 from ergokit.errors import (
     ArgumentRangeError,
     NotErgodicError,
+    SpaceMismatchError,
     TooLargeError,
 )
 
@@ -166,6 +167,11 @@ class TestCouplingLemma:
         pi = ek.stationary_linear(flip_chain).pi
         with pytest.raises(NotErgodicError):
             ek.verify_coupling_lemma(flip_chain, pi, start_y=0)
+
+    def test_pi_on_another_space_rejected(self, two_state_chain):
+        other = ek.Distribution(ek.StateSpace(("a", "b")), [0.6, 0.4])
+        with pytest.raises(SpaceMismatchError, match="different spaces"):
+            ek.verify_coupling_lemma(two_state_chain, other, start_y=0, trials=10)
 
     def test_worst_slack_is_the_closest_step(self, two_state_chain):
         pi = ek.stationary_linear(two_state_chain).pi

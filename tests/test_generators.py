@@ -47,6 +47,17 @@ def test_non_integer_size_names_the_parameter(make, size, name):
         make(size)
 
 
+@pytest.mark.parametrize(
+    "make, name",
+    [(lambda v: gen.two_state(v, 0.3), "p"), (lambda v: gen.two_state(0.2, v), "q"),
+     (lambda v: gen.generate("pagerank", path="edges.txt", alpha=v), "alpha")],
+    ids=["two_state_p", "two_state_q", "pagerank_alpha"],
+)
+def test_non_number_names_the_parameter(make, name):
+    with pytest.raises(InvalidGeneratorParamsError, match=rf"^{name} 'abc' is not a real number$"):
+        make("abc")
+
+
 class TestLazyHypercube:
     def test_laziness_and_neighbors(self):
         P = gen.lazy_hypercube(3)
