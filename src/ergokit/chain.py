@@ -312,6 +312,40 @@ def _check_walk(P: StochasticMatrix, states, trials: int) -> None:
 #: search array, so no step allocates an array the size of the open set.
 _CHUNK = 8192
 
+#: Guide entries a refined guide may hold, n (m + 1) for n rows of m
+#: buckets: 256 KiB of intp, so a refined table stays in cache beside the
+#: walkers, and a build holds one guide at a time.
+_GUIDE_BUDGET = 1 << 15
+
+
+def _guide(cum: np.ndarray, d: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+    """Guide entries of m buckets per row of the padded table ``cum`` (row
+    supports d), as an n x (m + 1) intp array, and H, the power of two
+    above the most candidates a draw has past its guide entry.
+
+    Every slot is counted once, at 1 + its bucket (the last bucket and
+    beyond in one: those never lower a guide entry), in rows of m + 1
+    counts; each row counts all w of its slots, so the flat running sum of
+    the counts is row i's base i * w plus its guide entries. Each entry is
+    clamped to w - H, so the halvings never leave the row."""
+    n, w = cum.shape
+    bucket = cum * m
+    np.minimum(bucket, m - 1, out=bucket)
+    keys = bucket.astype(np.intp)
+    del bucket
+    keys += 1 + (m + 1) * np.arange(n)[:, None]
+    guide = np.bincount(keys.reshape(-1), minlength=n * (m + 1)).reshape(n, m + 1)
+    del keys
+    # candidates past the guide entry: a bucket's own count, and in the
+    # last bucket the slots up to d_i - 1
+    span = guide[:, 1:m].max(axis=1)
+    np.cumsum(guide.reshape(-1), out=guide.reshape(-1))
+    base = w * np.arange(n)
+    np.maximum(span, d - 1 - (guide[:, m - 1] - base), out=span)
+    H = 1 << int(span.max()).bit_length()
+    np.minimum(guide, (base + w - H)[:, None], out=guide)
+    return guide, H
+
 
 class _Sampler:
     """Inverse-CDF draws from the rows of a stochastic table (a matrix, or a
@@ -328,21 +362,30 @@ class _Sampler:
     column of the first False slot, so it is always a support column and no
     walker takes a zero-probability step.
 
+    A walker is not its state s but its row's offset s * ``stride``, the
+    flat index its draw starts from, and ``cols`` holds each column's offset
+    in turn (unless ``offsets`` is False, as for a start draw from a
+    distribution, where it holds the column), so a walk scales its states
+    once and no draw rescales them.
+
     A guide table (Chen and Asau, 1974) finds that slot in one lookup and
-    log2(H) halvings. It splits [0, 1) into m = 2w buckets; m is a power of
-    two, so u * m is exact and ``cum < b / m`` holds exactly where
+    log2(H) halvings. It splits [0, 1) into m buckets; m is a power of two,
+    so u * m is exact and ``cum < b / m`` holds exactly where
     ``floor(cum * m) < b``. Guide entry (i, b) is the count of row i's slots
     below b / m, a lower bound on the draw of any u in bucket b that leaves
     at most H - 1 further candidates, H the power of two above the largest
     count of slots in one bucket (in the last bucket, of slots up to
-    d_i - 1). Each entry is clamped to w - H, so the halvings never leave
-    the row, and stored as a flat slot index of the table. The draw is the
-    same slot as a search of the whole row, bit for bit: H = 2 on
-    ``lazy_hypercube(7)``, one halving where the row search takes three.
-    Where H = w the guide cannot narrow the search (every entry is the row's
-    first slot), so the sampler keeps none and starts each search there."""
+    d_i - 1), stored as a flat slot index of the table. m starts at 2w and
+    doubles while some bucket holds two slots (H > 2), up to 16w and
+    ``_GUIDE_BUDGET`` entries: one halving on ``lazy_hypercube(7)`` (m = 2w)
+    and on a dense random 48-state chain (m = 8w), where a search of the
+    whole row takes three and six. The draw is the same slot as a search of
+    the whole row, bit for bit. Where H = w the guide cannot narrow the
+    search (every entry is the row's first slot), so the sampler keeps none,
+    the stride is w and each search starts at the walker's offset; with a
+    guide the stride is m + 1, a row of the guide."""
 
-    def __init__(self, rows: np.ndarray):
+    def __init__(self, rows: np.ndarray, offsets: bool = True):
         n = rows.shape[0]
         support = rows > 0
         d = support.sum(axis=1)
@@ -355,84 +398,80 @@ class _Sampler:
         self.cum[np.arange(n), d - 1] = 1.0
         self.cols = np.zeros(self.cum.shape, dtype=np.intp)
         self.cols[slots] = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)[support]
-        # each temporary goes once used, so the build's peak stays within
-        # the sampler's own arrays plus one n x m intp array
+        # each temporary goes once used, and a refinement drops the coarser
+        # guide before it builds the next, so the build's peak stays within
+        # the sampler's own arrays plus one guide-sized intp array
         del support, slots
         self.w = w
         self.m = m = 2 * w
         # a row of at most two slots always has H = w (every two-state
-        # chain), so the guide below would narrow nothing
+        # chain), so a guide would narrow nothing
         H, self.guide = w, None
         if w > 2:
-            # every slot counted once, at 1 + its bucket (the last bucket
-            # and beyond in one: those never lower a guide entry), in rows
-            # of m + 1 counts; each row counts all w of its slots, so the
-            # flat running sum of the counts is row i's base i * w plus its
-            # guide entries
-            bucket = self.cum * m
-            np.minimum(bucket, m - 1, out=bucket)
-            keys = bucket.astype(np.intp)
-            del bucket
-            keys += 1 + (m + 1) * np.arange(n)[:, None]
-            guide = np.bincount(keys.reshape(-1), minlength=n * (m + 1)).reshape(n, m + 1)
-            del keys
-            # candidates past the guide entry: a bucket's own count, and in
-            # the last bucket the slots up to d_i - 1
-            span = guide[:, 1:m].max(axis=1)
-            np.cumsum(guide.reshape(-1), out=guide.reshape(-1))
-            base = w * np.arange(n)
-            np.maximum(span, d - 1 - (guide[:, m - 1] - base), out=span)
-            H = 1 << int(span.max()).bit_length()
-            np.minimum(guide, (base + w - H)[:, None], out=guide)
+            guide, H = _guide(self.cum, d, m)
+            while H > 2 and m < 16 * w and n * (2 * m + 1) <= _GUIDE_BUDGET:
+                del guide
+                m *= 2
+                guide, H = _guide(self.cum, d, m)
+            self.m = m
             # with H = w every entry is clamped to its row's base, i * w, so
             # the search starts there without the lookup
             self.guide = guide if H < w else None
+        self.stride = w if self.guide is None else m + 1
+        if offsets:
+            self.cols *= self.stride
         # halving h reads flat slot pos + h - 1, as slot pos of a view that
-        # starts h - 1 slots in
+        # starts h - 1 slots in. The factors the step multiplies by are 0-d
+        # arrays: a Python number costs a ufunc call a conversion each time
         flat = self.cum.reshape(-1)
-        self._halvings = [(flat[(H >> i) - 1 :], H >> i) for i in range(1, H.bit_length())]
+        self._halvings = [
+            (flat[h - 1 :], np.array(h) if h > 1 else None)
+            for h in (H >> i for i in range(1, H.bit_length()))
+        ]
+        self._buckets = np.array(float(self.m))
         self._u = np.empty(_CHUNK)
         self._values = np.empty(_CHUNK)
         self._mask = np.empty(_CHUNK, dtype=bool)
         self._jump = np.empty(_CHUNK, dtype=np.intp)
         self._pos = np.empty(_CHUNK, dtype=np.intp)
 
-    def step(self, states: np.ndarray, rng) -> None:
-        """Move each walker one draw from row ``states[j]``, in place (an
-        intp array), with one uniform each, taken in walker order.
+    def step(self, walkers: np.ndarray, rng) -> None:
+        """Move each walker one draw from the row at its offset, in place (an
+        intp array of row offsets, s * ``stride``), with one uniform each,
+        taken in walker order.
 
         ``_CHUNK`` walkers at a time, writing only into the sampler's
-        scratch: bucket b = floor(u * m), ``pos`` the guide entry (s, b)
-        (without a guide, row s's first slot, s * w), the flat index of the
-        first slot not known to be below u, and then a branchless binary
-        search: each halving h moves ``pos`` h further where the slot h - 1
-        on is still below u. Draws come in walker order
-        whatever the chunking, since ``rng.random(a)`` then
-        ``rng.random(b)`` is the stream of ``rng.random(a + b)``."""
+        scratch: bucket b = floor(u * m), ``pos`` the guide entry at the
+        walker's offset plus b (without a guide, the offset itself, its
+        row's first slot), the flat index of the first slot not known to be
+        below u, and then a branchless binary search: each halving h moves
+        ``pos`` h further where the slot h - 1 on is still below u. Draws
+        come in walker order whatever the chunking, since ``rng.random(a)``
+        then ``rng.random(b)`` is the stream of ``rng.random(a + b)``."""
         cols = self.cols.reshape(-1)
         guide = None if self.guide is None else self.guide.reshape(-1)
         # take() with an out array buffers it unless mode is "clip" or
         # "wrap"; every index here is in range, so clipping changes nothing
-        for lo in range(0, states.size, _CHUNK):
-            s = states[lo : lo + _CHUNK]
+        for lo in range(0, walkers.size, _CHUNK):
+            s = walkers[lo : lo + _CHUNK]
             k = s.size
             u, values, mask, jump, pos = (
                 a[:k] for a in (self._u, self._values, self._mask, self._jump, self._pos)
             )
             rng.random(out=u)
             if guide is None:
-                np.multiply(s, self.w, out=pos)
+                np.copyto(pos, s)
             else:
-                np.multiply(u, self.m, out=values)
-                np.copyto(pos, values, casting="unsafe")  # floor: u * m >= 0
-                np.multiply(s, self.m + 1, out=jump)
-                jump += pos
+                np.multiply(u, self._buckets, out=values)
+                np.copyto(jump, values, casting="unsafe")  # floor: u * m >= 0
+                jump += s
                 guide.take(jump, out=pos, mode="clip")
             for ahead, h in self._halvings:
                 ahead.take(pos, out=values, mode="clip")
                 np.less(values, u, out=mask)
-                np.copyto(jump, mask)  # a cast in the multiply would buffer
-                if h > 1:
+                # a cast in the multiply or the add would buffer (64 KiB a call)
+                np.copyto(jump, mask)
+                if h is not None:
                     jump *= h
                 pos += jump
             cols.take(pos, out=s, mode="clip")
@@ -450,25 +489,35 @@ def _compact(flat: np.ndarray, copies: int, k: int, keep: np.ndarray) -> int:
     return keep.size
 
 
-def _walk_until(P: StochasticMatrix, states: np.ndarray, hit, tau, max_steps: int, rng) -> None:
+def _walk_until(
+    P: StochasticMatrix, states: np.ndarray, tau, max_steps: int, rng, target=None
+) -> None:
     """The one simulation loop. ``states`` is a C-contiguous (copies,
     walkers) intp array: walker j starts at ``states[:, j]``, one state per
     chain copy, and is open while tau[j] < 0. At step t = 1..max_steps each
     open walker moves every copy by one draw of a :class:`_Sampler` built
-    once for the walk; tau[j] = t where ``hit(*new_states)`` holds. Fills
-    ``tau`` in place; walkers open after max_steps stay so.
+    once for the walk; tau[j] = t where its copies 0 and 1 meet, or, given
+    a ``target`` state, where copy 0 is at it. Fills ``tau`` in place;
+    walkers open after max_steps stay so.
 
     The walk takes ``states`` over as its buffer (the caller's values are
-    overwritten): the open walkers' states stay in it as one flat array,
-    every copy's in turn (copy 0 first), moved by one sampler call per step.
-    The uniforms come in walker order, so the draws are those of one call
-    per copy. The buffer is compacted in place, copy by copy, only on the
-    steps where some walker hits. A draw costs one guide lookup and log2(H)
-    halvings, so a step costs O(open walkers x copies x log H) beside the
-    sampler's fixed scratch."""
+    overwritten, and tau is the only output): it scales the buffer once to
+    row offsets, in place, and the open walkers' offsets stay in it as one
+    flat array, every copy's in turn (copy 0 first), moved by one sampler
+    call per step. Equal offsets are equal states, so the hit rules compare
+    offsets. The uniforms come in walker order, so the draws are those of
+    one call per copy. The hit mask is allocated once, and the buffer is
+    compacted in place, copy by copy, only on the steps where some walker
+    hits. A draw costs one guide lookup and log2(H) halvings, so a step
+    costs O(open walkers x copies x log H) beside the sampler's fixed
+    scratch."""
     sampler = _Sampler(P.entries)
     flat = states.reshape(-1)
+    flat *= sampler.stride
+    if target is not None:
+        target = np.array(target * sampler.stride, dtype=np.intp)
     copies, k = states.shape
+    hit = np.empty(k, dtype=bool)
     idx = np.flatnonzero(tau < 0)
     if idx.size < k:
         k = _compact(flat, copies, k, idx)
@@ -476,12 +525,13 @@ def _walk_until(P: StochasticMatrix, states: np.ndarray, hit, tau, max_steps: in
         if k == 0:
             break
         sampler.step(flat[: copies * k], rng)
-        met = hit(*(flat[i * k : (i + 1) * k] for i in range(copies)))
-        if met.any():
-            tau[idx[met]] = t
-            np.logical_not(met, out=met)
-            keep = np.flatnonzero(met)
-            del met
+        met = hit[:k]
+        np.equal(flat[:k], flat[k : 2 * k] if target is None else target, out=met)
+        hits = met.nonzero()[0]
+        if hits.size:
+            tau[idx.take(hits)] = t
+            keep = np.logical_not(met, out=met).nonzero()[0]
+            del hits
             idx = idx.take(keep)
             k = _compact(flat, copies, k, keep)
 

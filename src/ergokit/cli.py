@@ -68,6 +68,8 @@ def _parse_params(name: str, text: str | None) -> dict:
             k, v = item.split("=", 1)
             k = k.strip()
             k = _PARAM_ALIASES.get(name, {}).get(k, k)
+            if k in params:  # also under another alias of the same name
+                raise InvalidGeneratorParamsError(f"param {k!r} is given more than once")
             params[k] = _coerce(v.strip())
     return params
 

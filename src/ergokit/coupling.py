@@ -69,7 +69,7 @@ def simulate_coupling(
     states = np.empty((2, trials), dtype=np.intp)
     states[0], states[1] = start
     tau = np.where(states[0] == states[1], 0, -1)
-    _walk_until(P, states, np.equal, tau, max_steps, np.random.default_rng(seed))
+    _walk_until(P, states, tau, max_steps, np.random.default_rng(seed))
     truncated = int((tau < 0).sum())
     return CouplingTrace(
         tau_samples=tau[tau >= 0],
@@ -148,10 +148,10 @@ def verify_coupling_lemma(
     check_stationary(P, pi)
     rng = np.random.default_rng(seed)
     states = np.zeros((2, trials), dtype=np.intp)  # X from pi, Y at start_y
-    _Sampler(pi.probs[None, :]).step(states[0], rng)
+    _Sampler(pi.probs[None, :], offsets=False).step(states[0], rng)
     states[1] = start_y
     tau = np.where(states[0] == states[1], 0, -1)
-    _walk_until(P, states, np.equal, tau, horizon, rng)
+    _walk_until(P, states, tau, horizon, rng)
     tau[tau < 0] = horizon + 1  # censored beyond horizon
 
     def exact_tv(law: np.ndarray) -> float:

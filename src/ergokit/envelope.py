@@ -24,6 +24,7 @@ from .errors import (
     MaxIterExceededError,
     MonotonicityViolationError,
     NotPositiveError,
+    TooLargeError,
 )
 from .stationary import StationaryResult, _result, stationary_linear
 from .structure import analyze, require_ergodic
@@ -165,6 +166,7 @@ def mixing_estimate(P: StochasticMatrix, epsilon: float = 0.25) -> MixingEstimat
     doubling search (d(t) never grows), next to the contraction bound
     m * ceil(ln(n / eps) / (2 p_min(P^m)) + 1) in original-chain steps.
     A t above the bound is returned as found; the caller's verdict fails.
+    A bound past the largest float raises TooLargeError.
     """
     if not 0.0 < epsilon < 1.0:
         raise ArgumentRangeError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -173,7 +175,14 @@ def mixing_estimate(P: StochasticMatrix, epsilon: float = 0.25) -> MixingEstimat
     pi = stationary_linear(P).pi.probs
     pmin_m = lifted.min_entry()
     n = P.n
-    bound = m * math.ceil(math.log(n / epsilon) / (2.0 * pmin_m) + 1.0)
+    # a positive entry of P^m can round to 0, or to so little that the
+    # bound is past the largest float
+    reach = math.log(n / epsilon) / (2.0 * pmin_m) if pmin_m > 0.0 else math.inf
+    if reach == math.inf:
+        raise TooLargeError(
+            f"mixing bound is not finite: the least float entry of P^{m} is {pmin_m:.3g}"
+        )
+    bound = m * math.ceil(reach + 1.0)
 
     t = 0
     if _tv_rows(np.eye(n), pi) > epsilon:

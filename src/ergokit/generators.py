@@ -97,9 +97,10 @@ def pagerank(edges: list[tuple[str, str]], damping: float) -> StochasticMatrix:
     """Damped link-following chain on the edges' endpoints, in sorted order:
     damping * (row-normalized adjacency, dangling rows made uniform) +
     (1 - damping) * uniform teleport. Entrywise positive whenever
-    damping < 1."""
+    damping < 1. The CLI and :func:`generate` call the damping alpha, and
+    so does the range message."""
     if not 0.0 <= damping < 1.0:
-        raise InvalidGeneratorParamsError("pagerank needs 0 <= damping < 1")
+        raise InvalidGeneratorParamsError(f"pagerank needs 0 <= alpha < 1, got {damping!r}")
     nodes = sorted({u for u, _ in edges} | {v for _, v in edges})
     if not nodes:
         raise InvalidGeneratorParamsError("pagerank needs at least one node")

@@ -311,8 +311,8 @@ def monte_carlo_return(P: StochasticMatrix, z: int, trials: int, seed: int) -> t
     require_irreducible(P, "Monte Carlo return time")
     times = np.full(trials, -1, dtype=np.int64)
     _walk_until(
-        P, np.full((1, trials), z, dtype=np.intp), lambda s: s == z, times, RETURN_MAX_STEPS,
-        np.random.default_rng(seed),
+        P, np.full((1, trials), z, dtype=np.intp), times, RETURN_MAX_STEPS,
+        np.random.default_rng(seed), z,
     )
     if (times < 0).any():
         raise MaxIterExceededError(

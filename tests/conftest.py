@@ -32,6 +32,14 @@ def random_positive(rng, n, floor=0.05) -> StochasticMatrix:
     return from_array(a / a.sum(axis=1, keepdims=True))
 
 
+def near_periodic_cycle(n, loop) -> StochasticMatrix:
+    """The n-cycle with a self-loop of probability ``loop`` at state 0: ergodic,
+    but P^m's least entry is of order loop^(n-2) or less, m = 2n - 2."""
+    a = np.roll(np.eye(n), 1, axis=1)
+    a[0, 0], a[0, 1] = loop, 1.0 - loop
+    return from_array(a)
+
+
 def random_irreducible(rng, n, extra_edges=None) -> StochasticMatrix:
     """Sparse irreducible chain: a random permutation cycle guarantees strong
     connectivity, extra random edges vary the period and degree profile.

@@ -11,7 +11,7 @@ from ergokit import cli
 from ergokit.cli import main
 from ergokit.envelope import MixingEstimate
 
-from conftest import random_positive
+from conftest import near_periodic_cycle, random_positive
 
 
 def estimate_above_bound(P, epsilon=0.25):
@@ -260,12 +260,17 @@ class TestBadArguments:
              "InvalidGeneratorParamsError: bad param 'n', expected k=v"),
             (("analyze", "--gen", "pagerank", "--params", "path=edges.txt,beta=2"),
              "InvalidGeneratorParamsError: unknown params ['beta']"),
+            (("analyze", "--gen", "two_state", "--params", "p=0.2,q=0.3,p=0.9"),
+             "InvalidGeneratorParamsError: param 'p' is given more than once"),
+            (("analyze", "--gen", "lazy_hypercube", "--params", "d=3,dim=2"),
+             "InvalidGeneratorParamsError: param 'dim' is given more than once"),
         ],
         ids=["report_start", "report_periodic_start", "couple_start", "couple_trials",
              "couple_horizon", "couple_seed", "report_trials_cap", "report_horizon_cap",
              "couple_trials_cap", "couple_horizon_cap", "generate_uniform_cap",
              "analyze_cycle_cap", "analyze_uniform_size", "analyze_two_state_p",
-             "analyze_param_without_value", "analyze_pagerank_unknown_param"],
+             "analyze_param_without_value", "analyze_pagerank_unknown_param",
+             "analyze_repeated_key", "analyze_repeated_key_by_alias"],
     )
     def test_walk_flags_checked_before_any_route(self, capsys, monkeypatch, argv, message):
         def never(*args, **kwargs):
@@ -287,6 +292,30 @@ class TestBadArguments:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_pagerank_range_names_alpha(self, capsys, tmp_path):
+        edges = tmp_path / "e.txt"
+        edges.write_text("a b\nb a\n")
+        code, out, err = run(
+            capsys, "analyze", "--gen", "pagerank", "--params", f"path={edges},alpha=1"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: InvalidGeneratorParamsError: pagerank needs 0 <= alpha < 1, got 1\n"
+
+    @pytest.mark.parametrize("command", ["mix", "report"])
+    @pytest.mark.parametrize(
+        "n, loop, detail",
+        [(5, 1e-200, "P^8 is 0"), (28, 1.3e-12, "P^54 is 1.19e-321")],
+        ids=["entry_rounds_to_zero", "bound_past_the_largest_float"],
+    )
+    def test_mixing_bound_past_floats_exit_one(self, capsys, tmp_path, command, n, loop, detail):
+        path = tmp_path / "near_periodic.json"
+        path.write_text(near_periodic_cycle(n, loop).to_json())
+        code, out, err = run(capsys, command, "--chain", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: TooLargeError: mixing bound is not finite: the least float entry of {detail}\n"
+        )
 
     def test_couple_horizon_zero_is_valid(self, capsys):
         code, out, _ = run(

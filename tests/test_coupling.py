@@ -10,7 +10,7 @@ from scipy import stats
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.chain import _CHUNK, _Sampler, orbit
+from ergokit.chain import _CHUNK, _GUIDE_BUDGET, _Sampler, _guide, orbit
 from ergokit.coupling import exact_meeting_tail
 from ergokit.errors import (
     ArgumentRangeError,
@@ -378,15 +378,16 @@ class TestStickingPreservesLaw:
         max_steps = 60
         sampler = _Sampler(P.entries)
         x0, y0 = 2, 0
-        x = np.full(trials, x0)
-        y = np.full(trials, y0)
-        xs = [x.copy()]
-        ys = [y.copy()]
+        # the sampler moves row offsets, s * stride
+        x = np.full(trials, x0 * sampler.stride)
+        y = np.full(trials, y0 * sampler.stride)
+        xs = [x // sampler.stride]
+        ys = [y // sampler.stride]
         for _ in range(max_steps):
             sampler.step(x, rng)
             sampler.step(y, rng)
-            xs.append(x.copy())
-            ys.append(y.copy())
+            xs.append(x // sampler.stride)
+            ys.append(y // sampler.stride)
         X = np.array(xs).T
         Y = np.array(ys).T
         met = X == Y
@@ -491,9 +492,12 @@ def _support_draw(a: np.ndarray, states, u) -> list[int]:
 
 
 def _draw(a: np.ndarray, states, u) -> np.ndarray:
-    got = np.array(states, dtype=np.intp)
-    _Sampler(a).step(got, _Uniforms(np.asarray(u, dtype=float)))
-    return got
+    """The states drawn from ``states`` on uniforms u: the sampler moves row
+    offsets, s * stride, so the states convert on the way in and out."""
+    sampler = _Sampler(a)
+    got = np.array(states, dtype=np.intp) * sampler.stride
+    sampler.step(got, _Uniforms(np.asarray(u, dtype=float)))
+    return got // sampler.stride
 
 
 @st.composite
@@ -536,6 +540,49 @@ def _edge_uniforms(m: int) -> np.ndarray:
     return np.concatenate([edges, np.nextafter(edges[1:], 0.0), [np.nextafter(1.0, 0.0)]])
 
 
+def _dense(seed: int, n: int) -> np.ndarray:
+    """A dense random n x n stochastic table, entries at least 0.05 / n-ish."""
+    a = np.random.default_rng(seed).random((n, n)) + 0.05
+    return a / a.sum(axis=1, keepdims=True)
+
+
+def _tiny_row_table() -> np.ndarray:
+    """24 x 24: row 0 holds 23 equal entries of 2.5e-3 and one large one,
+    eight to a bucket of the 2w = 64 bucket guide; the other rows are dense."""
+    a = _dense(5, 24)
+    a[0] = 2.5e-3
+    a[0, 23] = 1.0 - 23 * 2.5e-3
+    return a
+
+
+def _check_draws(a: np.ndarray, states: np.ndarray, seed: int) -> None:
+    """Draws from ``states`` match the support count (and, inside each row's
+    sum, the full-row count) on random uniforms, ties with the rows' own
+    cumulative sums, 0 and the largest uniform below 1, and on every guide
+    bucket edge of the sampler's own m and the float just below it."""
+    cum = _cumrows(a)
+    u = np.random.default_rng(seed).random(states.size)
+    tie = cum[states, np.arange(states.size) % a.shape[0]]
+    u[1::4] = np.where(tie < 1.0, tie, 0.0)[1::4]
+    u[2::4] = 0.0
+    u[3::4] = np.nextafter(1.0, 0.0)
+    got = _draw(a, states, u)
+    assert got.tolist() == _support_draw(a, states, u)
+    assert (a[states, got] > 0).all()
+    # interior uniforms: above 0 and at most the full-row sum at the row's
+    # last support column, where the old sampler stopped on the same column
+    last = a.shape[1] - 1 - np.argmax(a[:, ::-1] > 0, axis=1)
+    interior = (u > 0) & (u <= cum[states, last[states]])
+    old = _advance(states, cum, _Uniforms(u))
+    assert got[interior].tolist() == old[interior].tolist()
+    u = _edge_uniforms(_Sampler(a).m)
+    grid = np.repeat(states, u.size)
+    u = np.tile(u, states.size)
+    got = _draw(a, grid, u)
+    assert got.tolist() == _support_draw(a, grid, u)
+    assert (a[grid, got] > 0).all()
+
+
 class TestSampler:
     def test_crowded_bucket_searches_the_whole_row(self):
         # 15 tiny entries share bucket 0 of row 0, so H = w = 16: the guide
@@ -575,33 +622,38 @@ class TestSampler:
     @given(st.one_of(sampler_cases(), dyadic_cases()))
     @settings(max_examples=200, deadline=None)
     def test_matches_support_count(self, case):
-        a, states, seed = case
-        cum = _cumrows(a)
-        # random uniforms, then the edges: ties with a row's own cumulative
-        # sums, 0, and the largest uniform below 1 (past a row sum that
-        # rounds below 1)
-        u = np.random.default_rng(seed).random(states.size)
-        tie = cum[states, np.arange(states.size) % a.shape[0]]
-        u[1::4] = np.where(tie < 1.0, tie, 0.0)[1::4]
-        u[2::4] = 0.0
-        u[3::4] = np.nextafter(1.0, 0.0)
-        got = _draw(a, states, u)
-        assert got.tolist() == _support_draw(a, states, u)
-        assert (a[states, got] > 0).all()
-        # interior uniforms: above 0 and at most the full-row sum at the
-        # row's last support column, where the old sampler stopped on the
-        # same column
-        last = a.shape[1] - 1 - np.argmax(a[:, ::-1] > 0, axis=1)
-        interior = (u > 0) & (u <= cum[states, last[states]])
-        old = _advance(states, cum, _Uniforms(u))
-        assert got[interior].tolist() == old[interior].tolist()
-        # every guide bucket edge and the float just below it, from every state
-        u = _edge_uniforms(_Sampler(a).m)
-        grid = np.repeat(states, u.size)
-        u = np.tile(u, states.size)
-        got = _draw(a, grid, u)
-        assert got.tolist() == _support_draw(a, grid, u)
-        assert (a[grid, got] > 0).all()
+        _check_draws(*case)
+
+    @pytest.mark.parametrize(
+        "a, m", [(_dense(1, 48), 512), (_tiny_row_table(), 512)], ids=["random48", "tiny_row"]
+    )
+    def test_refined_guide_matches_support_count(self, a, m):
+        # from every state, so every row's refined guide entries are read
+        sampler = _Sampler(a)
+        assert sampler.m == m > 2 * sampler.w and len(sampler._halvings) == 1
+        _check_draws(a, np.arange(a.shape[0]), seed=11)
+
+    def test_refinement_takes_dense_48_to_one_halving(self):
+        a = _dense(1, 48)
+        sampler = _Sampler(a)
+        d = (a > 0).sum(axis=1)
+        # the 2w = 128 bucket guide leaves H = 4, two halvings
+        assert _guide(sampler.cum, d, 2 * sampler.w)[1] == 4
+        assert (sampler.w, sampler.m, len(sampler._halvings)) == (64, 512, 1)
+        assert sampler.guide.shape == (48, 513) and sampler.stride == 513
+
+    @pytest.mark.parametrize("n", [3, 9, 24, 40, 48, 64, 80, 128])
+    def test_refined_guide_stays_in_its_budget(self, n):
+        # doubling stops at H = 2, at 16w buckets, or before the doubled
+        # guide would pass the budget; only the unrefined 2w guide may
+        for a in (_dense(n, n), gen.lazy_hypercube(7).entries, _tiny_row_table()):
+            sampler = _Sampler(a)
+            rows, w, m = a.shape[0], sampler.w, sampler.m
+            assert m == 2 * w or rows * (m + 1) <= _GUIDE_BUDGET
+            assert 2 * w <= m <= 16 * w
+            if m < 16 * w and rows * (2 * m + 1) <= _GUIDE_BUDGET:
+                assert len(sampler._halvings) <= 1
+
 
     def test_zero_uniform_skips_a_leading_zero_column(self):
         a = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
@@ -629,7 +681,7 @@ class TestSampler:
 
     def test_start_draw_table_is_one_row(self):
         pi = ek.Distribution(ek.StateSpace(("a", "b", "c")), [0.2, 0.0, 0.8])
-        sampler = _Sampler(pi.probs[None, :])
+        sampler = _Sampler(pi.probs[None, :], offsets=False)
         assert sampler.cum.tolist() == [[0.2, 1.0]]
         assert sampler.cols.tolist() == [[0, 2]]
 
@@ -710,9 +762,25 @@ class TestScratchSize:
         assert m == 256
         assert peak - before <= own + n * m * np.dtype(np.intp).itemsize
 
+    def test_refined_build_peak_is_one_guide_sized_temporary(self):
+        # a refinement drops each coarser guide before it builds the next
+        a = _dense(1, 48)
+        _Sampler(a)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            sampler = _Sampler(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = sum(x.nbytes for x in vars(sampler).values() if isinstance(x, np.ndarray))
+        n, m = 48, sampler.m
+        assert m == 512
+        assert peak - before <= own + n * (m + 1) * np.dtype(np.intp).itemsize
+
     def test_step_allocates_nothing_per_walker(self):
         sampler = _Sampler(self.P.entries)
-        states = np.zeros(200_000, dtype=np.intp)
+        states = np.full(200_000, 5 * sampler.stride)  # state 5's row offset
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:

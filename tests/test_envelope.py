@@ -16,7 +16,7 @@ from ergokit.errors import (
     TooLargeError,
 )
 
-from conftest import random_positive
+from conftest import near_periodic_cycle, random_positive
 
 
 class TestEnvelopeIterate:
@@ -232,6 +232,22 @@ class TestMixingEstimate:
     def test_flip_not_ergodic(self, flip_chain):
         with pytest.raises(NotErgodicError):
             ek.mixing_estimate(flip_chain)
+
+    @pytest.mark.parametrize(
+        "n, loop, m, entry",
+        [(5, 1e-200, 8, "0"), (28, 1.3e-12, 54, "1.19e-321")],
+        ids=["entry_rounds_to_zero", "bound_past_the_largest_float"],
+    )
+    def test_bound_past_floats_is_refused(self, n, loop, m, entry):
+        # the contraction bound divides by P^m's least float entry: 0 here,
+        # or small enough that the quotient is inf
+        P = near_periodic_cycle(n, loop)
+        assert _lift(P)[0] == m
+        with pytest.raises(
+            TooLargeError,
+            match=rf"^mixing bound is not finite: the least float entry of P\^{m} is {entry}$",
+        ):
+            ek.mixing_estimate(P)
 
     def test_hypercube_bound_is_loose(self):
         est = ek.mixing_estimate(gen.lazy_hypercube(3), epsilon=0.25)
