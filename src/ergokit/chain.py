@@ -2,21 +2,17 @@
 metrics, and the lockstep walker loop that every simulation runs on.
 
 Every simulated draw, a walker step or a start state drawn from pi, goes
-through one inverse-CDF sampler, built once per walk: a table of each row's
-cumulative sums over its support (its nonzero columns) only, padded with 1.0
-to the power-of-two width w >= d, d the largest row support, with an int map
-from slot back to state, and a guide table of m = 2w buckets per row. A
-draw reads the guide entry of its uniform's bucket, the count of slots
-below the bucket's lower edge, and finishes with log2(H) halvings of a
-branchless binary search, H the power of two above the most slots one
-bucket holds: one halving on ``lazy_hypercube(7)`` where a search of the
-whole row takes three (where H = w the guide narrows nothing, and the
-search starts at the row's first slot). The draw is the count of support
-slots below the uniform, bit for bit, so it never lands on a
+through one inverse-CDF sampler (:class:`_Sampler`), built once per walk:
+each row's cumulative sums over its support (its nonzero columns) only, a
+map from slot to the drawn state's row offset, and a guide table of m
+buckets per row, m doubled from 2w while some bucket holds two slots (up
+to 16w and 2^15 entries), w the padded row width. Walkers hold row
+offsets, not states, so no draw rescales one. The draw is the count of
+support slots below the uniform, bit for bit, so it never lands on a
 zero-probability state. The search runs ``_CHUNK`` walkers at a time in
-scratch arrays the sampler allocates once, and every chain copy of a walk
-moves in one sampler call per step, so no step allocates an array the size
-of the walker set.
+scratch arrays the sampler allocates once, every chain copy of a walk
+moves in one sampler call per step, and the walk allocates its hit mask
+once, so no step allocates an array the size of the walker set.
 
 All values are immutable after construction and all operations but the
 walker loop (which fills its caller's ``tau``, takes over its state buffer
@@ -312,9 +308,11 @@ def _check_walk(P: StochasticMatrix, states, trials: int) -> None:
 #: search array, so no step allocates an array the size of the open set.
 _CHUNK = 8192
 
-#: Guide entries a refined guide may hold, n (m + 1) for n rows of m
-#: buckets: 256 KiB of intp, so a refined table stays in cache beside the
-#: walkers, and a build holds one guide at a time.
+#: Entries a refined guide may hold, n (m + 1) for n rows of m buckets:
+#: 256 KiB of intp. Refining pays while the guide stays small beside the
+#: walkers; a budget of 2^17 raised the peak resident memory of the
+#: benchmark's ``report`` corpus by about 0.4 MB (7%), for no measurable
+#: speed (BENCH_walker_offsets.json).
 _GUIDE_BUDGET = 1 << 15
 
 
@@ -378,8 +376,8 @@ class _Sampler:
     d_i - 1), stored as a flat slot index of the table. m starts at 2w and
     doubles while some bucket holds two slots (H > 2), up to 16w and
     ``_GUIDE_BUDGET`` entries: one halving on ``lazy_hypercube(7)`` (m = 2w)
-    and on a dense random 48-state chain (m = 8w), where a search of the
-    whole row takes three and six. The draw is the same slot as a search of
+    and on most dense random 48-state chains (m = 8w; two at m = 2w),
+    where a search of the whole row takes three and six. The draw is the same slot as a search of
     the whole row, bit for bit. Where H = w the guide cannot narrow the
     search (every entry is the row's first slot), so the sampler keeps none,
     the stride is w and each search starts at the walker's offset; with a

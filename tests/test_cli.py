@@ -314,7 +314,8 @@ class TestBadArguments:
         code, out, err = run(capsys, command, "--chain", str(path))
         assert (code, out) == (1, "")
         assert err == (
-            f"error: TooLargeError: mixing bound is not finite: the least float entry of {detail}\n"
+            "error: TooLargeError: mixing bound is not finite: "
+            f"the least float entry of {detail}\n"
         )
 
     def test_couple_horizon_zero_is_valid(self, capsys):

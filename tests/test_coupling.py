@@ -541,14 +541,16 @@ def _edge_uniforms(m: int) -> np.ndarray:
 
 
 def _dense(seed: int, n: int) -> np.ndarray:
-    """A dense random n x n stochastic table, entries at least 0.05 / n-ish."""
+    """A dense random n x n stochastic table: U(0, 1) + 0.05 entries, rows
+    normalized."""
     a = np.random.default_rng(seed).random((n, n)) + 0.05
     return a / a.sum(axis=1, keepdims=True)
 
 
 def _tiny_row_table() -> np.ndarray:
     """24 x 24: row 0 holds 23 equal entries of 2.5e-3 and one large one,
-    eight to a bucket of the 2w = 64 bucket guide; the other rows are dense."""
+    six or seven to a bucket of the 2w = 64 bucket guide; the other rows
+    are dense."""
     a = _dense(5, 24)
     a[0] = 2.5e-3
     a[0, 23] = 1.0 - 23 * 2.5e-3
@@ -558,8 +560,9 @@ def _tiny_row_table() -> np.ndarray:
 def _check_draws(a: np.ndarray, states: np.ndarray, seed: int) -> None:
     """Draws from ``states`` match the support count (and, inside each row's
     sum, the full-row count) on random uniforms, ties with the rows' own
-    cumulative sums, 0 and the largest uniform below 1, and on every guide
-    bucket edge of the sampler's own m and the float just below it."""
+    cumulative sums, 0 and the largest uniform below 1 (past a row sum that
+    rounds below 1), and, from every state, on every guide bucket edge of
+    the sampler's own m and the float just below it."""
     cum = _cumrows(a)
     u = np.random.default_rng(seed).random(states.size)
     tie = cum[states, np.arange(states.size) % a.shape[0]]
@@ -642,17 +645,22 @@ class TestSampler:
         assert (sampler.w, sampler.m, len(sampler._halvings)) == (64, 512, 1)
         assert sampler.guide.shape == (48, 513) and sampler.stride == 513
 
-    @pytest.mark.parametrize("n", [3, 9, 24, 40, 48, 64, 80, 128])
-    def test_refined_guide_stays_in_its_budget(self, n):
+    @pytest.mark.parametrize(
+        "a",
+        [_dense(n, n) for n in (3, 9, 24, 40, 48, 64, 80, 128)]
+        + [gen.lazy_hypercube(7).entries, _tiny_row_table()],
+        ids=[f"random{n}" for n in (3, 9, 24, 40, 48, 64, 80, 128)]
+        + ["lazy_hypercube7", "tiny_row"],
+    )
+    def test_refined_guide_stays_in_its_budget(self, a):
         # doubling stops at H = 2, at 16w buckets, or before the doubled
-        # guide would pass the budget; only the unrefined 2w guide may
-        for a in (_dense(n, n), gen.lazy_hypercube(7).entries, _tiny_row_table()):
-            sampler = _Sampler(a)
-            rows, w, m = a.shape[0], sampler.w, sampler.m
-            assert m == 2 * w or rows * (m + 1) <= _GUIDE_BUDGET
-            assert 2 * w <= m <= 16 * w
-            if m < 16 * w and rows * (2 * m + 1) <= _GUIDE_BUDGET:
-                assert len(sampler._halvings) <= 1
+        # guide would pass the budget; only an unrefined 2w guide may pass it
+        sampler = _Sampler(a)
+        rows, w, m = a.shape[0], sampler.w, sampler.m
+        assert m == 2 * w or rows * (m + 1) <= _GUIDE_BUDGET
+        assert 2 * w <= m <= 16 * w
+        if m < 16 * w and rows * (2 * m + 1) <= _GUIDE_BUDGET:
+            assert len(sampler._halvings) <= 1
 
 
     def test_zero_uniform_skips_a_leading_zero_column(self):
