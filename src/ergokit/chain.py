@@ -15,9 +15,9 @@ moves in one sampler call per step, and the walk allocates its hit mask
 once, so no step allocates an array the size of the walker set.
 
 All values are immutable after construction and all operations but the
-walker loop (which fills its caller's ``tau``, takes over its state buffer
-and owns its scratch) are pure, so everything here is safe to share across
-threads; one walk's sampler serves that walk alone.
+walker loop (which takes over its caller's state buffer and owns its
+scratch) are pure, so everything here is safe to share across threads; one
+walk's sampler serves that walk alone.
 """
 
 from __future__ import annotations
@@ -66,6 +66,9 @@ class StateSpace:
     def __post_init__(self):
         if len(self.labels) == 0:
             raise StateLabelError("state space must contain at least one state")
+        for i, x in enumerate(self.labels):
+            if not isinstance(x, str):  # 1 and "1" would print as one JSON key
+                raise StateLabelError(f"state label {x!r} at position {i} is not a string")
         if len(set(self.labels)) != len(self.labels):
             dup = next(x for i, x in enumerate(self.labels) if x in self.labels[:i])
             raise StateLabelError(f"state label {dup!r} appears more than once")
@@ -185,7 +188,7 @@ def validate_stochastic(raw_matrix, labels) -> StochasticMatrix:
         raise StateLabelError(f"state labels are a str ({labels!r}), not a list of names")
     try:
         space = StateSpace(tuple(labels))
-    except TypeError as e:  # labels not iterable, or a label not hashable
+    except TypeError as e:  # labels not iterable
         raise StateLabelError(f"state labels are not a list of names: {e}") from e
     if a.shape[0] != space.size:
         raise NonSquareError(
@@ -488,33 +491,34 @@ def _compact(flat: np.ndarray, copies: int, k: int, keep: np.ndarray) -> int:
 
 
 def _walk_until(
-    P: StochasticMatrix, states: np.ndarray, tau, max_steps: int, rng, target=None
-) -> None:
-    """The one simulation loop. ``states`` is a C-contiguous (copies,
-    walkers) intp array: walker j starts at ``states[:, j]``, one state per
-    chain copy, and is open while tau[j] < 0. At step t = 1..max_steps each
-    open walker moves every copy by one draw of a :class:`_Sampler` built
-    once for the walk; tau[j] = t where its copies 0 and 1 meet, or, given
-    a ``target`` state, where copy 0 is at it. Fills ``tau`` in place;
-    walkers open after max_steps stay so.
+    P: StochasticMatrix, states: np.ndarray, max_steps: int, rng, target=None
+) -> np.ndarray:
+    """The one simulation loop: returns each walker's hitting time tau.
+    ``states`` is a C-contiguous (copies, walkers) intp array: walker j
+    starts at ``states[:, j]``, one state per chain copy. tau[j] is the
+    first t at which copies 0 and 1 meet, 0 for a pair that starts on one
+    state, or, given a ``target`` state, the first t >= 1 at which copy 0
+    is at it, so a start on the target counts no hit; -1 for a walker open
+    after max_steps. At step t = 1..max_steps each open walker moves every
+    copy by one draw of a :class:`_Sampler` built once for the walk.
 
     The walk takes ``states`` over as its buffer (the caller's values are
-    overwritten, and tau is the only output): it scales the buffer once to
-    row offsets, in place, and the open walkers' offsets stay in it as one
-    flat array, every copy's in turn (copy 0 first), moved by one sampler
-    call per step. Equal offsets are equal states, so the hit rules compare
+    overwritten): it scales the buffer once to row offsets, in place, and
+    the open walkers' offsets stay in it as one flat array, every copy's in
+    turn (copy 0 first), moved by one sampler call per step. Equal offsets are equal states, so the hit rules compare
     offsets. The uniforms come in walker order, so the draws are those of
     one call per copy. The hit mask is allocated once, and the buffer is
     compacted in place, copy by copy, only on the steps where some walker
     hits. A draw costs one guide lookup and log2(H) halvings, so a step
     costs O(open walkers x copies x log H) beside the sampler's fixed
     scratch."""
+    copies, k = states.shape
+    tau = np.where(states[0] == states[1], 0, -1) if target is None else np.full(k, -1)
     sampler = _Sampler(P.entries)
     flat = states.reshape(-1)
     flat *= sampler.stride
     if target is not None:
         target = np.array(target * sampler.stride, dtype=np.intp)
-    copies, k = states.shape
     hit = np.empty(k, dtype=bool)
     idx = np.flatnonzero(tau < 0)
     if idx.size < k:
@@ -532,6 +536,7 @@ def _walk_until(
             del hits
             idx = idx.take(keep)
             k = _compact(flat, copies, k, keep)
+    return tau
 
 
 # ---------------------------------------------------------------------------

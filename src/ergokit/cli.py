@@ -228,7 +228,7 @@ def cmd_couple(args) -> int:
             {
                 "passed": report.passed,
                 "trials": report.trials,
-                "seed": report.seed,
+                "seed": args.seed,
                 "horizon": args.horizon,
             }
         )

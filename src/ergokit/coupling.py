@@ -31,8 +31,6 @@ MAX_HORIZON = 10_000
 @dataclass(frozen=True)
 class CouplingTrace:
     tau_samples: np.ndarray  # meeting times of the non-truncated runs
-    trials: int
-    seed: int
     truncated: int  # runs that hit max_steps without meeting (excluded)
 
 
@@ -68,15 +66,8 @@ def simulate_coupling(
     require_ergodic(P, "meeting of two independent copies")
     states = np.empty((2, trials), dtype=np.intp)
     states[0], states[1] = start
-    tau = np.where(states[0] == states[1], 0, -1)
-    _walk_until(P, states, tau, max_steps, np.random.default_rng(seed))
-    truncated = int((tau < 0).sum())
-    return CouplingTrace(
-        tau_samples=tau[tau >= 0],
-        trials=trials,
-        seed=seed,
-        truncated=truncated,
-    )
+    tau = _walk_until(P, states, max_steps, np.random.default_rng(seed))
+    return CouplingTrace(tau_samples=tau[tau >= 0], truncated=int((tau < 0).sum()))
 
 
 def exact_meeting_tail(P: StochasticMatrix, start: tuple[int, int], horizon: int) -> np.ndarray:
@@ -110,7 +101,6 @@ class CouplingLemmaRow:
 class CouplingLemmaReport:
     rows: tuple[CouplingLemmaRow, ...]
     trials: int
-    seed: int
 
     @property
     def passed(self) -> bool:  # exact TV <= tail + 3 s.e. at every step
@@ -150,8 +140,7 @@ def verify_coupling_lemma(
     states = np.zeros((2, trials), dtype=np.intp)  # X from pi, Y at start_y
     _Sampler(pi.probs[None, :], offsets=False).step(states[0], rng)
     states[1] = start_y
-    tau = np.where(states[0] == states[1], 0, -1)
-    _walk_until(P, states, tau, horizon, rng)
+    tau = _walk_until(P, states, horizon, rng)
     tau[tau < 0] = horizon + 1  # censored beyond horizon
 
     def exact_tv(law: np.ndarray) -> float:
@@ -172,4 +161,4 @@ def verify_coupling_lemma(
         CouplingLemmaRow(step=i, exact_tv=e, tail=t, tail_se=s)
         for i, (e, t, s) in enumerate(zip(exact.tolist(), tail.tolist(), se.tolist()))
     )
-    return CouplingLemmaReport(rows=rows, trials=trials, seed=seed)
+    return CouplingLemmaReport(rows=rows, trials=trials)

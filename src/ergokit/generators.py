@@ -93,14 +93,21 @@ def top_to_random(deck: int) -> StochasticMatrix:
     return validate_stochastic(m, labels)
 
 
+def _check_alpha(alpha) -> None:
+    """pagerank's damping: a real number in [0, 1), under the name the CLI
+    gives it."""
+    _check_real("alpha", alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise InvalidGeneratorParamsError(f"pagerank needs 0 <= alpha < 1, got {alpha!r}")
+
+
 def pagerank(edges: list[tuple[str, str]], damping: float) -> StochasticMatrix:
     """Damped link-following chain on the edges' endpoints, in sorted order:
     damping * (row-normalized adjacency, dangling rows made uniform) +
     (1 - damping) * uniform teleport. Entrywise positive whenever
     damping < 1. The CLI and :func:`generate` call the damping alpha, and
     so does the range message."""
-    if not 0.0 <= damping < 1.0:
-        raise InvalidGeneratorParamsError(f"pagerank needs 0 <= alpha < 1, got {damping!r}")
+    _check_alpha(damping)
     nodes = sorted({u for u, _ in edges} | {v for _, v in edges})
     if not nodes:
         raise InvalidGeneratorParamsError("pagerank needs at least one node")
@@ -147,7 +154,7 @@ def generate(name: str, **params) -> StochasticMatrix:
     if name == "pagerank":
         path = params.pop("path", None)
         alpha = params.pop("alpha", 0.85)
-        _check_real("alpha", alpha)
+        _check_alpha(alpha)  # before the edge file is read
         if path is None:
             raise InvalidGeneratorParamsError("pagerank needs path=<edge list file>")
         if params:

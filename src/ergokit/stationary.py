@@ -309,11 +309,8 @@ def monte_carlo_return(P: StochasticMatrix, z: int, trials: int, seed: int) -> t
     _check_walk(P, (z,), trials)
     _check_at_least("seed", seed, 0)
     require_irreducible(P, "Monte Carlo return time")
-    times = np.full(trials, -1, dtype=np.int64)
-    _walk_until(
-        P, np.full((1, trials), z, dtype=np.intp), times, RETURN_MAX_STEPS,
-        np.random.default_rng(seed), z,
-    )
+    rng = np.random.default_rng(seed)
+    times = _walk_until(P, np.full((1, trials), z, dtype=np.intp), RETURN_MAX_STEPS, rng, z)
     if (times < 0).any():
         raise MaxIterExceededError(
             f"{(times < 0).sum()} trials did not return in {RETURN_MAX_STEPS} steps"

@@ -125,13 +125,18 @@ REMOVED_METHODS = [
 #: checked nothing: its value, (mu P)1 / mu 1, is 1 for any stochastic P
 #: and any mu, and its vector was the memoized linear-solve pi itself.
 #: ``DoeblinSplit.Pi_matrix`` was an n x n copy of that same pi; callers
-#: read ``stationary_linear(P).pi``.
+#: read ``stationary_linear(P).pi``. The coupling results do not echo their
+#: caller's arguments: a trace's trial count is ``tau_samples.size +
+#: truncated``, and the seed is the one the caller passed.
 REMOVED_FIELDS = [
     ("envelope", "EnvelopeTrace", "p_min"),
     ("envelope", "EnvelopeTrace", "contraction_factor"),
     ("doeblin", "SpectralCheck", "dominant_value"),
     ("doeblin", "SpectralCheck", "dominant_vector"),
     ("doeblin", "DoeblinSplit", "Pi_matrix"),
+    ("coupling", "CouplingTrace", "trials"),
+    ("coupling", "CouplingTrace", "seed"),
+    ("coupling", "CouplingLemmaReport", "seed"),
 ]
 
 #: Parameters that are gone: spectral_check's tol steered the Gelfand
@@ -146,7 +151,7 @@ REMOVED_FIELDS = [
 #: The Doeblin pass reads pi from the memoized linear solve, the one pi its
 #: callers ever passed. ``analyze`` has one behaviour; the gates read the
 #: base report, without the primitivity exponent, from
-#: ``structure._base_report``.
+#: ``structure._base_report``. The walker loop returns its hitting times.
 REMOVED_PARAMETERS = [
     ("spectral_check", "tol"),
     ("spectral_check", "max_iter"),
@@ -162,6 +167,7 @@ REMOVED_PARAMETERS = [
     ("doeblin_split", "pi"),
     ("verify_doeblin", "pi"),
     ("analyze", "with_primitivity"),
+    ("chain._walk_until", "tau"),
 ]
 
 

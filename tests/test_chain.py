@@ -99,6 +99,8 @@ class TestValidation:
         "make, error, match",
         [
             (lambda: ek.StateSpace(()), StateLabelError, "at least one state"),
+            (lambda: ek.StateSpace(("a", 1)), StateLabelError,
+             "^state label 1 at position 1 is not a string$"),
             (lambda: ek.Distribution(ek.StateSpace(("a", "b")), [0.2, 0.3, 0.5]),
              SpaceMismatchError, r"length \(3,\) on a 2-state space"),
             (lambda: ek.Distribution(ek.StateSpace(("a", "b")), [1.5, -0.5]),
@@ -106,7 +108,8 @@ class TestValidation:
             (lambda: ek.validate_stochastic(np.eye(2), ["a", "b", "c"]),
              NonSquareError, "2x2 matrix with 3 labels"),
         ],
-        ids=["empty_space", "probs_length", "negative_probability", "label_count"],
+        ids=["empty_space", "non_string_label", "probs_length", "negative_probability",
+             "label_count"],
     )
     def test_malformed_value_rejected(self, make, error, match):
         with pytest.raises(error, match=match):

@@ -57,6 +57,10 @@ MALFORMED = [
     ("dup.json", '{"states": ["a", "a"], "matrix": [[0.5, 0.5], [0.5, 0.5]]}',
      "StateLabelError", "'a'"),
     ("labels.json", '{"states": 5, "matrix": [[1.0]]}', "StateLabelError", "int"),
+    ("int_label.json", '{"states": [1, "1"], "matrix": [[0.5, 0.5], [0.5, 0.5]]}',
+     "StateLabelError", "state label 1 at position 0 is not a string"),
+    ("null_label.json", '{"states": [null, "null"], "matrix": [[0.5, 0.5], [0.5, 0.5]]}',
+     "StateLabelError", "state label None at position 0 is not a string"),
     ("str_labels.json", '{"states": "ab", "matrix": [[0.5, 0.5], [0.5, 0.5]]}',
      "StateLabelError", "'ab'"),
     ("ragged.json", '{"states": ["a", "b"], "matrix": [[0.5, 0.5], [1.0]]}',
@@ -298,6 +302,14 @@ class TestBadArguments:
         edges.write_text("a b\nb a\n")
         code, out, err = run(
             capsys, "analyze", "--gen", "pagerank", "--params", f"path={edges},alpha=1"
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: InvalidGeneratorParamsError: pagerank needs 0 <= alpha < 1, got 1\n"
+
+    def test_pagerank_range_checked_before_the_edge_file(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "analyze", "--gen", "pagerank", "--params",
+            f"path={tmp_path / 'missing.txt'},alpha=1",
         )
         assert (code, out) == (1, "")
         assert err == "error: InvalidGeneratorParamsError: pagerank needs 0 <= alpha < 1, got 1\n"

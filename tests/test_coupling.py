@@ -10,7 +10,7 @@ from scipy import stats
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.chain import _CHUNK, _GUIDE_BUDGET, _Sampler, _guide, orbit
+from ergokit.chain import _CHUNK, _GUIDE_BUDGET, _Sampler, _guide, _walk_until, orbit
 from ergokit.coupling import exact_meeting_tail
 from ergokit.errors import (
     ArgumentRangeError,
@@ -98,6 +98,13 @@ class TestSimulateCoupling:
             two_state_chain, start=(1, 1), trials=50, seed=0
         )
         assert (trace.tau_samples == 0).all()
+
+    def test_walk_of_met_pairs_draws_nothing(self, two_state_chain):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        tau = _walk_until(two_state_chain, np.ones((2, 50), dtype=np.intp), 10, rng)
+        assert tau.tolist() == [0] * 50
+        assert rng.bit_generator.state == before
 
     def test_uniform_two_state_geometric(self):
         trace = ek.simulate_coupling(
@@ -314,7 +321,8 @@ class TestArgumentRanges:
     def test_numpy_integer_counts_accepted(self, two_state_chain):
         pi = ek.stationary_linear(two_state_chain).pi
         six = np.int64(6)
-        assert ek.simulate_coupling(two_state_chain, (0, 1), trials=six, max_steps=six).trials == 6
+        trace = ek.simulate_coupling(two_state_chain, (0, 1), trials=six, max_steps=six)
+        assert trace.tau_samples.size + trace.truncated == 6
         assert ek.monte_carlo_return(two_state_chain, 0, trials=six, seed=0)[0] > 0
         assert ek.verify_coupling_lemma(
             two_state_chain, pi, start_y=0, horizon=six, trials=50
@@ -329,7 +337,8 @@ class TestArgumentRanges:
     def test_numpy_integer_states_accepted(self, two_state_chain):
         pi = ek.stationary_linear(two_state_chain).pi
         one = np.int64(1)
-        assert ek.simulate_coupling(two_state_chain, (np.int64(0), one), trials=50).trials == 50
+        trace = ek.simulate_coupling(two_state_chain, (np.int64(0), one), trials=50)
+        assert trace.tau_samples.size + trace.truncated == 50
         assert ek.monte_carlo_return(two_state_chain, one, trials=50, seed=0)[0] > 0
         assert ek.verify_coupling_lemma(two_state_chain, pi, start_y=one, trials=50).trials == 50
         assert exact_meeting_tail(two_state_chain, (np.int64(0), one), 3)[0] == 1.0

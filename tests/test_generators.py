@@ -50,8 +50,9 @@ def test_non_integer_size_names_the_parameter(make, size, name):
 @pytest.mark.parametrize(
     "make, name",
     [(lambda v: gen.two_state(v, 0.3), "p"), (lambda v: gen.two_state(0.2, v), "q"),
-     (lambda v: gen.generate("pagerank", path="edges.txt", alpha=v), "alpha")],
-    ids=["two_state_p", "two_state_q", "pagerank_alpha"],
+     (lambda v: gen.generate("pagerank", path="edges.txt", alpha=v), "alpha"),
+     (lambda v: gen.pagerank([("a", "b")], v), "alpha")],
+    ids=["two_state_p", "two_state_q", "pagerank_alpha", "pagerank_damping"],
 )
 def test_non_number_names_the_parameter(make, name):
     with pytest.raises(InvalidGeneratorParamsError, match=rf"^{name} 'abc' is not a real number$"):

@@ -472,6 +472,10 @@ class TestMonteCarloReturn:
         mean, se = ek.monte_carlo_return(gen.cycle(3), z=1, trials=200, seed=1)
         assert mean == 3.0 and se == 0.0
 
+    def test_start_on_the_target_is_no_return(self):
+        # every walker starts on z, and each returns at step 1, not 0
+        assert ek.monte_carlo_return(gen.uniform(1), 0, trials=5, seed=0) == (1.0, 0.0)
+
     def test_flip_exact(self, flip_chain):
         mean, se = ek.monte_carlo_return(flip_chain, z=0, trials=100, seed=2)
         assert mean == 2.0 and se == 0.0
