@@ -10,9 +10,11 @@ to 16w and 2^15 entries), w the padded row width. Walkers hold row
 offsets, not states, so no draw rescales one. The draw is the count of
 support slots below the uniform, bit for bit, so it never lands on a
 zero-probability state. The search runs ``_CHUNK`` walkers at a time in
-scratch arrays the sampler allocates once, every chain copy of a walk
-moves in one sampler call per step, and the walk allocates its hit mask
-once, so no step allocates an array the size of the walker set.
+scratch arrays the sampler allocates once, and every chain copy of a walk
+moves in one sampler call per step. Besides its states, a walk's only
+arrays the size of the walker set are its hitting times, an int32 index
+and a hit mask, and it drops the walkers that hit in place, a chunk at a
+time, so no step allocates an array the size of the walker set.
 
 All values are immutable after construction and all operations but the
 walker loop (which takes over its caller's state buffer and owns its
@@ -22,6 +24,7 @@ walk's sampler serves that walk alone.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import io
@@ -52,8 +55,9 @@ ROW_SUM_TOL = 1e-12
 #: powering error at desk scale, below any real violation.
 STATIONARY_RESIDUAL_TOL = 1e-9
 
-#: Walkers one simulation moves at most: its states, meeting or return times
-#: and index arrays take about 60 bytes a walker, 0.6 GB at the cap.
+#: Walkers one simulation moves at most: a pair's two states, its meeting
+#: time, its int32 index and its hit flag take 29 bytes, 0.29 GB at the cap
+#: (an int32 index holds it: 10^7 < 2^31).
 MAX_TRIALS = 10_000_000
 
 
@@ -146,7 +150,8 @@ class Distribution:
             raise NonFiniteEntryError(f"non-finite probability {p[k]} at state {k}")
         if (p < -ROW_SUM_TOL).any():
             raise NegativeEntryError("negative probability entry")
-        s = float(p.sum())
+        with np.errstate(over="ignore"):  # a sum past the float range is inf
+            s = float(p.sum())
         if abs(s - 1.0) > 1e-9:
             raise ArgumentRangeError(f"probs sum to {s}, not 1")
         object.__setattr__(self, "probs", _freeze(np.clip(p, 0.0, None) / s))
@@ -200,7 +205,8 @@ def validate_stochastic(raw_matrix, labels) -> StochasticMatrix:
     if (a < 0).any():
         i, j = np.argwhere(a < 0)[0]
         raise NegativeEntryError(f"negative entry {a[i, j]} at ({i}, {j})")
-    sums = a.sum(axis=1)
+    with np.errstate(over="ignore"):  # a sum past the float range is inf
+        sums = a.sum(axis=1)
     dev = np.abs(sums - 1.0)
     worst = int(np.argmax(dev))
     if dev[worst] > ROW_SUM_TOL:
@@ -478,16 +484,60 @@ class _Sampler:
             cols.take(pos, out=s, mode="clip")
 
 
-def _compact(flat: np.ndarray, copies: int, k: int, keep: np.ndarray) -> int:
-    """Keep the walkers at the increasing indices ``keep``, in place:
-    ``flat`` holds ``copies`` blocks of k states, and each block's kept
-    entries move, in order, to the front of its new place. Returns the new
-    block size k'. Block i moves to [i k', (i + 1) k'), which ends at or
-    before the old place of block i + 1, so no block overwrites one not
-    yet moved; one block's kept entries are the only temporary."""
-    for i in range(copies):
-        flat[i * keep.size : (i + 1) * keep.size] = flat[i * k : (i + 1) * k].take(keep)
-    return keep.size
+def _compact(
+    flat: np.ndarray, copies: int, met: np.ndarray, idx: np.ndarray, tau: np.ndarray, t: int
+) -> np.ndarray:
+    """Close the open walkers that ``met`` marks, if any: set their tau to
+    t and drop them from ``flat``, which holds ``copies`` blocks of k
+    states, k the size of ``met`` and of ``idx``, the open walkers'
+    indices. Kept entries move, in order, to the front of their block's new
+    place, in place; returns the kept walkers' indices. ``met`` is
+    overwritten.
+
+    An open set of at most ``_CHUNK`` walkers is gathered whole, into new
+    arrays of at most a chunk, its indices intp. A larger one keeps int32
+    indices and is compacted in place, ``_CHUNK`` walkers at a time, each
+    chunk's kept positions (or, for few hits, its kept mask) found once for
+    every array, so no temporary holds more than a chunk's positions and
+    one block's kept entries in that chunk. Block i + 1's kept entries
+    could land on entries of block i not yet read, so each block's go to
+    the front of its own old place first, and blocks 1.. then slide down,
+    one move each."""
+    k = idx.size
+    if k <= _CHUNK:
+        hits = met.nonzero()[0]
+        if not hits.size:
+            return idx
+        tau[idx.take(hits)] = t
+        keep = np.logical_not(met, out=met).nonzero()[0]
+        for i in range(copies):
+            flat[i * keep.size : (i + 1) * keep.size] = flat[i * k : (i + 1) * k].take(keep)
+        return idx.take(keep)
+    closed = np.count_nonzero(met)
+    if not closed:
+        return idx
+    # with one hit in 16 or fewer, a boolean gather copies long runs and
+    # beats finding the kept positions first; with more, nonzero and take
+    sparse = 16 * closed <= k
+    blocks = [idx] + [flat[i * k : (i + 1) * k] for i in range(copies)]
+    kept = 0
+    for lo in range(0, k, _CHUNK):
+        m = met[lo : lo + _CHUNK]
+        ids = idx[lo : lo + _CHUNK].take(m.nonzero()[0])
+        new = kept + m.size - ids.size
+        # an intp index scatters about twice as fast as an int32 one
+        tau[ids.astype(np.intp)] = t
+        del ids
+        keep = np.logical_not(m, out=m)
+        if not sparse:
+            keep = keep.nonzero()[0]
+        for b in blocks:
+            chunk = b[lo : lo + _CHUNK]
+            b[kept:new] = chunk[keep] if sparse else chunk.take(keep)
+        kept = new
+    for i in range(1, copies):
+        flat[i * kept : (i + 1) * kept] = blocks[1 + i][:kept]
+    return idx[:kept] if kept > _CHUNK else idx[:kept].astype(np.intp)
 
 
 def _walk_until(
@@ -505,37 +555,38 @@ def _walk_until(
     The walk takes ``states`` over as its buffer (the caller's values are
     overwritten): it scales the buffer once to row offsets, in place, and
     the open walkers' offsets stay in it as one flat array, every copy's in
-    turn (copy 0 first), moved by one sampler call per step. Equal offsets are equal states, so the hit rules compare
-    offsets. The uniforms come in walker order, so the draws are those of
-    one call per copy. The hit mask is allocated once, and the buffer is
-    compacted in place, copy by copy, only on the steps where some walker
-    hits. A draw costs one guide lookup and log2(H) halvings, so a step
-    costs O(open walkers x copies x log H) beside the sampler's fixed
-    scratch."""
+    turn (copy 0 first), moved by one sampler call per step. Equal offsets
+    are equal states, so the hit rules compare offsets. The uniforms come
+    in walker order, so the draws are those of one call per copy.
+
+    Besides the buffer, the walk's only arrays the size of the walker set
+    are tau (int64), the open walkers' indices (int32) and the hit mask,
+    13 bytes a walker: each step closes the walkers that hit with
+    :func:`_compact`, in place, and every other array is the sampler's or
+    at most a chunk. A draw costs one guide lookup and log2(H) halvings, so
+    a step costs O(open walkers x copies x log H)."""
     copies, k = states.shape
-    tau = np.where(states[0] == states[1], 0, -1) if target is None else np.full(k, -1)
+    # built first, so its build's temporaries are gone before the walk's
+    # own arrays exist
     sampler = _Sampler(P.entries)
     flat = states.reshape(-1)
     flat *= sampler.stride
     if target is not None:
         target = np.array(target * sampler.stride, dtype=np.intp)
+    tau = np.full(k, -1)
+    # int32 while they span more than a chunk (k <= MAX_TRIALS < 2^31)
+    idx = np.arange(k, dtype=np.int32 if k > _CHUNK else np.intp)
     hit = np.empty(k, dtype=bool)
-    idx = np.flatnonzero(tau < 0)
-    if idx.size < k:
-        k = _compact(flat, copies, k, idx)
-    for t in range(1, max_steps + 1):
-        if k == 0:
-            break
-        sampler.step(flat[: copies * k], rng)
+    # a pair is compared from t = 0 on, a return walk from t = 1
+    for t in range(0 if target is None else 1, max_steps + 1):
+        if t:
+            sampler.step(flat[: copies * k], rng)
         met = hit[:k]
         np.equal(flat[:k], flat[k : 2 * k] if target is None else target, out=met)
-        hits = met.nonzero()[0]
-        if hits.size:
-            tau[idx.take(hits)] = t
-            keep = np.logical_not(met, out=met).nonzero()[0]
-            del hits
-            idx = idx.take(keep)
-            k = _compact(flat, copies, k, keep)
+        idx = _compact(flat, copies, met, idx, tau, t)
+        k = idx.size
+        if k == 0:
+            break
     return tau
 
 
@@ -567,6 +618,19 @@ def load_chain_csv(text: str) -> StochasticMatrix:
     return validate_stochastic(matrix, labels)
 
 
+def _read_text(path: str, error: type[Exception]) -> str:
+    """A file's text, read as UTF-8 with any leading byte-order mark
+    dropped; a byte that is not UTF-8 raises ``error``, naming its offset."""
+    with open(path, "rb") as f:
+        data = f.read()
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        return data[bom:].decode("utf-8")
+    except UnicodeDecodeError as e:
+        at = bom + e.start
+        raise error(f"{path} is not UTF-8: byte 0x{data[at]:02x} at offset {at}") from None
+
+
 def load_chain(path: str, fmt: str | None = None) -> StochasticMatrix:
     """Load a chain file; format inferred from the extension unless given."""
     if fmt is None:
@@ -574,5 +638,4 @@ def load_chain(path: str, fmt: str | None = None) -> StochasticMatrix:
     loaders = {"csv": load_chain_csv, "json": load_chain_json}
     if fmt not in loaders:
         raise ArgumentRangeError(f"fmt {fmt!r} is not \"csv\" or \"json\"")
-    with open(path) as f:
-        return loaders[fmt](f.read())
+    return loaders[fmt](_read_text(path, ChainParseError))

@@ -75,11 +75,23 @@ def _parse_params(name: str, text: str | None) -> dict:
 
 
 def _resolve_chain(args) -> chain_mod.StochasticMatrix:
+    if args.chain and args.gen:
+        raise InvalidGeneratorParamsError("give --chain or --gen, not both")
+    if args.chain and args.params:
+        raise InvalidGeneratorParamsError("--params sets a generator's parameters; --chain takes none")
     if args.gen:
         return generators.generate(args.gen, **_parse_params(args.gen, args.params))
     if args.chain:
         return chain_mod.load_chain(args.chain, fmt=args.format)
     raise InvalidGeneratorParamsError("provide --chain <path> or --gen <name>")
+
+
+def _check_tol_flag(tol: float) -> None:
+    """Refuse a --tol that is NaN, 0, negative or infinite: the routes
+    agree within 10 tol, which an infinite tol makes vacuous."""
+    chain_mod._check_tol("--tol", tol)
+    if tol == np.inf:
+        raise ArgumentRangeError(f"--tol must be finite, got {tol}")
 
 
 def _write_csv(path: str | None, text: str) -> None:
@@ -131,7 +143,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_stationary(args) -> int:
-    chain_mod._check_tol("--tol", args.tol)
+    _check_tol_flag(args.tol)
     P = _resolve_chain(args)
     methods = args.methods.split(",") if args.methods else list(METHODS)
     for m in methods:
@@ -247,7 +259,7 @@ def cmd_generate(args) -> int:
 
 def cmd_report(args) -> int:
     # flags first, so no route runs before a bad one is named
-    chain_mod._check_tol("--tol", args.tol)
+    _check_tol_flag(args.tol)
     chain_mod._check_count("--horizon", args.horizon, 1, coupling_mod.MAX_HORIZON)
     chain_mod._check_count("--trials", args.trials, 1, chain_mod.MAX_TRIALS)
     chain_mod._check_at_least("--seed", args.seed, 0)

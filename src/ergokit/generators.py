@@ -8,7 +8,7 @@ import operator
 
 import numpy as np
 
-from .chain import StochasticMatrix, validate_stochastic
+from .chain import StochasticMatrix, _read_text, validate_stochastic
 from .errors import InvalidGeneratorParamsError
 
 #: Most states a sized generator builds: lazy_hypercube's 2^12. Its dense
@@ -127,15 +127,14 @@ def pagerank(edges: list[tuple[str, str]], damping: float) -> StochasticMatrix:
 def load_edge_list(path: str) -> list[tuple[str, str]]:
     """Whitespace-separated 'source target' pairs, one per line; '#' comments."""
     edges = []
-    with open(path) as f:
-        for line in f:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise InvalidGeneratorParamsError(f"bad edge line: {line!r}")
-            edges.append((parts[0], parts[1]))
+    for line in _read_text(path, InvalidGeneratorParamsError).splitlines():
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise InvalidGeneratorParamsError(f"bad edge line: {line!r}")
+        edges.append((parts[0], parts[1]))
     return edges
 
 

@@ -2,13 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ergokit as ek
 from ergokit import generators as gen
 from ergokit.chain import _tv_rows, check_stationary, orbit
 from ergokit.errors import (
+    ArgumentRangeError,
     ErgokitError,
     NegativeEntryError,
     NonFiniteEntryError,
@@ -107,9 +108,13 @@ class TestValidation:
              NegativeEntryError, "negative probability"),
             (lambda: ek.validate_stochastic(np.eye(2), ["a", "b", "c"]),
              NonSquareError, "2x2 matrix with 3 labels"),
+            (lambda: ek.Distribution(ek.StateSpace(("a", "b")), [1e308, 1e308]),
+             ArgumentRangeError, "^probs sum to inf, not 1$"),
+            (lambda: ek.validate_stochastic([[1e308, 1e308], [0.5, 0.5]], ["a", "b"]),
+             RowSumError, "^row 0 sums to inf "),
         ],
         ids=["empty_space", "non_string_label", "probs_length", "negative_probability",
-             "label_count"],
+             "label_count", "probs_sum_overflows", "row_sum_overflows"],
     )
     def test_malformed_value_rejected(self, make, error, match):
         with pytest.raises(error, match=match):
@@ -127,6 +132,8 @@ class TestValidation:
         )
     )
     @settings(max_examples=300, deadline=None)
+    # a row sum past the float range: numpy's overflow warning is no error
+    @example([[0.0, 0.0], [8.988465674311579e307, 8.98846567431158e307]])
     def test_any_float_rows_give_matrix_or_typed_error(self, rows):
         # ragged, empty, non-finite or extreme: never an untyped exception
         try:

@@ -79,6 +79,16 @@ MALFORMED = [
     ("edges_dir", None, "Is a directory", "edges_dir"),
     ("edges.txt", "a b\nb a\n", "InvalidGeneratorParamsError", "'abc'"),
     ("text.csv", "a,b\nabc,0.5\n0.5,0.5\n", "ChainParseError", "'abc'"),
+    ("overflow.json", '{"states": ["a", "b"], "matrix": [[1e308, 1e308], [0.5, 0.5]]}',
+     "RowSumError", "row 0 sums to inf"),
+    ("utf16.json", b'\xff\xfe{"states": ["a"], "matrix": [[1.0]]}',
+     "ChainParseError", "is not UTF-8: byte 0xff at offset 0"),
+    ("latin1.csv", b"\xe9,b\n0.5,0.5\n0.5,0.5\n", "ChainParseError",
+     "is not UTF-8: byte 0xe9 at offset 0"),
+    ("bom_latin1.csv", b"\xef\xbb\xbfa,\xe9\n0.5,0.5\n0.5,0.5\n", "ChainParseError",
+     "is not UTF-8: byte 0xe9 at offset 5"),
+    ("latin1_edges.txt", b"a b\nb \xff\n", "InvalidGeneratorParamsError",
+     "is not UTF-8: byte 0xff at offset 6"),
 ]
 
 #: The command a malformed input goes to, "{}" standing for its path, where
@@ -86,6 +96,7 @@ MALFORMED = [
 MALFORMED_ARGV = {
     "edges_dir": ("analyze", "--gen", "pagerank", "--params", "path={}"),
     "edges.txt": ("report", "--gen", "pagerank", "--params", "path={},alpha=abc"),
+    "latin1_edges.txt": ("analyze", "--gen", "pagerank", "--params", "path={}"),
 }
 
 
@@ -129,6 +140,45 @@ class TestAnalyze:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--gen", "uniform", "--params", "n=3"), "give --chain or --gen, not both"),
+            (("--gen", "uniform"), "give --chain or --gen, not both"),
+            (("--params", "n=3"), "--params sets a generator's parameters; --chain takes none"),
+        ],
+        ids=["gen_and_params", "gen", "params"],
+    )
+    def test_chain_with_generator_flags_refused(self, capsys, tmp_path, extra, message):
+        # the file is a valid chain: the flags alone are refused, not read past
+        f = tmp_path / "ts.json"
+        f.write_text(ek.generators.two_state(0.2, 0.3).to_json())
+        code, out, err = run(capsys, "analyze", "--chain", str(f), *extra)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: InvalidGeneratorParamsError: {message}\n"
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("bom.csv", "\ufeffa,b\n0.2,0.8\n0.3,0.7\n"),
+            ("bom.json", '\ufeff{"states": ["a", "b"], "matrix": [[0.2, 0.8], [0.3, 0.7]]}'),
+        ],
+    )
+    def test_byte_order_mark_dropped(self, capsys, tmp_path, name, text):
+        f = tmp_path / name
+        f.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--chain", str(f))
+        assert (code, err) == (0, "")
+        assert sorted(json.loads(out)["periods"]) == ["a", "b"]
+
+    def test_byte_order_mark_dropped_from_edge_list(self, capsys, tmp_path):
+        f = tmp_path / "edges.txt"
+        f.write_text("\ufeffa b\nb a\n", encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--gen", "pagerank", "--params", f"path={f}")
+        assert (code, err) == (0, "")
+        assert sorted(json.loads(out)["periods"]) == ["a", "b"]
+
+    @pytest.mark.parametrize(
         "name, text",
         [
             ("nan.json", '{"states": ["a", "b"], "matrix": [[NaN, 0.5], [0.5, 0.5]]}'),
@@ -151,6 +201,8 @@ class TestAnalyze:
         f = tmp_path / name
         if text is None:
             f.mkdir()
+        elif isinstance(text, bytes):
+            f.write_bytes(text)
         else:
             f.write_text(text)
         argv = MALFORMED_ARGV.get(name, ("analyze", "--chain", "{}"))
@@ -203,13 +255,16 @@ class TestBadArguments:
             (("report", "--epsilon", "1"), "--epsilon must lie in (0, 1), got 1.0"),
             (("report", "--tol", "0"), "--tol must be > 0, got 0.0"),
             (("report", "--tol", "nan"), "--tol must be > 0, got nan"),
+            (("report", "--tol", "inf"), "--tol must be finite, got inf"),
             (("stationary", "--tol", "-1"), "--tol must be > 0, got -1.0"),
+            (("stationary", "--tol", "inf"), "--tol must be finite, got inf"),
             (("report", "--seed", "-1"), "--seed must be >= 0, got -1"),
             (("mix", "--horizon", "-5"), "--horizon must be >= 1, got -5"),
         ],
         ids=[
             "report_horizon", "report_trials", "report_epsilon", "report_tol",
-            "report_tol_nan", "stationary_tol", "report_seed", "mix_horizon",
+            "report_tol_nan", "report_tol_inf", "stationary_tol", "stationary_tol_inf",
+            "report_seed", "mix_horizon",
         ],
     )
     def test_flags_checked_before_any_work(self, capsys, monkeypatch, argv, message, gen_args):

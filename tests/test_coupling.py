@@ -10,7 +10,9 @@ from scipy import stats
 
 import ergokit as ek
 from ergokit import generators as gen
-from ergokit.chain import _CHUNK, _GUIDE_BUDGET, _Sampler, _guide, _walk_until, orbit
+from ergokit.chain import (
+    _CHUNK, _GUIDE_BUDGET, _Sampler, _compact, _guide, _walk_until, orbit,
+)
 from ergokit.coupling import exact_meeting_tail
 from ergokit.errors import (
     ArgumentRangeError,
@@ -703,10 +705,29 @@ class TestSampler:
         assert sampler.cols.tolist() == [[0, 2]]
 
 
-@pytest.mark.parametrize("trials", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+def _hits_in_every_chunk(tau: np.ndarray, steps: int) -> bool:
+    """Whether, at some step t = 0..steps, the open set spans more than two
+    chunks and each of its chunks, in walker order, has a walker that hits
+    at t: a compaction then moves kept walkers of every chunk, in every
+    copy, across chunk edges."""
+    for t in range(steps + 1):
+        open_tau = tau[(tau < 0) | (tau >= t)]
+        if open_tau.size <= 2 * _CHUNK:
+            return False
+        hits = open_tau == t
+        if all(hits[lo : lo + _CHUNK].any() for lo in range(0, hits.size, _CHUNK)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "trials", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3, 3 * _CHUNK - 5]
+)
 class TestChunkBoundaries:
-    """Walks whose open set spans one chunk, exactly one, one past it and
-    two and a bit draw what the whole-array oracle walk draws."""
+    """Walks whose open set spans one chunk, exactly one, one past it, two
+    and a bit and nearly three draw what the whole-array oracle walk draws;
+    on nearly three chunks, the two-copy walks compact with hits in every
+    chunk."""
 
     P = gen.lazy_hypercube(3)
 
@@ -718,6 +739,8 @@ class TestChunkBoundaries:
         trace = ek.simulate_coupling(self.P, (0, 7), trials=trials, max_steps=40, seed=3)
         assert trace.tau_samples.tolist() == tau[tau >= 0].tolist()
         assert trace.truncated == int((tau < 0).sum())
+        if trials > 2 * _CHUNK + 3:
+            assert _hits_in_every_chunk(tau, 40)
 
     def test_verify_coupling_lemma(self, trials):
         pi = ek.stationary_linear(self.P).pi
@@ -726,6 +749,8 @@ class TestChunkBoundaries:
         y = np.full(trials, 7)
         tau = np.where(x == y, 0, -1)
         _oracle_walk(self.P, (x, y), np.equal, tau, 12, rng)
+        if trials > 2 * _CHUNK + 3:
+            assert _hits_in_every_chunk(tau, 12)
         tau[tau < 0] = 13
         rep = ek.verify_coupling_lemma(self.P, pi, start_y=7, horizon=12, trials=trials, seed=4)
         assert [r.tail for r in rep.rows] == [(tau > i).sum() / trials for i in range(13)]
@@ -739,6 +764,39 @@ class TestChunkBoundaries:
         mean = float(times.mean())
         se = float(times.std(ddof=1) / np.sqrt(trials))
         assert ek.monte_carlo_return(self.P, z=2, trials=trials, seed=5) == (mean, se)
+
+
+class TestCompact:
+    """_compact against whole-array gathers, in place over one to three
+    copies, with hits in every chunk (one in 50 of them, few enough for the
+    boolean gather, or three in 10) or in one chunk only."""
+
+    @pytest.mark.parametrize("copies", [1, 2, 3])
+    @pytest.mark.parametrize("k", [5, _CHUNK, 2 * _CHUNK + 1000])
+    @pytest.mark.parametrize(
+        "where, rate",
+        [("every_chunk", 0.02), ("every_chunk", 0.3), ("first_chunk", 0.3), ("last_chunk", 0.3)],
+    )
+    def test_matches_whole_array_gathers(self, copies, k, where, rate):
+        rng = np.random.default_rng([copies, k])
+        walkers = k + 10  # closed walkers sit among the open ones
+        idx = np.sort(rng.choice(walkers, size=k, replace=False)).astype(np.int32)
+        flat = rng.integers(0, 1 << 40, size=copies * k)
+        met = np.zeros(k, dtype=bool)
+        last = (k - 1) // _CHUNK * _CHUNK
+        span = {"every_chunk": slice(None), "first_chunk": slice(0, _CHUNK),
+                "last_chunk": slice(last, None)}[where]
+        met[span] = rng.random(met[span].size) < rate
+        met[span][[0, -1]] = True
+        keep = ~met
+        blocks = flat.reshape(copies, k)[:, keep].reshape(-1)
+        tau = np.full(walkers, -1)
+        want_tau = tau.copy()
+        want_tau[idx[met]] = 7
+        kept = _compact(flat, copies, met.copy(), idx.copy(), tau, 7)
+        assert kept.tolist() == idx[keep].tolist()
+        assert flat[: copies * kept.size].tolist() == blocks.tolist()
+        assert tau.tolist() == want_tau.tolist()
 
 
 class TestOneStepCall:
@@ -809,19 +867,42 @@ class TestScratchSize:
         # one float64 array of the walkers alone would take 1.6 MB
         assert peak - before < 1 << 14
 
+    def test_walk_peak_is_tau_indices_and_hit_mask(self):
+        # above its states, a two-copy walk holds tau (int64), the open
+        # walkers' indices (int32) and the hit mask, 13 bytes a walker; and
+        # beside them the sampler's table and chunk scratch, two chunks of
+        # compaction temporaries (a chunk's kept positions and one copy's
+        # kept entries in it) and 8 KiB for Python objects
+        walkers = 200_000
+        states = np.empty((2, walkers), dtype=np.intp)
+        states[0], states[1] = 0, 127  # antipodal: the first hits come at t = 4
+        _walk_until(self.P, states.copy(), 2, np.random.default_rng(0))
+        sampler = _Sampler(self.P.entries)
+        fixed = sum(a.nbytes for a in vars(sampler).values() if isinstance(a, np.ndarray))
+        chunk = _CHUNK * np.dtype(np.intp).itemsize
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tau = _walk_until(self.P, states, 30, np.random.default_rng(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _hits_in_every_chunk(tau, 30)  # compactions ran over every chunk
+        assert peak - before <= walkers * (8 + 4 + 1) + fixed + 2 * chunk + (1 << 13)
+
     def test_lemma_peak_is_the_walks_own_arrays(self):
         pi = ek.stationary_linear(self.P).pi
         ek.verify_coupling_lemma(self.P, pi, start_y=0, horizon=2, trials=10, seed=0)
         trials = 200_000
         state = np.dtype(np.intp).itemsize
-        # per walker: the two start arrays, tau, one open state per copy,
-        # the open indices and, while a compaction runs, one new copy of
-        # one of those and the hit mask
-        per_walker = 2 * state + 8 + 2 * state + state + state + 1
-        # beside them: the sampler's table and chunk scratch, and 64 KiB for
-        # the report's Python objects
+        # per walker: the two start arrays, tau, the open indices (int32)
+        # and the hit mask
+        per_walker = 2 * state + 8 + 4 + 1
+        # beside them: the sampler's table and chunk scratch, two chunks of
+        # compaction temporaries and 64 KiB for the report's Python objects
         sampler = _Sampler(self.P.entries)
         fixed = sum(a.nbytes for a in vars(sampler).values() if isinstance(a, np.ndarray))
+        fixed += 2 * _CHUNK * state
         tracemalloc.start()
         try:
             ek.verify_coupling_lemma(self.P, pi, start_y=0, horizon=30, trials=trials, seed=1)
