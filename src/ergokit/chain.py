@@ -489,36 +489,20 @@ def _compact(
 ) -> np.ndarray:
     """Close the open walkers that ``met`` marks, if any: set their tau to
     t and drop them from ``flat``, which holds ``copies`` blocks of k
-    states, k the size of ``met`` and of ``idx``, the open walkers'
+    states, k the size of ``met`` and of ``idx``, the open walkers' int32
     indices. Kept entries move, in order, to the front of their block's new
-    place, in place; returns the kept walkers' indices. ``met`` is
-    overwritten.
+    place, in place; returns the kept walkers' indices, a view of ``idx``.
+    ``met`` is overwritten.
 
-    An open set of at most ``_CHUNK`` walkers is gathered whole, into new
-    arrays of at most a chunk, its indices intp. A larger one keeps int32
-    indices and is compacted in place, ``_CHUNK`` walkers at a time, each
-    chunk's kept positions (or, for few hits, its kept mask) found once for
-    every array, so no temporary holds more than a chunk's positions and
-    one block's kept entries in that chunk. Block i + 1's kept entries
+    ``_CHUNK`` walkers at a time, each chunk's kept positions found once
+    for every array, so no temporary holds more than a chunk's positions
+    and one block's kept entries in that chunk. Block i + 1's kept entries
     could land on entries of block i not yet read, so each block's go to
     the front of its own old place first, and blocks 1.. then slide down,
     one move each."""
     k = idx.size
-    if k <= _CHUNK:
-        hits = met.nonzero()[0]
-        if not hits.size:
-            return idx
-        tau[idx.take(hits)] = t
-        keep = np.logical_not(met, out=met).nonzero()[0]
-        for i in range(copies):
-            flat[i * keep.size : (i + 1) * keep.size] = flat[i * k : (i + 1) * k].take(keep)
-        return idx.take(keep)
-    closed = np.count_nonzero(met)
-    if not closed:
+    if not np.count_nonzero(met):
         return idx
-    # with one hit in 16 or fewer, a boolean gather copies long runs and
-    # beats finding the kept positions first; with more, nonzero and take
-    sparse = 16 * closed <= k
     blocks = [idx] + [flat[i * k : (i + 1) * k] for i in range(copies)]
     kept = 0
     for lo in range(0, k, _CHUNK):
@@ -528,16 +512,13 @@ def _compact(
         # an intp index scatters about twice as fast as an int32 one
         tau[ids.astype(np.intp)] = t
         del ids
-        keep = np.logical_not(m, out=m)
-        if not sparse:
-            keep = keep.nonzero()[0]
+        keep = np.logical_not(m, out=m).nonzero()[0]
         for b in blocks:
-            chunk = b[lo : lo + _CHUNK]
-            b[kept:new] = chunk[keep] if sparse else chunk.take(keep)
+            b[kept:new] = b[lo : lo + _CHUNK].take(keep)
         kept = new
     for i in range(1, copies):
         flat[i * kept : (i + 1) * kept] = blocks[1 + i][:kept]
-    return idx[:kept] if kept > _CHUNK else idx[:kept].astype(np.intp)
+    return idx[:kept]
 
 
 def _walk_until(
@@ -574,8 +555,7 @@ def _walk_until(
     if target is not None:
         target = np.array(target * sampler.stride, dtype=np.intp)
     tau = np.full(k, -1)
-    # int32 while they span more than a chunk (k <= MAX_TRIALS < 2^31)
-    idx = np.arange(k, dtype=np.int32 if k > _CHUNK else np.intp)
+    idx = np.arange(k, dtype=np.int32)  # k <= MAX_TRIALS < 2^31
     hit = np.empty(k, dtype=bool)
     # a pair is compared from t = 0 on, a return walk from t = 1
     for t in range(0 if target is None else 1, max_steps + 1):

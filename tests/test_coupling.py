@@ -768,8 +768,8 @@ class TestChunkBoundaries:
 
 class TestCompact:
     """_compact against whole-array gathers, in place over one to three
-    copies, with hits in every chunk (one in 50 of them, few enough for the
-    boolean gather, or three in 10) or in one chunk only."""
+    copies, with hits in every chunk (one in 50 of them or three in 10) or
+    in one chunk only."""
 
     @pytest.mark.parametrize("copies", [1, 2, 3])
     @pytest.mark.parametrize("k", [5, _CHUNK, 2 * _CHUNK + 1000])
