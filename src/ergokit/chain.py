@@ -370,10 +370,9 @@ class _Sampler:
     walker takes a zero-probability step.
 
     A walker is not its state s but its row's offset s * ``stride``, the
-    flat index its draw starts from, and ``cols`` holds each column's offset
-    in turn (unless ``offsets`` is False, as for a start draw from a
-    distribution, where it holds the column), so a walk scales its states
-    once and no draw rescales them.
+    flat index of its row of the guide (``stride`` = m + 1), and ``cols``
+    holds each column's offset in turn, so a walk scales its states once
+    and no draw rescales them.
 
     A guide table (Chen and Asau, 1974) finds that slot in one lookup and
     log2(H) halvings. It splits [0, 1) into m buckets; m is a power of two,
@@ -386,13 +385,12 @@ class _Sampler:
     doubles while some bucket holds two slots (H > 2), up to 16w and
     ``_GUIDE_BUDGET`` entries: one halving on ``lazy_hypercube(7)`` (m = 2w)
     and on most dense random 48-state chains (m = 8w; two at m = 2w),
-    where a search of the whole row takes three and six. The draw is the same slot as a search of
-    the whole row, bit for bit. Where H = w the guide cannot narrow the
-    search (every entry is the row's first slot), so the sampler keeps none,
-    the stride is w and each search starts at the walker's offset; with a
-    guide the stride is m + 1, a row of the guide."""
+    where a search of the whole row takes three and six. The draw is the
+    same slot as a search of the whole row, bit for bit; where H = w (every
+    two-state chain) each entry is its row's first slot, and the halvings
+    search the whole row."""
 
-    def __init__(self, rows: np.ndarray, offsets: bool = True):
+    def __init__(self, rows: np.ndarray):
         n = rows.shape[0]
         support = rows > 0
         d = support.sum(axis=1)
@@ -410,23 +408,14 @@ class _Sampler:
         # the sampler's own arrays plus one guide-sized intp array
         del support, slots
         self.w = w
-        self.m = m = 2 * w
-        # a row of at most two slots always has H = w (every two-state
-        # chain), so a guide would narrow nothing
-        H, self.guide = w, None
-        if w > 2:
+        m = 2 * w
+        guide, H = _guide(self.cum, d, m)
+        while H > 2 and m < 16 * w and n * (2 * m + 1) <= _GUIDE_BUDGET:
+            del guide
+            m *= 2
             guide, H = _guide(self.cum, d, m)
-            while H > 2 and m < 16 * w and n * (2 * m + 1) <= _GUIDE_BUDGET:
-                del guide
-                m *= 2
-                guide, H = _guide(self.cum, d, m)
-            self.m = m
-            # with H = w every entry is clamped to its row's base, i * w, so
-            # the search starts there without the lookup
-            self.guide = guide if H < w else None
-        self.stride = w if self.guide is None else m + 1
-        if offsets:
-            self.cols *= self.stride
+        self.m, self.guide, self.stride = m, guide, m + 1
+        self.cols *= self.stride
         # halving h reads flat slot pos + h - 1, as slot pos of a view that
         # starts h - 1 slots in. The factors the step multiplies by are 0-d
         # arrays: a Python number costs a ufunc call a conversion each time
@@ -449,14 +438,14 @@ class _Sampler:
 
         ``_CHUNK`` walkers at a time, writing only into the sampler's
         scratch: bucket b = floor(u * m), ``pos`` the guide entry at the
-        walker's offset plus b (without a guide, the offset itself, its
-        row's first slot), the flat index of the first slot not known to be
-        below u, and then a branchless binary search: each halving h moves
-        ``pos`` h further where the slot h - 1 on is still below u. Draws
-        come in walker order whatever the chunking, since ``rng.random(a)``
-        then ``rng.random(b)`` is the stream of ``rng.random(a + b)``."""
+        walker's offset plus b, the flat index of the first slot not known
+        to be below u, and then a branchless binary search: each halving h
+        moves ``pos`` h further where the slot h - 1 on is still below u.
+        Draws come in walker order whatever the chunking, since
+        ``rng.random(a)`` then ``rng.random(b)`` is the stream of
+        ``rng.random(a + b)``."""
         cols = self.cols.reshape(-1)
-        guide = None if self.guide is None else self.guide.reshape(-1)
+        guide = self.guide.reshape(-1)
         # take() with an out array buffers it unless mode is "clip" or
         # "wrap"; every index here is in range, so clipping changes nothing
         for lo in range(0, walkers.size, _CHUNK):
@@ -466,13 +455,10 @@ class _Sampler:
                 a[:k] for a in (self._u, self._values, self._mask, self._jump, self._pos)
             )
             rng.random(out=u)
-            if guide is None:
-                np.copyto(pos, s)
-            else:
-                np.multiply(u, self._buckets, out=values)
-                np.copyto(jump, values, casting="unsafe")  # floor: u * m >= 0
-                jump += s
-                guide.take(jump, out=pos, mode="clip")
+            np.multiply(u, self._buckets, out=values)
+            np.copyto(jump, values, casting="unsafe")  # floor: u * m >= 0
+            jump += s
+            guide.take(jump, out=pos, mode="clip")
             for ahead, h in self._halvings:
                 ahead.take(pos, out=values, mode="clip")
                 np.less(values, u, out=mask)

@@ -79,6 +79,8 @@ def _resolve_chain(args) -> chain_mod.StochasticMatrix:
         raise InvalidGeneratorParamsError("give --chain or --gen, not both")
     if args.chain and args.params:
         raise InvalidGeneratorParamsError("--params sets a generator's parameters; --chain takes none")
+    if args.gen and args.format:
+        raise InvalidGeneratorParamsError("--format sets a --chain file's format; --gen takes none")
     if args.gen:
         return generators.generate(args.gen, **_parse_params(args.gen, args.params))
     if args.chain:
@@ -146,9 +148,11 @@ def cmd_stationary(args) -> int:
     _check_tol_flag(args.tol)
     P = _resolve_chain(args)
     methods = args.methods.split(",") if args.methods else list(METHODS)
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise InvalidGeneratorParamsError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise InvalidGeneratorParamsError(f"method {m!r} is given more than once")
     if args.csv and "envelope" not in methods:
         raise ArgumentRangeError("--csv writes envelope traces, so --methods must include envelope")
     results = _stationary_table(P, methods, args.tol)

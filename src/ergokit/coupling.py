@@ -138,7 +138,12 @@ def verify_coupling_lemma(
     check_stationary(P, pi)
     rng = np.random.default_rng(seed)
     states = np.zeros((2, trials), dtype=np.intp)  # X from pi, Y at start_y
-    _Sampler(pi.probs[None, :], offsets=False).step(states[0], rng)
+    # pi as a table of one row: the draws are column offsets, each an exact
+    # multiple of the stride; the start sampler goes before the walk's own
+    start = _Sampler(pi.probs[None, :])
+    start.step(states[0], rng)
+    states[0] //= start.stride
+    del start
     states[1] = start_y
     tau = _walk_until(P, states, horizon, rng)
     tau[tau < 0] = horizon + 1  # censored beyond horizon

@@ -168,6 +168,7 @@ REMOVED_PARAMETERS = [
     ("verify_doeblin", "pi"),
     ("analyze", "with_primitivity"),
     ("chain._walk_until", "tau"),
+    ("chain._Sampler", "offsets"),
 ]
 
 

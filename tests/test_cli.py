@@ -11,7 +11,7 @@ from ergokit import cli
 from ergokit.cli import main
 from ergokit.envelope import MixingEstimate
 
-from conftest import near_periodic_cycle, random_positive
+from conftest import from_array, near_periodic_cycle, random_irreducible, random_positive
 
 
 def estimate_above_bound(P, epsilon=0.25):
@@ -323,13 +323,21 @@ class TestBadArguments:
              "InvalidGeneratorParamsError: param 'p' is given more than once"),
             (("analyze", "--gen", "lazy_hypercube", "--params", "d=3,dim=2"),
              "InvalidGeneratorParamsError: param 'dim' is given more than once"),
+            (("analyze", "--gen", "uniform", "--params", "n=2", "--format", "csv"),
+             "InvalidGeneratorParamsError: --format sets a --chain file's format; --gen takes none"),
+            (("report", "--gen", "two_state", "--params", "p=0.2,q=0.3", "--format", "json"),
+             "InvalidGeneratorParamsError: --format sets a --chain file's format; --gen takes none"),
+            (("stationary", "--gen", "two_state", "--params", "p=0.2,q=0.3",
+              "--methods", "linear_solve,linear_solve"),
+             "InvalidGeneratorParamsError: method 'linear_solve' is given more than once"),
         ],
         ids=["report_start", "report_periodic_start", "couple_start", "couple_trials",
              "couple_horizon", "couple_seed", "report_trials_cap", "report_horizon_cap",
              "couple_trials_cap", "couple_horizon_cap", "generate_uniform_cap",
              "analyze_cycle_cap", "analyze_uniform_size", "analyze_two_state_p",
              "analyze_param_without_value", "analyze_pagerank_unknown_param",
-             "analyze_repeated_key", "analyze_repeated_key_by_alias"],
+             "analyze_repeated_key", "analyze_repeated_key_by_alias", "analyze_gen_format",
+             "report_gen_format", "stationary_repeated_method"],
     )
     def test_walk_flags_checked_before_any_route(self, capsys, monkeypatch, argv, message):
         def never(*args, **kwargs):
@@ -909,6 +917,64 @@ class TestReport:
         assert obj["stationary"]["linear_solve"] == {"error": "SingularSystemError"}
         assert obj["verdicts"]["linear_solve"] is False
         assert "mixing" not in obj
+
+
+def birth_death(n, r):
+    """Birth-death on 0..n-1: up r / (1 + r), down 1 / (1 + r), and the
+    blocked move held at either end, so pi_i is proportional to r^i."""
+    a = np.zeros((n, n))
+    up, down = r / (1.0 + r), 1.0 / (1.0 + r)
+    for i in range(n):
+        a[i, min(i + 1, n - 1)] += up
+        a[i, max(i - 1, 0)] += down
+    return from_array(a)
+
+
+def tiny_entries(rng, n):
+    """A random positive n x n chain with 30% of its entries set to
+    10^-U(100, 300) before the rows are normalized."""
+    a = rng.random((n, n)) + 0.05
+    tiny = rng.random((n, n)) < 0.3
+    a[tiny] = 10.0 ** -rng.uniform(100, 300, int(tiny.sum()))
+    return from_array(a / a.sum(axis=1, keepdims=True))
+
+
+def adversarial_corpus():
+    """Four seeded chains of each family that has broken ``report``:
+    near-periodic cycles, birth-death chains whose pi spans many orders of
+    magnitude, tiny entries and sparse rings with chords."""
+    rng = np.random.default_rng(7)
+    corpus = {}
+    for i in range(4):
+        loop = 10.0 ** -rng.uniform(1, 12)
+        corpus[f"near_periodic{i}"] = near_periodic_cycle(int(rng.integers(3, 40)), loop)
+    for i in range(4):
+        corpus[f"birth_death{i}"] = birth_death(int(rng.integers(3, 60)), 10.0 ** rng.uniform(-4, 4))
+    for i in range(4):
+        corpus[f"tiny_entries{i}"] = tiny_entries(rng, int(rng.integers(3, 30)))
+    for i in range(4):
+        n = int(rng.integers(10, 200))
+        corpus[f"sparse{i}"] = random_irreducible(rng, n, extra_edges=3 * n)
+    return corpus
+
+
+ADVERSARIAL = adversarial_corpus()
+
+
+@pytest.mark.parametrize("name", list(ADVERSARIAL))
+def test_adversarial_report_fails_cleanly(capsys, tmp_path, name):
+    """``report`` on a chain built to break it either reports (exit 0 or 2,
+    with the ergodicity, verdicts and stationary blocks) or exits 1 with
+    one error line and nothing on stdout; it never raises."""
+    f = tmp_path / "chain.json"
+    f.write_text(ADVERSARIAL[name].to_json())
+    code, out, err = run(capsys, "report", "--chain", str(f), "--trials", "500", "--seed", "1")
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+    else:
+        assert {"ergodicity", "verdicts", "stationary"} <= set(json.loads(out))
 
 
 def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):

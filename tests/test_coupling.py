@@ -606,7 +606,8 @@ class TestSampler:
         a = np.vstack([row, np.roll(np.eye(16)[0], 1)])
         sampler = _Sampler(a)
         assert sampler.cum.shape[1] == 16 and len(sampler._halvings) == 4
-        assert sampler.guide is None
+        # every guide entry sits at its row's first slot, i * w
+        assert (sampler.guide == 16 * np.arange(2)[:, None]).all()
         u = np.concatenate(
             [np.cumsum(row)[:15], np.nextafter(np.cumsum(row)[:15], 0.0), [0.0, 0.5]]
         )
@@ -626,12 +627,20 @@ class TestSampler:
 
     @pytest.mark.parametrize(
         "P, halvings",
-        [(gen.lazy_hypercube(7), 1), (gen.top_to_random(5), 1), (gen.uniform(64), 1)],
-        ids=["lazy_hypercube7", "top_to_random5", "uniform64"],
+        [
+            (gen.lazy_hypercube(7), 1), (gen.top_to_random(5), 1), (gen.uniform(64), 1),
+            (gen.two_state(0.2, 0.3), 1),
+        ],
+        ids=["lazy_hypercube7", "top_to_random5", "uniform64", "two_state"],
     )
     def test_halvings_after_the_guide(self, P, halvings):
-        # a search of the whole row takes log2(w) = 3, 3 and 6 halvings
-        assert len(_Sampler(P.entries)._halvings) == halvings
+        # a search of the whole row takes log2(w) = 3, 3, 6 and 1 halvings
+        sampler = _Sampler(P.entries)
+        assert len(sampler._halvings) == halvings
+        if sampler.w == 2:
+            # H = w: the guide cannot narrow the search, so every entry
+            # sits at its row's first slot, i * w
+            assert (sampler.guide == 2 * np.arange(P.n)[:, None]).all()
 
     @given(st.one_of(sampler_cases(), dyadic_cases()))
     @settings(max_examples=200, deadline=None)
@@ -700,9 +709,9 @@ class TestSampler:
 
     def test_start_draw_table_is_one_row(self):
         pi = ek.Distribution(ek.StateSpace(("a", "b", "c")), [0.2, 0.0, 0.8])
-        sampler = _Sampler(pi.probs[None, :], offsets=False)
+        sampler = _Sampler(pi.probs[None, :])
         assert sampler.cum.tolist() == [[0.2, 1.0]]
-        assert sampler.cols.tolist() == [[0, 2]]
+        assert (sampler.cols // sampler.stride).tolist() == [[0, 2]]
 
 
 def _hits_in_every_chunk(tau: np.ndarray, steps: int) -> bool:
