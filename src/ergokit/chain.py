@@ -6,15 +6,15 @@ through one inverse-CDF sampler (:class:`_Sampler`), built once per walk:
 each row's cumulative sums over its support (its nonzero columns) only, a
 map from slot to the drawn state's row offset, and a guide table of m
 buckets per row, m doubled from 2w while some bucket holds two slots (up
-to 16w and 2^15 entries), w the padded row width. Walkers hold row
+to 16w and 2^15 entries), w the padded row width. Walkers hold int32 row
 offsets, not states, so no draw rescales one. The draw is the count of
 support slots below the uniform, bit for bit, so it never lands on a
 zero-probability state. The search runs ``_CHUNK`` walkers at a time in
 scratch arrays the sampler allocates once, and every chain copy of a walk
 moves in one sampler call per step. Besides its states, a walk's only
-arrays the size of the walker set are its hitting times, an int32 index
-and a hit mask, and it drops the walkers that hit in place, a chunk at a
-time, so no step allocates an array the size of the walker set.
+arrays the size of the walker set are its int32 hitting times, an int32
+index and a hit mask, and it drops the walkers that hit in place, a chunk
+at a time, so no step allocates an array the size of the walker set.
 
 All values are immutable after construction and all operations but the
 walker loop (which takes over its caller's state buffer and owns its
@@ -55,9 +55,9 @@ ROW_SUM_TOL = 1e-12
 #: powering error at desk scale, below any real violation.
 STATIONARY_RESIDUAL_TOL = 1e-9
 
-#: Walkers one simulation moves at most: a pair's two states, its meeting
-#: time, its int32 index and its hit flag take 29 bytes, 0.29 GB at the cap
-#: (an int32 index holds it: 10^7 < 2^31).
+#: Walkers one simulation moves at most: a pair's two row offsets, its
+#: meeting time and its index (all int32) and its hit flag take 17 bytes,
+#: 0.17 GB at the cap (an int32 index holds it: 10^7 < 2^31).
 MAX_TRIALS = 10_000_000
 
 
@@ -324,6 +324,10 @@ _CHUNK = 8192
 #: speed (BENCH_walker_offsets.json).
 _GUIDE_BUDGET = 1 << 15
 
+#: Walkers hold their row offsets, s * (m + 1), and hitting times as int32,
+#: each at most this.
+_INT32_MAX = np.iinfo(np.int32).max
+
 
 def _guide(cum: np.ndarray, d: np.ndarray, m: int) -> tuple[np.ndarray, int]:
     """Guide entries of m buckets per row of the padded table ``cum`` (row
@@ -372,7 +376,8 @@ class _Sampler:
     A walker is not its state s but its row's offset s * ``stride``, the
     flat index of its row of the guide (``stride`` = m + 1), and ``cols``
     holds each column's offset in turn, so a walk scales its states once
-    and no draw rescales them.
+    and no draw rescales them. Offsets are int32: a table whose n columns
+    would give offsets up to n (m + 1) >= 2^31 raises TooLargeError.
 
     A guide table (Chen and Asau, 1974) finds that slot in one lookup and
     log2(H) halvings. It splits [0, 1) into m buckets; m is a power of two,
@@ -401,7 +406,7 @@ class _Sampler:
         self.cum = np.ones((n, w))
         self.cum[slots] = np.cumsum(rows, axis=1)[support]
         self.cum[np.arange(n), d - 1] = 1.0
-        self.cols = np.zeros(self.cum.shape, dtype=np.intp)
+        self.cols = np.zeros(self.cum.shape, dtype=np.int32)
         self.cols[slots] = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)[support]
         # each temporary goes once used, and a refinement drops the coarser
         # guide before it builds the next, so the build's peak stays within
@@ -415,6 +420,7 @@ class _Sampler:
             m *= 2
             guide, H = _guide(self.cum, d, m)
         self.m, self.guide, self.stride = m, guide, m + 1
+        _check_count("row offset bound n (m + 1)", rows.shape[1] * self.stride, 1, _INT32_MAX)
         self.cols *= self.stride
         # halving h reads flat slot pos + h - 1, as slot pos of a view that
         # starts h - 1 slots in. The factors the step multiplies by are 0-d
@@ -433,14 +439,15 @@ class _Sampler:
 
     def step(self, walkers: np.ndarray, rng) -> None:
         """Move each walker one draw from the row at its offset, in place (an
-        intp array of row offsets, s * ``stride``), with one uniform each,
+        int32 array of row offsets, s * ``stride``), with one uniform each,
         taken in walker order.
 
         ``_CHUNK`` walkers at a time, writing only into the sampler's
         scratch: bucket b = floor(u * m), ``pos`` the guide entry at the
-        walker's offset plus b, the flat index of the first slot not known
-        to be below u, and then a branchless binary search: each halving h
-        moves ``pos`` h further where the slot h - 1 on is still below u.
+        walker's offset (widened to intp) plus b, the flat index of the
+        first slot not known to be below u, and then a branchless binary
+        search: each halving h moves ``pos`` h further where the slot h - 1
+        on is still below u.
         Draws come in walker order whatever the chunking, since
         ``rng.random(a)`` then ``rng.random(b)`` is the stream of
         ``rng.random(a + b)``."""
@@ -457,7 +464,8 @@ class _Sampler:
             rng.random(out=u)
             np.multiply(u, self._buckets, out=values)
             np.copyto(jump, values, casting="unsafe")  # floor: u * m >= 0
-            jump += s
+            np.copyto(pos, s)  # widened here: a cast in the add would buffer
+            jump += pos
             guide.take(jump, out=pos, mode="clip")
             for ahead, h in self._halvings:
                 ahead.take(pos, out=values, mode="clip")
@@ -474,11 +482,11 @@ def _compact(
     flat: np.ndarray, copies: int, met: np.ndarray, idx: np.ndarray, tau: np.ndarray, t: int
 ) -> np.ndarray:
     """Close the open walkers that ``met`` marks, if any: set their tau to
-    t and drop them from ``flat``, which holds ``copies`` blocks of k
-    states, k the size of ``met`` and of ``idx``, the open walkers' int32
-    indices. Kept entries move, in order, to the front of their block's new
-    place, in place; returns the kept walkers' indices, a view of ``idx``.
-    ``met`` is overwritten.
+    t and drop them from ``flat``, which holds ``copies`` blocks of k int32
+    row offsets, k the size of ``met`` and of ``idx``, the open walkers'
+    int32 indices. Kept entries move, in order, to the front of their
+    block's new place, in place; returns the kept walkers' indices, a view
+    of ``idx``. ``met`` is overwritten.
 
     ``_CHUNK`` walkers at a time, each chunk's kept positions found once
     for every array, so no temporary holds more than a chunk's positions
@@ -511,7 +519,7 @@ def _walk_until(
     P: StochasticMatrix, states: np.ndarray, max_steps: int, rng, target=None
 ) -> np.ndarray:
     """The one simulation loop: returns each walker's hitting time tau.
-    ``states`` is a C-contiguous (copies, walkers) intp array: walker j
+    ``states`` is a C-contiguous (copies, walkers) int32 array: walker j
     starts at ``states[:, j]``, one state per chain copy. tau[j] is the
     first t at which copies 0 and 1 meet, 0 for a pair that starts on one
     state, or, given a ``target`` state, the first t >= 1 at which copy 0
@@ -527,8 +535,9 @@ def _walk_until(
     in walker order, so the draws are those of one call per copy.
 
     Besides the buffer, the walk's only arrays the size of the walker set
-    are tau (int64), the open walkers' indices (int32) and the hit mask,
-    13 bytes a walker: each step closes the walkers that hit with
+    are tau (int32, or int64 where max_steps >= 2^31), the open walkers'
+    indices (int32) and the hit mask, 9 bytes a walker, 17 with a pair's
+    two offsets: each step closes the walkers that hit with
     :func:`_compact`, in place, and every other array is the sampler's or
     at most a chunk. A draw costs one guide lookup and log2(H) halvings, so
     a step costs O(open walkers x copies x log H)."""
@@ -539,8 +548,8 @@ def _walk_until(
     flat = states.reshape(-1)
     flat *= sampler.stride
     if target is not None:
-        target = np.array(target * sampler.stride, dtype=np.intp)
-    tau = np.full(k, -1)
+        target = np.array(target * sampler.stride, dtype=np.int32)
+    tau = np.full(k, -1, dtype=np.int32 if max_steps <= _INT32_MAX else np.int64)
     idx = np.arange(k, dtype=np.int32)  # k <= MAX_TRIALS < 2^31
     hit = np.empty(k, dtype=bool)
     # a pair is compared from t = 0 on, a return walk from t = 1

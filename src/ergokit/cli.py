@@ -261,6 +261,19 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _stage(out: dict, key: str, verdicts: list[str], run) -> None:
+    """One certificate stage of ``report``: ``run()`` returns the stage's
+    block, put in ``out`` under ``key``, and the values of its ``verdicts``.
+    A stage that raises an ErgokitError is reported inline, as the error's
+    name and message, and fails its verdicts; the other stages still run."""
+    try:
+        block, passed = run()
+    except ErgokitError as e:
+        block, passed = {"error": type(e).__name__, "message": str(e)}, [False] * len(verdicts)
+    out[key] = block
+    out["verdicts"].update(zip(verdicts, passed))
+
+
 def cmd_report(args) -> int:
     # flags first, so no route runs before a bad one is named
     _check_tol_flag(args.tol)
@@ -284,31 +297,37 @@ def cmd_report(args) -> int:
         # the certificates below all check against the linear-solve pi
         out["verdicts"]["linear_solve"] = False
     elif erg.ergodic:
-        est = envelope_mod.mixing_estimate(P, epsilon=args.epsilon)
-        out["mixing"] = {
-            "epsilon": est.epsilon,
-            "empirical_tmix": est.empirical_tmix,
-            "bound_tmix": est.bound_tmix,
-        }
-        out["verdicts"]["mixing_bound_dominates"] = (
-            est.empirical_tmix <= est.bound_tmix
-        )
-        lemma = coupling_mod.verify_coupling_lemma(
-            P, reference.pi, start_y=args.start, horizon=args.horizon,
-            trials=args.trials, seed=args.seed,
-        )
-        out["verdicts"]["coupling_lemma"] = lemma.passed
-        out["coupling_lemma"] = {
-            "worst_slack": lemma.worst_slack,
-            "trials": lemma.trials,
-            "horizon": args.horizon,
-        }
-        if erg.primitivity_exponent == 1:  # P is entrywise positive
+        def mixing():
+            est = envelope_mod.mixing_estimate(P, epsilon=args.epsilon)
+            block = {
+                "epsilon": est.epsilon,
+                "empirical_tmix": est.empirical_tmix,
+                "bound_tmix": est.bound_tmix,
+            }
+            return block, [est.empirical_tmix <= est.bound_tmix]
+
+        def lemma():
+            report = coupling_mod.verify_coupling_lemma(
+                P, reference.pi, start_y=args.start, horizon=args.horizon,
+                trials=args.trials, seed=args.seed,
+            )
+            block = {
+                "worst_slack": report.worst_slack,
+                "trials": report.trials,
+                "horizon": args.horizon,
+            }
+            return block, [report.passed]
+
+        def doeblin():
             # at least the 20 steps the recursion verdict has always covered
-            doeblin = doeblin_mod.verify_doeblin(P, max_n=max(args.horizon, 20))
-            out["doeblin"] = {"delta": doeblin.split.delta, "theta": doeblin.split.theta}
-            out["verdicts"]["doeblin_tv_bound"] = doeblin.tv_bound_passed
-            out["verdicts"]["doeblin_recursion"] = doeblin.recursion_passed
+            report = doeblin_mod.verify_doeblin(P, max_n=max(args.horizon, 20))
+            block = {"delta": report.split.delta, "theta": report.split.theta}
+            return block, [report.tv_bound_passed, report.recursion_passed]
+
+        _stage(out, "mixing", ["mixing_bound_dominates"], mixing)
+        _stage(out, "coupling_lemma", ["coupling_lemma"], lemma)
+        if erg.primitivity_exponent == 1:  # P is entrywise positive
+            _stage(out, "doeblin", ["doeblin_tv_bound", "doeblin_recursion"], doeblin)
     print(json.dumps(out))
     return 0 if (erg.ergodic and all(out["verdicts"].values())) else 2
 

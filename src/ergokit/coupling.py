@@ -64,10 +64,13 @@ def simulate_coupling(
     _check_at_least("max_steps", max_steps, 1)
     _check_at_least("seed", seed, 0)
     require_ergodic(P, "meeting of two independent copies")
-    states = np.empty((2, trials), dtype=np.intp)
+    states = np.empty((2, trials), dtype=np.int32)
     states[0], states[1] = start
     tau = _walk_until(P, states, max_steps, np.random.default_rng(seed))
-    return CouplingTrace(tau_samples=tau[tau >= 0], truncated=int((tau < 0).sum()))
+    del states  # the walk's buffer, spent
+    return CouplingTrace(
+        tau_samples=tau[tau >= 0].astype(np.int64), truncated=int((tau < 0).sum())
+    )
 
 
 def exact_meeting_tail(P: StochasticMatrix, start: tuple[int, int], horizon: int) -> np.ndarray:
@@ -137,7 +140,7 @@ def verify_coupling_lemma(
     require_ergodic(P, "coupling lemma check")
     check_stationary(P, pi)
     rng = np.random.default_rng(seed)
-    states = np.zeros((2, trials), dtype=np.intp)  # X from pi, Y at start_y
+    states = np.zeros((2, trials), dtype=np.int32)  # X from pi, Y at start_y
     # pi as a table of one row: the draws are column offsets, each an exact
     # multiple of the stride; the start sampler goes before the walk's own
     start = _Sampler(pi.probs[None, :])
@@ -146,6 +149,7 @@ def verify_coupling_lemma(
     del start
     states[1] = start_y
     tau = _walk_until(P, states, horizon, rng)
+    del states  # the walk's buffer, spent
     tau[tau < 0] = horizon + 1  # censored beyond horizon
 
     def exact_tv(law: np.ndarray) -> float:

@@ -310,7 +310,7 @@ def monte_carlo_return(P: StochasticMatrix, z: int, trials: int, seed: int) -> t
     _check_at_least("seed", seed, 0)
     require_irreducible(P, "Monte Carlo return time")
     rng = np.random.default_rng(seed)
-    times = _walk_until(P, np.full((1, trials), z, dtype=np.intp), RETURN_MAX_STEPS, rng, z)
+    times = _walk_until(P, np.full((1, trials), z, dtype=np.int32), RETURN_MAX_STEPS, rng, z)
     if (times < 0).any():
         raise MaxIterExceededError(
             f"{(times < 0).sum()} trials did not return in {RETURN_MAX_STEPS} steps"

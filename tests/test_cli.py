@@ -384,14 +384,22 @@ class TestBadArguments:
         ids=["entry_rounds_to_zero", "bound_past_the_largest_float"],
     )
     def test_mixing_bound_past_floats_exit_one(self, capsys, tmp_path, command, n, loop, detail):
+        # mix exits 1 on the error; report prints it as its mixing block,
+        # fails that stage's verdict, runs the other stages and exits 2
         path = tmp_path / "near_periodic.json"
         path.write_text(near_periodic_cycle(n, loop).to_json())
         code, out, err = run(capsys, command, "--chain", str(path))
-        assert (code, out) == (1, "")
-        assert err == (
-            "error: TooLargeError: mixing bound is not finite: "
-            f"the least float entry of {detail}\n"
-        )
+        message = f"mixing bound is not finite: the least float entry of {detail}"
+        if command == "mix":
+            assert (code, out) == (1, "")
+            assert err == f"error: TooLargeError: {message}\n"
+            return
+        obj = json.loads(out)
+        assert (code, err) == (2, "")
+        assert obj["mixing"] == {"error": "TooLargeError", "message": message}
+        assert obj["verdicts"]["mixing_bound_dominates"] is False
+        assert obj["verdicts"]["coupling_lemma"] is True
+        assert obj["coupling_lemma"]["trials"] == 20_000
 
     def test_couple_horizon_zero_is_valid(self, capsys):
         code, out, _ = run(
@@ -891,6 +899,32 @@ class TestReport:
         assert obj["verdicts"]["mixing_bound_dominates"] is False
         assert all(v for k, v in obj["verdicts"].items() if k != "mixing_bound_dominates")
 
+    @pytest.mark.parametrize(
+        "stage, verdicts",
+        [("coupling_lemma", ["coupling_lemma"]),
+         ("doeblin", ["doeblin_tv_bound", "doeblin_recursion"])],
+    )
+    def test_failed_stage_reported_inline(self, capsys, monkeypatch, stage, verdicts):
+        from ergokit.errors import NotStationaryError
+
+        def fail(*args, **kwargs):
+            raise NotStationaryError("forced")
+
+        mod, name = {
+            "coupling_lemma": (cli.coupling_mod, "verify_coupling_lemma"),
+            "doeblin": (cli.doeblin_mod, "verify_doeblin"),
+        }[stage]
+        monkeypatch.setattr(mod, name, fail)
+        code, out, err = run(
+            capsys, "report", "--gen", "two_state", "--params", "p=0.2,q=0.3", "--trials", "2000"
+        )
+        obj = json.loads(out)
+        assert (code, err) == (2, "")
+        assert obj[stage] == {"error": "NotStationaryError", "message": "forced"}
+        # the other stages ran and passed
+        assert {"mixing", "coupling_lemma", "doeblin"} <= set(obj)
+        assert [k for k, v in obj["verdicts"].items() if not v] == verdicts
+
     def test_stiff_chain_reports(self, capsys):
         # d(t) = (2/3) (1 - 3e-6)^t, so t_mix = ceil(ln 0.375 / ln(1 - 3e-6))
         code, out, err = run(
@@ -963,18 +997,15 @@ ADVERSARIAL = adversarial_corpus()
 
 @pytest.mark.parametrize("name", list(ADVERSARIAL))
 def test_adversarial_report_fails_cleanly(capsys, tmp_path, name):
-    """``report`` on a chain built to break it either reports (exit 0 or 2,
-    with the ergodicity, verdicts and stationary blocks) or exits 1 with
-    one error line and nothing on stdout; it never raises."""
+    """``report`` on a chain built to break it reports (exit 0 or 2, with
+    the ergodicity, verdicts and stationary blocks), a failed stage inline;
+    it never raises."""
     f = tmp_path / "chain.json"
     f.write_text(ADVERSARIAL[name].to_json())
     code, out, err = run(capsys, "report", "--chain", str(f), "--trials", "500", "--seed", "1")
-    assert code in (0, 1, 2)
-    if code == 1:
-        assert out == ""
-        assert err.count("\n") == 1 and err.startswith("error: ")
-    else:
-        assert {"ergodicity", "verdicts", "stationary"} <= set(json.loads(out))
+    assert code in (0, 2)
+    assert err == ""
+    assert {"ergodicity", "verdicts", "stationary"} <= set(json.loads(out))
 
 
 def test_readme_cli_examples_run(capsys, tmp_path, monkeypatch):

@@ -104,7 +104,7 @@ class TestSimulateCoupling:
     def test_walk_of_met_pairs_draws_nothing(self, two_state_chain):
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
-        tau = _walk_until(two_state_chain, np.ones((2, 50), dtype=np.intp), 10, rng)
+        tau = _walk_until(two_state_chain, np.ones((2, 50), dtype=np.int32), 10, rng)
         assert tau.tolist() == [0] * 50
         assert rng.bit_generator.state == before
 
@@ -120,6 +120,21 @@ class TestSimulateCoupling:
     def test_flip_not_ergodic(self, flip_chain):
         with pytest.raises(NotErgodicError):
             ek.simulate_coupling(flip_chain, start=(0, 1))
+
+    def test_int64_tau_past_int32_steps(self, two_state_chain):
+        # the walk's tau is int32 below 2^31 steps and int64 from there on;
+        # the samples are the same int64 values either way
+        met = np.ones((2, 3), dtype=np.int32)
+        rng = np.random.default_rng(0)
+        assert _walk_until(two_state_chain, met.copy(), 2**31 - 1, rng).dtype == np.int32
+        assert _walk_until(two_state_chain, met.copy(), 2**31, rng).dtype == np.int64
+        short, long = (
+            ek.simulate_coupling(two_state_chain, (0, 1), trials=1000, max_steps=s, seed=3)
+            for s in (100_000, 2**31)
+        )
+        assert short.tau_samples.dtype == long.tau_samples.dtype == np.int64
+        assert long.tau_samples.tolist() == short.tau_samples.tolist()
+        assert long.truncated == short.truncated == 0
 
     def test_tail_non_increasing(self, two_state_chain):
         trace = ek.simulate_coupling(
@@ -390,8 +405,8 @@ class TestStickingPreservesLaw:
         sampler = _Sampler(P.entries)
         x0, y0 = 2, 0
         # the sampler moves row offsets, s * stride
-        x = np.full(trials, x0 * sampler.stride)
-        y = np.full(trials, y0 * sampler.stride)
+        x = np.full(trials, x0 * sampler.stride, dtype=np.int32)
+        y = np.full(trials, y0 * sampler.stride, dtype=np.int32)
         xs = [x // sampler.stride]
         ys = [y // sampler.stride]
         for _ in range(max_steps):
@@ -506,7 +521,7 @@ def _draw(a: np.ndarray, states, u) -> np.ndarray:
     """The states drawn from ``states`` on uniforms u: the sampler moves row
     offsets, s * stride, so the states convert on the way in and out."""
     sampler = _Sampler(a)
-    got = np.array(states, dtype=np.intp) * sampler.stride
+    got = np.array(states, dtype=np.int32) * sampler.stride
     sampler.step(got, _Uniforms(np.asarray(u, dtype=float)))
     return got // sampler.stride
 
@@ -611,7 +626,7 @@ class TestSampler:
         u = np.concatenate(
             [np.cumsum(row)[:15], np.nextafter(np.cumsum(row)[:15], 0.0), [0.0, 0.5]]
         )
-        states = np.zeros(u.size, dtype=np.intp)
+        states = np.zeros(u.size, dtype=np.int32)
         got = _draw(a, states, u)
         assert got.tolist() == _support_draw(a, states, u)
         assert sorted(set(got.tolist())) == list(range(16))
@@ -702,6 +717,17 @@ class TestSampler:
         old = _advance(states, _cumrows(a), _Uniforms(u))
         assert old.tolist() == [7, 7, 7, 7, 7, 7, 7, 7]
         assert a[7, 7] == 0.0
+
+    def test_offsets_past_int32_refused(self):
+        # one row of 2^15 equal entries: w = 2^15 and m = 2^16, so its
+        # columns' offsets reach 2^15 (2^16 + 1) > 2^31; one column fewer
+        # stays below 2^31 and draws its last column at the top uniform
+        with pytest.raises(TooLargeError, match=r"row offset bound n \(m \+ 1\) 2147516416"):
+            _Sampler(np.full((1, 1 << 15), 2.0**-15))
+        n = (1 << 15) - 1
+        sampler = _Sampler(np.full((1, n), 1.0 / n))
+        assert sampler.cols.dtype == np.int32 and sampler.stride == (1 << 16) + 1
+        assert _draw(np.full((1, n), 1.0 / n), [0], [np.nextafter(1.0, 0.0)]).tolist() == [n - 1]
 
     def test_table_width_is_the_largest_support(self):
         sampler = _Sampler(gen.lazy_hypercube(7).entries)
@@ -864,7 +890,7 @@ class TestScratchSize:
 
     def test_step_allocates_nothing_per_walker(self):
         sampler = _Sampler(self.P.entries)
-        states = np.full(200_000, 5 * sampler.stride)  # state 5's row offset
+        states = np.full(200_000, 5 * sampler.stride, dtype=np.int32)  # state 5's row offset
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
@@ -877,13 +903,13 @@ class TestScratchSize:
         assert peak - before < 1 << 14
 
     def test_walk_peak_is_tau_indices_and_hit_mask(self):
-        # above its states, a two-copy walk holds tau (int64), the open
-        # walkers' indices (int32) and the hit mask, 13 bytes a walker; and
+        # above its states, a two-copy walk holds tau and the open walkers'
+        # indices (both int32) and the hit mask, 9 bytes a walker; and
         # beside them the sampler's table and chunk scratch, two chunks of
         # compaction temporaries (a chunk's kept positions and one copy's
         # kept entries in it) and 8 KiB for Python objects
         walkers = 200_000
-        states = np.empty((2, walkers), dtype=np.intp)
+        states = np.empty((2, walkers), dtype=np.int32)
         states[0], states[1] = 0, 127  # antipodal: the first hits come at t = 4
         _walk_until(self.P, states.copy(), 2, np.random.default_rng(0))
         sampler = _Sampler(self.P.entries)
@@ -897,21 +923,20 @@ class TestScratchSize:
         finally:
             tracemalloc.stop()
         assert _hits_in_every_chunk(tau, 30)  # compactions ran over every chunk
-        assert peak - before <= walkers * (8 + 4 + 1) + fixed + 2 * chunk + (1 << 13)
+        assert peak - before <= walkers * (4 + 4 + 1) + fixed + 2 * chunk + (1 << 13)
 
     def test_lemma_peak_is_the_walks_own_arrays(self):
         pi = ek.stationary_linear(self.P).pi
         ek.verify_coupling_lemma(self.P, pi, start_y=0, horizon=2, trials=10, seed=0)
         trials = 200_000
-        state = np.dtype(np.intp).itemsize
-        # per walker: the two start arrays, tau, the open indices (int32)
-        # and the hit mask
-        per_walker = 2 * state + 8 + 4 + 1
+        # per walker: the two start arrays, tau and the open indices (all
+        # int32) and the hit mask, 17 bytes
+        per_walker = 2 * 4 + 4 + 4 + 1
         # beside them: the sampler's table and chunk scratch, two chunks of
         # compaction temporaries and 64 KiB for the report's Python objects
         sampler = _Sampler(self.P.entries)
         fixed = sum(a.nbytes for a in vars(sampler).values() if isinstance(a, np.ndarray))
-        fixed += 2 * _CHUNK * state
+        fixed += 2 * _CHUNK * np.dtype(np.intp).itemsize
         tracemalloc.start()
         try:
             ek.verify_coupling_lemma(self.P, pi, start_y=0, horizon=30, trials=trials, seed=1)
