@@ -420,7 +420,7 @@ class _Sampler:
             m *= 2
             guide, H = _guide(self.cum, d, m)
         self.m, self.guide, self.stride = m, guide, m + 1
-        _check_count("row offset bound n (m + 1)", rows.shape[1] * self.stride, 1, _INT32_MAX)
+        _check_count("int32 row offsets n (m + 1)", rows.shape[1] * self.stride, 1, _INT32_MAX)
         self.cols *= self.stride
         # halving h reads flat slot pos + h - 1, as slot pos of a view that
         # starts h - 1 slots in. The factors the step multiplies by are 0-d

@@ -27,6 +27,12 @@ from .structure import require_ergodic
 #: BLAS thread, 2-core x86).
 MAX_HORIZON = 10_000
 
+#: States a coupling-lemma chain has at most. X_0 is drawn from pi, a table
+#: of one row of n positive entries, whose int32 row offsets reach
+#: n (2w + 1), w the power of two at or above n: below 2^31 up to here.
+#: A dense P of more states hits the same bound in the walk's own table.
+MAX_LEMMA_STATES = (1 << 15) - 1
+
 
 @dataclass(frozen=True)
 class CouplingTrace:
@@ -137,6 +143,7 @@ def verify_coupling_lemma(
     _check_walk(P, (start_y,), trials)
     _check_count("horizon", horizon, 0, MAX_HORIZON)
     _check_at_least("seed", seed, 0)
+    _check_count("states of a coupling-lemma chain", P.n, 1, MAX_LEMMA_STATES)
     require_ergodic(P, "coupling lemma check")
     check_stationary(P, pi)
     rng = np.random.default_rng(seed)

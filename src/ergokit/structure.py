@@ -124,14 +124,13 @@ def primitivity_exponent(P: StochasticMatrix) -> int:
     found by the doubling search of :func:`~ergokit.chain._first_power`,
     capped at the Wielandt bound. Positivity is decided on the boolean
     pattern, never on float values, so numeric underflow cannot misreport
-    a zero. The boolean powers are formed in float32, which is exact: each
-    entry of a product of 0/1 matrices counts at most n < 2^24 paths.
+    a zero.
     """
     require_ergodic(P, "a positive power of P")
     cap = wielandt_bound(P.n)
     found = _first_power(
-        (P.entries > 0.0).astype(np.float32), lambda A: bool(A.all()), cap,
-        mul=lambda X, Y: ((X @ Y) > 0.0).astype(np.float32),
+        (P.entries > 0.0).astype(np.float64), lambda A: bool(A.all()), cap,
+        mul=lambda X, Y: ((X @ Y) > 0.0).astype(np.float64),
     )
     if found is None:
         raise NotErgodicError(f"no positive power up to the Wielandt bound {cap}")
@@ -142,11 +141,7 @@ def primitivity_exponent(P: StochasticMatrix) -> int:
 def _base_report(P: StochasticMatrix) -> ErgodicityReport:
     """The structural report of P without the primitivity exponent (None):
     the one the gates read, so no gate starts a primitivity search."""
-    # one scan of the positive pattern, in row order, sliced per row
-    rows, cols = np.nonzero(P.entries > 0.0)
-    cols = cols.tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=P.n)).tolist()
-    adj = [cols[a:b] for a, b in zip([0] + ends, ends)]
+    adj = [np.flatnonzero(row > 0.0).tolist() for row in P.entries]
     sccs, depth = strongly_connected_components(adj)
     cls = {v: c for c, comp in enumerate(sccs) for v in comp}
     # a class's period is the gcd of depth(u) + 1 - depth(v) over its inner

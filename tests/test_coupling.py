@@ -1,6 +1,7 @@
 import hashlib
 import tracemalloc
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -334,6 +335,23 @@ class TestArgumentRanges:
             ek.simulate_coupling(two_state_chain, (0, 1), trials=51)
         with pytest.raises(TooLargeError, match="^horizon 6 exceeds the cap of 5$"):
             exact_meeting_tail(two_state_chain, (0, 1), 6)
+
+    def test_lemma_states_capped_by_the_start_draw(self, two_state_chain, monkeypatch):
+        # the cap is the widest one-row table of pi whose int32 offsets fit
+        # (TestSampler::test_offsets_past_int32_refused); a chain past it
+        # is refused before anything reads its entries
+        assert ek.coupling.MAX_LEMMA_STATES == (1 << 15) - 1
+        wide = SimpleNamespace(n=1 << 15)
+        with pytest.raises(
+            TooLargeError, match="^states of a coupling-lemma chain 32768 exceeds the cap of 32767$"
+        ):
+            ek.verify_coupling_lemma(wide, None, start_y=0, trials=10)
+        pi = ek.stationary_linear(two_state_chain).pi
+        monkeypatch.setattr(ek.coupling, "MAX_LEMMA_STATES", 2)
+        assert ek.verify_coupling_lemma(two_state_chain, pi, 0, trials=50).trials == 50
+        monkeypatch.setattr(ek.coupling, "MAX_LEMMA_STATES", 1)
+        with pytest.raises(TooLargeError, match="^states of a coupling-lemma chain 2 exceeds"):
+            ek.verify_coupling_lemma(two_state_chain, pi, 0, trials=50)
 
     def test_numpy_integer_counts_accepted(self, two_state_chain):
         pi = ek.stationary_linear(two_state_chain).pi
@@ -722,7 +740,7 @@ class TestSampler:
         # one row of 2^15 equal entries: w = 2^15 and m = 2^16, so its
         # columns' offsets reach 2^15 (2^16 + 1) > 2^31; one column fewer
         # stays below 2^31 and draws its last column at the top uniform
-        with pytest.raises(TooLargeError, match=r"row offset bound n \(m \+ 1\) 2147516416"):
+        with pytest.raises(TooLargeError, match=r"^int32 row offsets n \(m \+ 1\) 2147516416 exceeds"):
             _Sampler(np.full((1, 1 << 15), 2.0**-15))
         n = (1 << 15) - 1
         sampler = _Sampler(np.full((1, n), 1.0 / n))
