@@ -305,9 +305,12 @@ class TestArgumentRanges:
             (lambda P, pi: ek.verify_coupling_lemma(P, pi, 0, trials=10**15), "trials"),
             (lambda P, pi: ek.verify_coupling_lemma(P, pi, 0, horizon=10**9), "horizon"),
             (lambda P, pi: exact_meeting_tail(P, (0, 1), 10**9), "horizon"),
+            # only n is read before the check: a 2^15-state P would take 8 GB
+            (lambda P, pi: ek.verify_coupling_lemma(SimpleNamespace(n=1 << 15), pi, 0, trials=10),
+             "states of a coupling-lemma chain"),
         ],
         ids=["simulate_trials", "return_trials", "lemma_trials", "lemma_horizon",
-             "exact_horizon"],
+             "exact_horizon", "lemma_states"],
     )
     def test_oversized_count_refused_before_any_allocation(
         self, two_state_chain, call, message, monkeypatch
@@ -329,29 +332,16 @@ class TestArgumentRanges:
         pi = ek.stationary_linear(two_state_chain).pi
         monkeypatch.setattr(ek.chain, "MAX_TRIALS", 50)
         monkeypatch.setattr(ek.coupling, "MAX_HORIZON", 5)
+        monkeypatch.setattr(ek.coupling, "MAX_LEMMA_STATES", 2)
         assert ek.verify_coupling_lemma(two_state_chain, pi, 0, horizon=5, trials=50).trials == 50
         assert exact_meeting_tail(two_state_chain, (0, 1), 5).shape == (6,)
         with pytest.raises(TooLargeError, match="^trials 51 exceeds the cap of 50$"):
             ek.simulate_coupling(two_state_chain, (0, 1), trials=51)
         with pytest.raises(TooLargeError, match="^horizon 6 exceeds the cap of 5$"):
             exact_meeting_tail(two_state_chain, (0, 1), 6)
-
-    def test_lemma_states_capped_by_the_start_draw(self, two_state_chain, monkeypatch):
-        # the cap is the widest one-row table of pi whose int32 offsets fit
-        # (TestSampler::test_offsets_past_int32_refused); a chain past it
-        # is refused before anything reads its entries
-        assert ek.coupling.MAX_LEMMA_STATES == (1 << 15) - 1
-        wide = SimpleNamespace(n=1 << 15)
-        with pytest.raises(
-            TooLargeError, match="^states of a coupling-lemma chain 32768 exceeds the cap of 32767$"
-        ):
-            ek.verify_coupling_lemma(wide, None, start_y=0, trials=10)
-        pi = ek.stationary_linear(two_state_chain).pi
-        monkeypatch.setattr(ek.coupling, "MAX_LEMMA_STATES", 2)
-        assert ek.verify_coupling_lemma(two_state_chain, pi, 0, trials=50).trials == 50
         monkeypatch.setattr(ek.coupling, "MAX_LEMMA_STATES", 1)
         with pytest.raises(TooLargeError, match="^states of a coupling-lemma chain 2 exceeds"):
-            ek.verify_coupling_lemma(two_state_chain, pi, 0, trials=50)
+            ek.verify_coupling_lemma(two_state_chain, pi, 0, horizon=5, trials=50)
 
     def test_numpy_integer_counts_accepted(self, two_state_chain):
         pi = ek.stationary_linear(two_state_chain).pi
@@ -739,10 +729,12 @@ class TestSampler:
     def test_offsets_past_int32_refused(self):
         # one row of 2^15 equal entries: w = 2^15 and m = 2^16, so its
         # columns' offsets reach 2^15 (2^16 + 1) > 2^31; one column fewer
-        # stays below 2^31 and draws its last column at the top uniform
-        with pytest.raises(TooLargeError, match=r"^int32 row offsets n \(m \+ 1\) 2147516416 exceeds"):
+        # stays below 2^31 and draws its last column at the top uniform.
+        # That is the widest pi the coupling lemma draws X_0 from
+        with pytest.raises(TooLargeError, match=r"^int32 row offsets n \(m \+ 1\) 2147516416 "):
             _Sampler(np.full((1, 1 << 15), 2.0**-15))
-        n = (1 << 15) - 1
+        n = ek.coupling.MAX_LEMMA_STATES
+        assert n == (1 << 15) - 1
         sampler = _Sampler(np.full((1, n), 1.0 / n))
         assert sampler.cols.dtype == np.int32 and sampler.stride == (1 << 16) + 1
         assert _draw(np.full((1, n), 1.0 / n), [0], [np.nextafter(1.0, 0.0)]).tolist() == [n - 1]
