@@ -12,9 +12,13 @@ support slots below the uniform, bit for bit, so it never lands on a
 zero-probability state. The search runs ``_CHUNK`` walkers at a time in
 scratch arrays the sampler allocates once, and every chain copy of a walk
 moves in one sampler call per step. Besides its states, a walk's only
-arrays the size of the walker set are its int32 hitting times, an int32
-index and a hit mask, and it drops the walkers that hit in place, a chunk
-at a time, so no step allocates an array the size of the walker set.
+array the size of the walker set is a hit mask, and it drops the walkers
+that hit in place, a chunk at a time, so no step allocates an array the
+size of the walker set. A walk whose caller reads each walker's hitting
+time (``simulate_coupling``, ``monte_carlo_return``) also keeps int32
+hitting times and walker indices; the coupling lemma's walk counts the
+walkers that hit at each step and keeps neither: 9 bytes a lemma pair,
+17 a timed pair and 13 a return walker.
 
 All values are immutable after construction and all operations but the
 walker loop (which takes over its caller's state buffer and owns its
@@ -55,9 +59,10 @@ ROW_SUM_TOL = 1e-12
 #: powering error at desk scale, below any real violation.
 STATIONARY_RESIDUAL_TOL = 1e-9
 
-#: Walkers one simulation moves at most: a pair's two row offsets, its
-#: meeting time and its index (all int32) and its hit flag take 17 bytes,
-#: 0.17 GB at the cap (an int32 index holds it: 10^7 < 2^31).
+#: Walkers one simulation moves at most: a timed pair's two row offsets,
+#: its meeting time and its index (all int32) and its hit flag take 17
+#: bytes, 0.17 GB at the cap (an int32 index holds it: 10^7 < 2^31); a
+#: coupling-lemma pair, which keeps no time or index, takes 9.
 MAX_TRIALS = 10_000_000
 
 
@@ -431,11 +436,15 @@ class _Sampler:
             for h in (H >> i for i in range(1, H.bit_length()))
         ]
         self._buckets = np.array(float(self.m))
+        self._flat = (self.cols.reshape(-1), guide.reshape(-1))
         self._u = np.empty(_CHUNK)
         self._values = np.empty(_CHUNK)
         self._mask = np.empty(_CHUNK, dtype=bool)
         self._jump = np.empty(_CHUNK, dtype=np.intp)
         self._pos = np.empty(_CHUNK, dtype=np.intp)
+        # a full chunk searches in these arrays themselves, a shorter one in
+        # views of their heads
+        self._scratch = (self._u, self._values, self._mask, self._jump, self._pos)
 
     def step(self, walkers: np.ndarray, rng) -> None:
         """Move each walker one draw from the row at its offset, in place (an
@@ -451,15 +460,15 @@ class _Sampler:
         Draws come in walker order whatever the chunking, since
         ``rng.random(a)`` then ``rng.random(b)`` is the stream of
         ``rng.random(a + b)``."""
-        cols = self.cols.reshape(-1)
-        guide = self.guide.reshape(-1)
+        cols, guide = self._flat
+        scratch = self._scratch
         # take() with an out array buffers it unless mode is "clip" or
         # "wrap"; every index here is in range, so clipping changes nothing
         for lo in range(0, walkers.size, _CHUNK):
             s = walkers[lo : lo + _CHUNK]
             k = s.size
             u, values, mask, jump, pos = (
-                a[:k] for a in (self._u, self._values, self._mask, self._jump, self._pos)
+                scratch if k == _CHUNK else (a[:k] for a in scratch)
             )
             rng.random(out=u)
             np.multiply(u, self._buckets, out=values)
@@ -479,53 +488,66 @@ class _Sampler:
 
 
 def _compact(
-    flat: np.ndarray, copies: int, met: np.ndarray, idx: np.ndarray, tau: np.ndarray, t: int
-) -> np.ndarray:
-    """Close the open walkers that ``met`` marks, if any: set their tau to
-    t and drop them from ``flat``, which holds ``copies`` blocks of k int32
-    row offsets, k the size of ``met`` and of ``idx``, the open walkers'
-    int32 indices. Kept entries move, in order, to the front of their
-    block's new place, in place; returns the kept walkers' indices, a view
-    of ``idx``. ``met`` is overwritten.
+    flat: np.ndarray,
+    copies: int,
+    met: np.ndarray,
+    idx: np.ndarray | None,
+    tau: np.ndarray | None,
+    t: int,
+) -> int:
+    """Drop the open walkers that ``met`` marks from ``flat``, which holds
+    ``copies`` blocks of k int32 row offsets, k the size of ``met``: kept
+    entries move, in order, to the front of their block's new place, in
+    place. Returns the number kept. Given ``idx``, whose first k entries
+    are the open walkers' int32 indices, those move the same way and each
+    dropped walker's tau is set to t; a walk that reads only how many hit
+    passes None and keeps no index. ``met`` is overwritten.
 
-    ``_CHUNK`` walkers at a time, each chunk's kept positions found once
-    for every array, so no temporary holds more than a chunk's positions
-    and one block's kept entries in that chunk. Block i + 1's kept entries
-    could land on entries of block i not yet read, so each block's go to
-    the front of its own old place first, and blocks 1.. then slide down,
-    one move each."""
-    k = idx.size
-    if not np.count_nonzero(met):
-        return idx
-    blocks = [idx] + [flat[i * k : (i + 1) * k] for i in range(copies)]
+    ``_CHUNK`` walkers at a time, each array's kept entries gathered by the
+    chunk's boolean mask, so no temporary holds more than one array's kept
+    entries in a chunk. Block i + 1's kept entries could land on entries of
+    block i not yet read, so each block's go to the front of its own old
+    place first, and blocks 1.. then slide down, one move each."""
+    k = met.size
+    blocks = [flat[i * k : (i + 1) * k] for i in range(copies)]
+    if idx is not None:
+        blocks.append(idx)
     kept = 0
     for lo in range(0, k, _CHUNK):
-        m = met[lo : lo + _CHUNK]
-        ids = idx[lo : lo + _CHUNK].take(m.nonzero()[0])
-        new = kept + m.size - ids.size
-        # an intp index scatters about twice as fast as an int32 one
-        tau[ids.astype(np.intp)] = t
-        del ids
-        keep = np.logical_not(m, out=m).nonzero()[0]
+        hi = min(lo + _CHUNK, k)
+        m = met[lo:hi]
+        if idx is not None:
+            tau[idx[lo:hi][m]] = t
+        np.logical_not(m, out=m)
         for b in blocks:
-            b[kept:new] = b[lo : lo + _CHUNK].take(keep)
-        kept = new
+            chunk = b[lo:hi][m]
+            b[kept : kept + chunk.size] = chunk
+        kept += chunk.size
     for i in range(1, copies):
-        flat[i * kept : (i + 1) * kept] = blocks[1 + i][:kept]
-    return idx[:kept]
+        flat[i * kept : (i + 1) * kept] = blocks[i][:kept]
+    return kept
 
 
 def _walk_until(
-    P: StochasticMatrix, states: np.ndarray, max_steps: int, rng, target=None
+    P: StochasticMatrix,
+    states: np.ndarray,
+    max_steps: int,
+    rng,
+    target=None,
+    per_walker: bool = True,
 ) -> np.ndarray:
-    """The one simulation loop: returns each walker's hitting time tau.
-    ``states`` is a C-contiguous (copies, walkers) int32 array: walker j
-    starts at ``states[:, j]``, one state per chain copy. tau[j] is the
-    first t at which copies 0 and 1 meet, 0 for a pair that starts on one
-    state, or, given a ``target`` state, the first t >= 1 at which copy 0
-    is at it, so a start on the target counts no hit; -1 for a walker open
-    after max_steps. At step t = 1..max_steps each open walker moves every
-    copy by one draw of a :class:`_Sampler` built once for the walk.
+    """The one simulation loop. ``states`` is a C-contiguous (copies,
+    walkers) int32 array: walker j starts at ``states[:, j]``, one state per
+    chain copy. Walker j hits at the first t at which copies 0 and 1 meet,
+    0 for a pair that starts on one state, or, given a ``target`` state, the
+    first t >= 1 at which copy 0 is at it, so a start on the target counts
+    no hit. At step t = 1..max_steps each open walker moves every copy by
+    one draw of a :class:`_Sampler` built once for the walk.
+
+    Returns each walker's hitting time tau, -1 for a walker open after
+    max_steps; or, with ``per_walker`` false, the max_steps + 1 counts of
+    walkers that hit at each step t, for a caller that reads only the tail
+    of tau. The draws are the same either way.
 
     The walk takes ``states`` over as its buffer (the caller's values are
     overwritten): it scales the buffer once to row offsets, in place, and
@@ -534,13 +556,15 @@ def _walk_until(
     are equal states, so the hit rules compare offsets. The uniforms come
     in walker order, so the draws are those of one call per copy.
 
-    Besides the buffer, the walk's only arrays the size of the walker set
-    are tau (int32, or int64 where max_steps >= 2^31), the open walkers'
-    indices (int32) and the hit mask, 9 bytes a walker, 17 with a pair's
-    two offsets: each step closes the walkers that hit with
-    :func:`_compact`, in place, and every other array is the sampler's or
-    at most a chunk. A draw costs one guide lookup and log2(H) halvings, so
-    a step costs O(open walkers x copies x log H)."""
+    Besides the buffer, the walk's only array the size of the walker set
+    is the hit mask, and with ``per_walker`` tau (int32, or int64 where
+    max_steps >= 2^31) and the open walkers' int32 indices: a pair takes 9
+    bytes with counts (``verify_coupling_lemma``) and 17 with hitting times
+    (``simulate_coupling``), a return walker 13 (``monte_carlo_return``).
+    Each step drops the walkers that hit with :func:`_compact`, in place,
+    and every other array is the sampler's or at most a chunk. A draw costs
+    one guide lookup and log2(H) halvings, so a step costs O(open walkers x
+    copies x log H)."""
     copies, k = states.shape
     # built first, so its build's temporaries are gone before the walk's
     # own arrays exist
@@ -549,8 +573,12 @@ def _walk_until(
     flat *= sampler.stride
     if target is not None:
         target = np.array(target * sampler.stride, dtype=np.int32)
-    tau = np.full(k, -1, dtype=np.int32 if max_steps <= _INT32_MAX else np.int64)
-    idx = np.arange(k, dtype=np.int32)  # k <= MAX_TRIALS < 2^31
+    if per_walker:
+        tau = np.full(k, -1, dtype=np.int32 if max_steps <= _INT32_MAX else np.int64)
+        idx = np.arange(k, dtype=np.int32)  # k <= MAX_TRIALS < 2^31
+    else:
+        counts = np.zeros(max_steps + 1, dtype=np.int64)
+        tau = idx = None
     hit = np.empty(k, dtype=bool)
     # a pair is compared from t = 0 on, a return walk from t = 1
     for t in range(0 if target is None else 1, max_steps + 1):
@@ -558,11 +586,14 @@ def _walk_until(
             sampler.step(flat[: copies * k], rng)
         met = hit[:k]
         np.equal(flat[:k], flat[k : 2 * k] if target is None else target, out=met)
-        idx = _compact(flat, copies, met, idx, tau, t)
-        k = idx.size
-        if k == 0:
-            break
-    return tau
+        hits = np.count_nonzero(met)
+        if hits:
+            if not per_walker:
+                counts[t] = hits
+            k = _compact(flat, copies, met, idx, tau, t)
+            if k == 0:
+                break
+    return tau if per_walker else counts
 
 
 # ---------------------------------------------------------------------------

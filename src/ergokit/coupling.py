@@ -155,9 +155,8 @@ def verify_coupling_lemma(
     states[0] //= start.stride
     del start
     states[1] = start_y
-    tau = _walk_until(P, states, horizon, rng)
+    hits = _walk_until(P, states, horizon, rng, per_walker=False)
     del states  # the walk's buffer, spent
-    tau[tau < 0] = horizon + 1  # censored beyond horizon
 
     def exact_tv(law: np.ndarray) -> float:
         # normalized as a Distribution would be; the law is never negative
@@ -167,7 +166,7 @@ def verify_coupling_lemma(
     point[start_y] = 1.0
     laws = islice(orbit(point, P.entries), horizon + 1)
     exact = np.fromiter(map(exact_tv, laws), float, horizon + 1)
-    k = trials - np.cumsum(np.bincount(tau, minlength=horizon + 2))[: horizon + 1]
+    k = trials - np.cumsum(hits)  # pairs not met by step i
     tail = k / trials
     # Agresti-Coull-adjusted s.e.: the plain binomial s.e. degenerates
     # to 0 at zero counts, where the true tail is merely below ~1/trials

@@ -814,15 +814,20 @@ class TestChunkBoundaries:
 class TestCompact:
     """_compact against whole-array gathers, in place over one to three
     copies, with hits in every chunk (one in 50 of them or three in 10) or
-    in one chunk only."""
+    in one chunk only; with walker indices and tau, and (``counts``) without
+    them, as the coupling lemma's walk runs it."""
 
-    @pytest.mark.parametrize("copies", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "copies, per_walker",
+        [pytest.param(c, True, id=str(c)) for c in (1, 2, 3)]
+        + [pytest.param(c, False, id=f"{c}-counts") for c in (1, 2, 3)],
+    )
     @pytest.mark.parametrize("k", [5, _CHUNK, 2 * _CHUNK + 1000])
     @pytest.mark.parametrize(
         "where, rate",
         [("every_chunk", 0.02), ("every_chunk", 0.3), ("first_chunk", 0.3), ("last_chunk", 0.3)],
     )
-    def test_matches_whole_array_gathers(self, copies, k, where, rate):
+    def test_matches_whole_array_gathers(self, copies, per_walker, k, where, rate):
         rng = np.random.default_rng([copies, k])
         walkers = k + 10  # closed walkers sit among the open ones
         idx = np.sort(rng.choice(walkers, size=k, replace=False)).astype(np.int32)
@@ -838,10 +843,14 @@ class TestCompact:
         tau = np.full(walkers, -1)
         want_tau = tau.copy()
         want_tau[idx[met]] = 7
-        kept = _compact(flat, copies, met.copy(), idx.copy(), tau, 7)
-        assert kept.tolist() == idx[keep].tolist()
-        assert flat[: copies * kept.size].tolist() == blocks.tolist()
-        assert tau.tolist() == want_tau.tolist()
+        # the walk's index buffer outlasts the open set: only its head is read
+        buf = np.concatenate([idx, np.full(10, -1, dtype=np.int32)])
+        kept = _compact(flat, copies, met.copy(), *((buf, tau) if per_walker else (None, None)), 7)
+        assert kept == keep.sum()
+        assert flat[: copies * kept].tolist() == blocks.tolist()
+        if per_walker:
+            assert buf[:kept].tolist() == idx[keep].tolist()
+            assert tau.tolist() == want_tau.tolist()
 
 
 class TestOneStepCall:
@@ -939,9 +948,9 @@ class TestScratchSize:
         pi = ek.stationary_linear(self.P).pi
         ek.verify_coupling_lemma(self.P, pi, start_y=0, horizon=2, trials=10, seed=0)
         trials = 200_000
-        # per walker: the two start arrays, tau and the open indices (all
-        # int32) and the hit mask, 17 bytes
-        per_walker = 2 * 4 + 4 + 4 + 1
+        # per walker: the two start arrays (int32) and the hit mask, 9
+        # bytes; the walk counts the pairs that meet, with no tau or index
+        per_walker = 2 * 4 + 1
         # beside them: the sampler's table and chunk scratch, two chunks of
         # compaction temporaries and 64 KiB for the report's Python objects
         sampler = _Sampler(self.P.entries)
