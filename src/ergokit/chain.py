@@ -499,33 +499,30 @@ def _compact(
     dropped walker's tau is set to t; a walk that reads only how many hit
     passes None and keeps no index. ``met`` is overwritten.
 
-    ``_CHUNK`` walkers at a time, each array's kept entries gathered by the
-    chunk's boolean mask where at most one walker in 16 of the chunk hit,
-    and else by the kept positions, found once for every array; so no
-    temporary holds more than a chunk's positions and one array's kept
-    entries in it. Block i + 1's kept entries could land on entries of
-    block i not yet read, so each block's go to the front of its own old
-    place first, and blocks 1.. then slide down, one move each."""
+    ``_CHUNK`` walkers at a time, each chunk's kept positions found once
+    for every array, so no temporary holds more than a chunk's positions
+    and one block's kept entries in that chunk. Block i + 1's kept entries
+    could land on entries of block i not yet read, so each block's go to
+    the front of its own old place first, and blocks 1.. then slide down,
+    one move each."""
     k = met.size
     blocks = [flat[i * k : (i + 1) * k] for i in range(copies)]
     if idx is not None:
+        idx = idx[:k]
         blocks.append(idx)
     kept = 0
     for lo in range(0, k, _CHUNK):
-        hi = min(lo + _CHUNK, k)
-        m = met[lo:hi]
-        # a boolean gather copies the runs between hits: fastest while hits
-        # are few, but several times slower than an index gather from about
-        # one hit in ten, where the chunk's positions are found once instead
-        sparse = np.count_nonzero(m) * 16 <= m.size
+        m = met[lo : lo + _CHUNK]
         if idx is not None:
-            tau[idx[lo:hi][m if sparse else m.nonzero()[0]]] = t
-        np.logical_not(m, out=m)
-        keep = m if sparse else m.nonzero()[0]
+            ids = idx[lo : lo + _CHUNK].take(m.nonzero()[0])
+            # an intp index scatters about twice as fast as an int32 one
+            tau[ids.astype(np.intp)] = t
+            del ids
+        keep = np.logical_not(m, out=m).nonzero()[0]
+        new = kept + keep.size
         for b in blocks:
-            chunk = b[lo:hi][keep]
-            b[kept : kept + chunk.size] = chunk
-        kept += chunk.size
+            b[kept:new] = b[lo : lo + _CHUNK].take(keep)
+        kept = new
     for i in range(1, copies):
         flat[i * kept : (i + 1) * kept] = blocks[i][:kept]
     return kept

@@ -813,10 +813,9 @@ class TestChunkBoundaries:
 
 class TestCompact:
     """_compact against whole-array gathers, in place over one to three
-    copies, with hits in every chunk (one in 50 of them, a boolean gather,
-    or three in 10, a gather by positions) or in one chunk only; with walker
-    indices and tau, and (``counts``) without them, as the coupling lemma's
-    walk runs it."""
+    copies, with hits in every chunk (one in 50 of them or three in 10) or
+    in one chunk only; with walker indices and tau, and (``counts``)
+    without them, as the coupling lemma's walk runs it."""
 
     @pytest.mark.parametrize(
         "copies, per_walker",
